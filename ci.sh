@@ -103,6 +103,24 @@ printf '{"id":1,"method":"stats"}\n' | ./target/release/serve --oneshot --quick 
   exit 1
 }
 
+echo "== deep-nesting smoke (one 240 KB line of '[' to serve --oneshot) =="
+# The line fits under the 256 KiB line cap, so it reaches the JSON parser,
+# whose nesting-depth cap must turn it into one structured `parse` error
+# instead of a stack overflow that kills the process.
+DEEP_OUT=$({ head -c 245760 /dev/zero | tr '\0' '['; echo; } \
+  | ./target/release/serve --oneshot --quick) || {
+  echo "ci.sh: serve --oneshot did not survive a deeply nested line" >&2
+  exit 1
+}
+[ "$(printf '%s\n' "$DEEP_OUT" | wc -l)" -eq 1 ] || {
+  echo "ci.sh: deeply nested line did not get exactly one reply line" >&2
+  exit 1
+}
+echo "$DEEP_OUT" | grep -q '"ok":false,"error":{"kind":"parse"' || {
+  echo "ci.sh: deeply nested line was not answered with a parse error: $DEEP_OUT" >&2
+  exit 1
+}
+
 echo "== sharded serve smoke test (router, 2 shards, whole-tree shutdown) =="
 # The router fronts two spawned shard daemons; clients see the same wire
 # protocol on one ephemeral port. SIGTERM must drain the whole process

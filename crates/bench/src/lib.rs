@@ -1,18 +1,9 @@
-//! Benchmark harness support: shared helpers for the per-table/figure
-//! Criterion benches and the `repro` binary that regenerates every table
-//! and figure of the paper.
+//! Benchmark harness support: artifact writing for the `repro` binary that
+//! regenerates every table and figure of the paper, and the probes behind
+//! the `perf_baseline` drift gate.
 
 #![warn(missing_docs)]
 
 pub mod artifacts;
 pub mod baseline;
 pub mod serve_probe;
-
-use m3d_core::planner::DesignSpace;
-use std::sync::OnceLock;
-
-/// A process-wide design space so benches don't recompute the planner.
-pub fn shared_design_space() -> &'static DesignSpace {
-    static SPACE: OnceLock<DesignSpace> = OnceLock::new();
-    SPACE.get_or_init(DesignSpace::compute)
-}

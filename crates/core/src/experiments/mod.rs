@@ -1,7 +1,7 @@
 //! One driver per table/figure of the paper's evaluation.
 //!
 //! Every driver returns typed rows plus a rendered text table so that the
-//! `repro` binary, the Criterion benches, and the integration tests all
+//! `repro` binary, the `perf_baseline` probes, and the integration tests all
 //! consume the same code path. Each driver additionally exposes a uniform
 //! `report(&registry::Ctx) -> registry::ExperimentReport` entry point; the
 //! [`registry`] module collects these into a declarative experiment

@@ -202,12 +202,15 @@ impl Json {
 
     /// Parse a JSON document (the subset this type renders: no exponents are
     /// *required* but they are accepted; `\uXXXX` escapes including
-    /// surrogate pairs are decoded). Used by the `perf_baseline` drift gate
-    /// and the artifact round-trip tests.
+    /// surrogate pairs are decoded). Used by the `perf_baseline` drift gate,
+    /// the artifact round-trip tests, and every request line the serve
+    /// daemon and router read. Arrays and objects nested deeper than
+    /// [`MAX_PARSE_DEPTH`] are an error, so no input can exhaust the stack.
     pub fn parse(s: &str) -> Result<Json, String> {
         let mut p = Parser {
             bytes: s.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -237,10 +240,17 @@ impl Json {
     }
 }
 
+/// How deeply [`Json::parse`] lets arrays and objects nest. Far above any
+/// request or report this workspace writes (under ten levels); it exists so
+/// that hostile input fails with an error instead of a stack overflow.
+pub const MAX_PARSE_DEPTH: usize = 128;
+
 /// Recursive-descent JSON parser over the input bytes.
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -285,8 +295,22 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b @ (b'[' | b'{')) => {
+                if self.depth == MAX_PARSE_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_PARSE_DEPTH} levels at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let v = if b == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(b) => Err(format!("unexpected `{}` at byte {}", b as char, self.pos)),
             None => Err("unexpected end of input".to_owned()),
@@ -647,6 +671,25 @@ pub fn thermal_stats_text(label: &str, s: &m3d_thermal::model::SolveStatsSummary
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn json_parse_caps_nesting_depth() {
+        let nested = |open: &str, close: &str, n: usize| open.repeat(n) + &close.repeat(n);
+        // At the cap: fine, for arrays, objects and a mix of both.
+        assert!(Json::parse(&nested("[", "]", MAX_PARSE_DEPTH)).is_ok());
+        let objs = nested("{\"a\":", "}", MAX_PARSE_DEPTH - 1).replace("{\"a\":}", "{\"a\":{}}");
+        assert!(Json::parse(&objs).is_ok(), "{objs}");
+        // One past the cap, or a 240 KB run of `[` with no end: an error,
+        // not a stack overflow.
+        let err = Json::parse(&nested("[", "]", MAX_PARSE_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than 128"), "{err}");
+        assert!(Json::parse(&"[".repeat(240 * 1024)).is_err());
+        assert!(Json::parse(&"{\"a\":[".repeat(40_000)).is_err());
+        // The depth is per path, not per document: many shallow siblings
+        // are fine.
+        let wide = format!("[{}[]]", "[[]],".repeat(10_000));
+        assert!(Json::parse(&wide).is_ok());
+    }
 
     #[test]
     fn renders_aligned() {

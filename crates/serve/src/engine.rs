@@ -408,7 +408,6 @@ impl Engine {
         };
         m3d_obs::add("serve.requests", 1);
         m3d_obs::add(method_counter(req.method), 1);
-        let _span = m3d_obs::span("serve", req.method.name());
         let mut out = Vec::new();
         let result = if req.method == Method::Plan {
             let deadline = req

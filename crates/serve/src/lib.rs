@@ -27,11 +27,15 @@
 //! # Production shape
 //!
 //! * **Event-loop core** — one epoll readiness loop (dependency-free raw
-//!   syscall bindings, see [`server`]) owns the listener and every
-//!   client socket; connections cost file descriptors, not threads, so
-//!   connections ≫ workers is the designed-for regime. Workers hand
-//!   response lines back through an eventfd-woken mailbox and never
-//!   touch a socket.
+//!   syscall bindings in one private `sys` module) owns the listener and
+//!   every socket; connections cost file descriptors, not threads, so
+//!   connections ≫ workers is the designed-for regime. The daemon and the
+//!   router are two handlers on that one loop: the loop does accept,
+//!   line framing, flush, interest updates, reap and the graceful drain;
+//!   the daemon's handler feeds the worker queue and delivers the
+//!   workers' eventfd-woken mailbox (replies in completion order), and
+//!   the router's handler fans lines out to its shard connections and
+//!   replies in request order. Workers never touch a socket.
 //! * **Backpressure** — heavy work (`sim`, `experiment`) passes through a
 //!   bounded admission queue; a full queue rejects with a structured
 //!   `overloaded` error instead of buffering unboundedly.
@@ -49,13 +53,15 @@
 //! * **Graceful shutdown** — SIGTERM/ctrl-c stop the accept loop,
 //!   dispatch every request already buffered on a connection, drain
 //!   queued and in-flight work, flush every reply, then exit 0.
-//! * **Observability** — per-request spans plus `serve.requests` (total
+//! * **Observability** — `serve.requests` (total
 //!   and per method: `serve.requests.sim`, `.experiment`, `.planner`,
 //!   `.plan`, `.stats`, `.telemetry`), `serve.coalesced`,
 //!   `serve.rejected`, `serve.deadline_expired`, `serve.errors`,
 //!   `serve.write_errors`, `serve.plan_chunks`, `serve.plan_aborted`
 //!   counters and a `serve.latency_us` histogram — cumulative totals via
-//!   `stats`, rolling windows via `telemetry`. A router additionally
+//!   `stats`, rolling windows, flight records and slow-request span trees
+//!   via `telemetry`. No per-request trace spans are recorded: nothing
+//!   exports them, so they would only grow the process. A router additionally
 //!   counts `serve.shard_subrequests`, `serve.shard_deaths`,
 //!   `serve.shard_rerouted`, and `serve.shard_failed`.
 //! * **Sharding** — `serve --shards N` (or the standalone `router`
@@ -179,6 +185,7 @@
 //! | kind             | meaning                                              |
 //! |------------------|------------------------------------------------------|
 //! | `parse`          | the line was not valid JSON (id `null` if unreadable)|
+//! |                  | or nested arrays/objects over 128 levels deep        |
 //! | `bad_request`    | wrong request shape or parameters (incl. `plan` spec |
 //! |                  | violations: unknown fields, axis caps, vdd range)    |
 //! | `unknown_method` | not one of the six methods                           |
@@ -214,9 +221,11 @@
 
 pub mod client;
 pub mod engine;
+mod event_loop;
 pub mod protocol;
 pub mod router;
 pub mod server;
+mod sys;
 pub mod telemetry;
 
 pub use client::{Client, ClientError, PlanStream};

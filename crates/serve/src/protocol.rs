@@ -355,6 +355,18 @@ pub fn err_line(id: Option<i64>, e: &WireError) -> String {
     .render_compact()
 }
 
+/// The `oversized` error line (id `null`) answered for a request line
+/// over [`MAX_LINE_BYTES`], by the daemon and the router alike.
+pub(crate) fn oversized_line() -> String {
+    err_line(
+        None,
+        &WireError::new(
+            ErrorKind::Oversized,
+            format!("request line exceeds {MAX_LINE_BYTES} bytes"),
+        ),
+    )
+}
+
 /// A parsed response line — the receiving-side dual of [`ok_line`],
 /// [`partial_line`] and [`err_line`]. This is the **one** place response
 /// lines are decoded: the typed [`Client`](crate::client::Client), the

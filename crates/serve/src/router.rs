@@ -59,39 +59,37 @@
 //! (`serve.write_errors`); the shard-side search still runs to completion
 //! because the router's upstream connection stays alive.
 
+//!
+//! # Event loop
+//!
+//! The router runs the daemon's readiness loop (module `event_loop`)
+//! with its own handler. Each shard is one upstream connection on that
+//! loop; the handler fans client lines out to upstreams, matches replies
+//! to their in-flight sub-requests by upstream id, and keeps the
+//! per-connection head-of-line queue. A client connection is finished
+//! when its queue is empty; the drain waits until no sub-request is in
+//! flight.
+
 use crate::engine::{
-    method_counter, parse_sim_params, serve_counters_snapshot, telemetry_response,
-    SERVE_COUNTERS,
+    method_counter, parse_sim_params, serve_counters_snapshot, telemetry_response, SERVE_COUNTERS,
 };
+use crate::event_loop::{Conns, EventLoop, Framed, Handler, Role, Waker};
 use crate::protocol::{
-    err_line, ok_line, parse_request, request_line, ErrorKind, Method, Request, Response,
-    WireError, MAX_LINE_BYTES,
+    err_line, ok_line, oversized_line, parse_request, request_line, ErrorKind, Method, Request,
+    Response, WireError,
 };
-use crate::server::{self, oversized_line, sys, FLUSH_WINDOW};
+use crate::sys;
 use crate::telemetry::{RequestObservation, ServeTelemetry, SLOW_MS_DEFAULT};
 use m3d_core::experiments::registry::ExperimentError;
 use m3d_core::report::{metrics_json, Json};
 use m3d_uarch::batch::{shard_of_key, shard_slice};
 use std::collections::{HashMap, VecDeque};
-use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::os::fd::AsRawFd;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-extern "C" {
-    fn kill(pid: i32, sig: i32) -> i32;
-}
-
-const SIGTERM: i32 = 15;
-
-/// Event-loop token of the client-facing listener. Shard `i`'s upstream
-/// connection is token `1 + i`; client tokens start past the shards.
-const TOKEN_LISTENER: u64 = 0;
 
 /// How long a spawned shard gets to report its bound address.
 const SPAWN_DEADLINE: Duration = Duration::from_secs(30);
@@ -201,32 +199,6 @@ pub(crate) fn single_topology_json() -> Json {
     topology_json(&[(None, true)])
 }
 
-/// One upstream shard connection (plus the child process when spawned).
-struct Shard {
-    addr: String,
-    child: Option<Child>,
-    pid: Option<u32>,
-    stream: Option<TcpStream>,
-    rbuf: Vec<u8>,
-    wbuf: Vec<u8>,
-    wstart: usize,
-    interest: u32,
-    live: bool,
-}
-
-impl Shard {
-    fn has_backlog(&self) -> bool {
-        self.wstart < self.wbuf.len()
-    }
-
-    /// Queue one request line for this shard. Buffering never fails; the
-    /// bytes go out in the flush phase, where a failure is a shard death.
-    fn buffer(&mut self, line: &str) {
-        self.wbuf.extend_from_slice(line.as_bytes());
-        self.wbuf.push(b'\n');
-    }
-}
-
 /// What one `sim` fan-out still owes: per-point result rows (the shard's
 /// own rendered bytes) or the winning error (minimum point index, like
 /// the serial engine's first-error-wins rule).
@@ -256,27 +228,6 @@ struct Entry {
     fan: Option<Fanout>,
 }
 
-/// One client connection's state machine (mirrors the daemon's `Conn`,
-/// plus the response-ordering queue).
-struct ClientConn {
-    stream: TcpStream,
-    rbuf: Vec<u8>,
-    wbuf: Vec<u8>,
-    wstart: usize,
-    discarding: bool,
-    read_closed: bool,
-    closed_at: Option<Instant>,
-    interest: u32,
-    queue: VecDeque<Entry>,
-}
-
-impl ClientConn {
-    fn has_backlog(&self) -> bool {
-        self.wstart < self.wbuf.len()
-    }
-}
-
-#[derive(Clone)]
 enum PendingKind {
     /// A whole forwarded request; the shard's terminating line is the
     /// client's (modulo the id).
@@ -286,51 +237,12 @@ enum PendingKind {
 }
 
 /// One in-flight sub-request, keyed by its upstream id.
-#[derive(Clone)]
 struct Pending {
     shard: usize,
     ctoken: u64,
     eid: u64,
     cid: i64,
     kind: PendingKind,
-}
-
-/// A complete line framed from a client's read buffer, or an oversized
-/// line to answer with the structured error.
-enum Framed {
-    Line(String),
-    Oversized,
-}
-
-/// Frame complete lines out of `rbuf` — the daemon's rules: empty lines
-/// skipped, completed lines over the cap answered `oversized`, a line
-/// overflowing the buffer before its newline answered `oversized` once
-/// and discarded until the next newline resyncs.
-fn frame_lines(rbuf: &mut Vec<u8>, discarding: &mut bool) -> Vec<Framed> {
-    let mut out = Vec::new();
-    while let Some(nl) = rbuf.iter().position(|&b| b == b'\n') {
-        let line: Vec<u8> = rbuf.drain(..=nl).collect();
-        if *discarding {
-            *discarding = false;
-            continue;
-        }
-        if line.len() - 1 > MAX_LINE_BYTES {
-            out.push(Framed::Oversized);
-            continue;
-        }
-        let text = String::from_utf8_lossy(&line[..line.len() - 1]);
-        let text = text.trim_end_matches('\r');
-        if text.trim().is_empty() {
-            continue;
-        }
-        out.push(Framed::Line(text.to_owned()));
-    }
-    if rbuf.len() > MAX_LINE_BYTES {
-        out.push(Framed::Oversized);
-        rbuf.clear();
-        *discarding = true;
-    }
-    out
 }
 
 /// Swap the leading `"id"` of a rendered response line. Responses are
@@ -362,7 +274,10 @@ fn extract_row(line: &str) -> Option<String> {
 /// reconstructing the strict-mode error at the router.
 fn row_cap_exhausted(row: &str) -> bool {
     matches!(
-        Json::parse(row).ok().as_ref().and_then(|r| r.get("cap_exhausted")),
+        Json::parse(row)
+            .ok()
+            .as_ref()
+            .and_then(|r| r.get("cap_exhausted")),
         Some(Json::Bool(true))
     )
 }
@@ -465,36 +380,29 @@ fn finalize_fanout(telemetry: &ServeTelemetry, entry: &mut Entry) {
 
 /// Find a queued entry by connection token and entry id.
 fn entry_mut(
-    clients: &mut HashMap<u64, ClientConn>,
+    queues: &mut HashMap<u64, VecDeque<Entry>>,
     ctoken: u64,
     eid: u64,
 ) -> Option<&mut Entry> {
-    clients
-        .get_mut(&ctoken)?
-        .queue
-        .iter_mut()
-        .find(|e| e.eid == eid)
+    queues.get_mut(&ctoken)?.iter_mut().find(|e| e.eid == eid)
 }
 
 /// Spawn one shard daemon and wait for its bound address via a port file.
 fn spawn_shard(bin: &PathBuf, cfg: &RouterConfig, i: usize) -> std::io::Result<(Child, String)> {
-    let port_file =
-        std::env::temp_dir().join(format!("m3d-shard-{}-{i}.port", std::process::id()));
+    let port_file = std::env::temp_dir().join(format!("m3d-shard-{}-{i}.port", std::process::id()));
     let _ = std::fs::remove_file(&port_file);
     let mut cmd = Command::new(bin);
-    cmd.arg("--addr")
-        .arg("127.0.0.1:0")
-        .arg("--port-file")
+    cmd.args(["--addr", "127.0.0.1:0", "--port-file"])
         .arg(&port_file)
-        .arg("--jobs")
-        .arg(cfg.jobs.to_string())
-        .arg("--workers")
-        .arg(cfg.workers.to_string())
-        .arg("--queue-cap")
-        .arg(cfg.queue_cap.to_string())
-        .arg("--slow-ms")
-        .arg(cfg.slow_ms.to_string())
         .stdin(Stdio::null());
+    for (flag, v) in [
+        ("--jobs", cfg.jobs as u64),
+        ("--workers", cfg.workers as u64),
+        ("--queue-cap", cfg.queue_cap as u64),
+        ("--slow-ms", cfg.slow_ms),
+    ] {
+        cmd.arg(flag).arg(v.to_string());
+    }
     if cfg.quick {
         cmd.arg("--quick");
     }
@@ -525,13 +433,13 @@ fn spawn_shard(bin: &PathBuf, cfg: &RouterConfig, i: usize) -> std::io::Result<(
     Ok((child, addr))
 }
 
-/// Connect (with retries — a freshly spawned daemon may still be binding)
-/// and wrap a shard connection.
-fn connect_shard(addr: String, child: Option<Child>) -> std::io::Result<Shard> {
+/// Connect to a shard address, with retries — a freshly spawned daemon
+/// may still be binding.
+fn connect_shard(addr: &str) -> std::io::Result<TcpStream> {
     let deadline = Instant::now() + CONNECT_DEADLINE;
-    let stream = loop {
-        match TcpStream::connect(&addr) {
-            Ok(s) => break s,
+    loop {
+        match TcpStream::connect(addr) {
+            Ok(s) => return Ok(s),
             Err(e) => {
                 if Instant::now() > deadline {
                     return Err(e);
@@ -539,21 +447,17 @@ fn connect_shard(addr: String, child: Option<Child>) -> std::io::Result<Shard> {
                 std::thread::sleep(Duration::from_millis(20));
             }
         }
-    };
-    stream.set_nodelay(true)?;
-    stream.set_nonblocking(true)?;
-    let pid = child.as_ref().map(Child::id);
-    Ok(Shard {
-        addr,
-        child,
-        pid,
-        stream: Some(stream),
-        rbuf: Vec::new(),
-        wbuf: Vec::new(),
-        wstart: 0,
-        interest: sys::EPOLLIN,
-        live: true,
-    })
+    }
+}
+
+/// One shard: its address, the child process when spawned, and its
+/// upstream connection's token on the event loop.
+struct Shard {
+    addr: String,
+    child: Option<Child>,
+    pid: Option<u32>,
+    token: u64,
+    live: bool,
 }
 
 /// A bound router: listener up, every shard spawned (or connected) and
@@ -562,8 +466,10 @@ fn connect_shard(addr: String, child: Option<Child>) -> std::io::Result<Shard> {
 pub struct Router {
     listener: TcpListener,
     shards: Vec<Shard>,
+    /// Shard `i`'s connection, registered with the loop by [`Router::run`].
+    streams: Vec<TcpStream>,
     telemetry: ServeTelemetry,
-    stop: Arc<AtomicBool>,
+    waker: Arc<Waker>,
     start: Instant,
 }
 
@@ -578,7 +484,7 @@ impl Router {
         for c in SERVE_COUNTERS {
             m3d_obs::add(c, 0);
         }
-        let mut shards = Vec::new();
+        let mut targets = Vec::new();
         if cfg.connect.is_empty() {
             let bin = match &cfg.serve_binary {
                 Some(p) => p.clone(),
@@ -593,12 +499,23 @@ impl Router {
             for i in 0..cfg.shards.max(1) {
                 let (child, addr) = spawn_shard(&bin, &cfg, i)?;
                 eprintln!("[router] spawned shard {i} pid {} on {addr}", child.id());
-                shards.push(connect_shard(addr, Some(child))?);
+                targets.push((addr, Some(child)));
             }
         } else {
-            for addr in &cfg.connect {
-                shards.push(connect_shard(addr.clone(), None)?);
-            }
+            targets.extend(cfg.connect.iter().map(|a| (a.clone(), None)));
+        }
+        let mut shards = Vec::new();
+        let mut streams = Vec::new();
+        for (addr, child) in targets {
+            streams.push(connect_shard(&addr)?);
+            let pid = child.as_ref().map(Child::id);
+            shards.push(Shard {
+                addr,
+                child,
+                pid,
+                token: 0,
+                live: true,
+            });
         }
         let listener = TcpListener::bind(&cfg.addr)?;
         listener.set_nonblocking(true)?;
@@ -607,8 +524,9 @@ impl Router {
         Ok(Router {
             listener,
             shards,
+            streams,
             telemetry,
-            stop: Arc::new(AtomicBool::new(false)),
+            waker: Waker::new()?,
             start: Instant::now(),
         })
     }
@@ -627,25 +545,46 @@ impl Router {
     /// [`RouterHandle`] stop), then drain: answer everything in flight,
     /// flush every client, SIGTERM spawned shards and wait for them.
     pub fn run(self) {
-        let stop = Arc::clone(&self.stop);
-        match RouterLoop::new(self) {
-            Ok(mut rl) => rl.run(&stop),
-            Err(e) => eprintln!("[router] event loop setup failed: {e}"),
+        let mut relay = Relay {
+            shards: self.shards,
+            queues: HashMap::new(),
+            pending: HashMap::new(),
+            next_upstream_id: 0,
+            next_eid: 0,
+            telemetry: self.telemetry,
+            start: self.start,
+        };
+        let setup = EventLoop::new(self.listener, self.waker).and_then(|mut el| {
+            for (s, stream) in relay.shards.iter_mut().zip(self.streams) {
+                s.token = el.conns().add(stream, Role::Upstream)?;
+            }
+            Ok(el)
+        });
+        match setup {
+            Ok(el) => el.run(&mut relay),
+            Err(e) => {
+                eprintln!("[router] event loop setup failed: {e}");
+                relay.finish();
+            }
         }
     }
 
     /// Run on a background thread; stop it with [`RouterHandle::shutdown`].
     pub fn spawn(self) -> RouterHandle {
-        let stop = Arc::clone(&self.stop);
+        let waker = Arc::clone(&self.waker);
         let pids = self.shard_pids();
         let thread = std::thread::spawn(move || self.run());
-        RouterHandle { stop, pids, thread }
+        RouterHandle {
+            waker,
+            pids,
+            thread,
+        }
     }
 }
 
 /// Handle to a router running on its own thread (see [`Router::spawn`]).
 pub struct RouterHandle {
-    stop: Arc<AtomicBool>,
+    waker: Arc<Waker>,
     pids: Vec<Option<u32>>,
     thread: JoinHandle<()>,
 }
@@ -654,7 +593,7 @@ impl RouterHandle {
     /// Stop the loop and block until the drain (including shard teardown)
     /// finishes.
     pub fn shutdown(self) {
-        self.stop.store(true, Ordering::SeqCst);
+        self.waker.stop();
         let _ = self.thread.join();
     }
 
@@ -664,176 +603,105 @@ impl RouterHandle {
     }
 }
 
-/// The readiness loop's working set.
-struct RouterLoop {
-    epoll: sys::Epoll,
-    listener: TcpListener,
+/// The router's event-loop handler: the shards, every client's
+/// head-of-line queue, and the in-flight sub-requests.
+struct Relay {
     shards: Vec<Shard>,
-    clients: HashMap<u64, ClientConn>,
+    /// Per client token: its requests in arrival order (created by the
+    /// client's first request).
+    queues: HashMap<u64, VecDeque<Entry>>,
     /// In-flight sub-requests keyed by upstream id.
     pending: HashMap<i64, Pending>,
-    next_client_token: u64,
     next_upstream_id: i64,
     next_eid: u64,
     telemetry: ServeTelemetry,
     start: Instant,
 }
 
-impl RouterLoop {
-    fn new(router: Router) -> std::io::Result<RouterLoop> {
-        let epoll = sys::Epoll::new()?;
-        epoll.add(router.listener.as_raw_fd(), TOKEN_LISTENER, sys::EPOLLIN)?;
-        for (i, s) in router.shards.iter().enumerate() {
-            if let Some(stream) = &s.stream {
-                epoll.add(stream.as_raw_fd(), 1 + i as u64, sys::EPOLLIN)?;
-            }
-        }
-        let next_client_token = 1 + router.shards.len() as u64;
-        Ok(RouterLoop {
-            epoll,
-            listener: router.listener,
-            shards: router.shards,
-            clients: HashMap::new(),
-            pending: HashMap::new(),
-            next_client_token,
-            next_upstream_id: 0,
-            next_eid: 0,
-            telemetry: router.telemetry,
-            start: router.start,
-        })
-    }
-
-    fn run(&mut self, stop: &AtomicBool) {
-        let mut events = [sys::EpollEvent { events: 0, data: 0 }; 64];
-        while !stop.load(Ordering::Relaxed) && !server::signalled() {
-            let n = self.epoll.wait(&mut events, 100);
-            for ev in events.iter().take(n).copied() {
-                self.dispatch(ev.data, ev.events, true);
-            }
-            self.flush_shards();
-            self.reap();
-        }
-        self.drain_and_exit();
-    }
-
-    /// Route one readiness event. `reads` gates client reads — the drain
-    /// loop stops reading but still flushes.
-    fn dispatch(&mut self, token: u64, bits: u32, reads: bool) {
-        if token == TOKEN_LISTENER {
-            if reads {
-                self.accept_ready();
-            }
-        } else if (token as usize) <= self.shards.len() {
-            self.shard_event(token as usize - 1, bits);
-        } else {
-            self.client_event(token, bits, reads);
-        }
-    }
-
-    // ---- client side ----------------------------------------------------
-
-    fn accept_ready(&mut self) {
-        loop {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => self.register_client(stream),
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(_) => {
-                    std::thread::sleep(Duration::from_millis(5));
-                    break;
+impl Handler for Relay {
+    fn on_input(&mut self, conns: &mut Conns, token: u64, lines: Vec<Framed>) {
+        if let Some(si) = self.shard_of_token(token) {
+            for framed in lines {
+                match framed {
+                    Framed::Line(line) => self.handle_upstream(conns, si, &line),
+                    Framed::Oversized => self.shard_death(conns, si),
                 }
             }
-        }
-    }
-
-    fn register_client(&mut self, stream: TcpStream) {
-        let _ = stream.set_nodelay(true);
-        if stream.set_nonblocking(true).is_err() {
             return;
         }
-        let token = self.next_client_token;
-        self.next_client_token += 1;
-        if self
-            .epoll
-            .add(stream.as_raw_fd(), token, sys::EPOLLIN)
-            .is_err()
-        {
-            return;
-        }
-        self.clients.insert(
-            token,
-            ClientConn {
-                stream,
-                rbuf: Vec::new(),
-                wbuf: Vec::new(),
-                wstart: 0,
-                discarding: false,
-                read_closed: false,
-                closed_at: None,
-                interest: sys::EPOLLIN,
-                queue: VecDeque::new(),
-            },
-        );
-    }
-
-    fn client_event(&mut self, token: u64, bits: u32, reads: bool) {
-        if !self.clients.contains_key(&token) {
-            return;
-        }
-        if bits & (sys::EPOLLERR | sys::EPOLLHUP) != 0 {
-            self.kill_client(token);
-            return;
-        }
-        if bits & sys::EPOLLOUT != 0 && !self.flush_client(token) {
-            return;
-        }
-        if bits & sys::EPOLLIN != 0 && reads {
-            self.read_client(token);
-        }
-    }
-
-    /// Read until the socket would block, frame lines, and handle each.
-    fn read_client(&mut self, token: u64) {
-        let mut framed = Vec::new();
-        {
-            let Some(c) = self.clients.get_mut(&token) else {
-                return;
-            };
-            let mut chunk = [0u8; 4096];
-            loop {
-                match c.stream.read(&mut chunk) {
-                    Ok(0) => {
-                        c.read_closed = true;
-                        c.closed_at = Some(Instant::now());
-                        break;
-                    }
-                    Ok(n) => {
-                        c.rbuf.extend_from_slice(&chunk[..n]);
-                        framed.extend(frame_lines(&mut c.rbuf, &mut c.discarding));
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        c.read_closed = true;
-                        c.closed_at = Some(Instant::now());
-                        break;
-                    }
-                }
-            }
-        }
-        for f in framed {
-            match f {
-                Framed::Line(line) => self.handle_client_line(token, &line),
+        for framed in lines {
+            match framed {
+                Framed::Line(line) => self.handle_client_line(conns, token, &line),
                 Framed::Oversized => {
                     let entry = self.new_entry(0, None, Instant::now(), 0);
                     self.push_done(token, entry, oversized_line(), Some(ErrorKind::Oversized));
                 }
             }
         }
-        self.pump_client(token);
-        self.update_client_interest(token);
+        self.pump(conns, token);
     }
 
-    fn new_entry(&mut self, id: i64, method: Option<Method>, received: Instant, req_bytes: u64) -> Entry {
+    /// A shard connection closing is a shard death. A client's queued but
+    /// unflushed lines never reached it (`serve.write_errors`);
+    /// sub-requests still in flight for it resolve against the missing
+    /// connection later, counting one write error each.
+    fn on_close(&mut self, conns: &mut Conns, token: u64, backlog: bool) {
+        if let Some(si) = self.shard_of_token(token) {
+            self.shard_death(conns, si);
+            return;
+        }
+        let unsent = self
+            .queues
+            .remove(&token)
+            .is_some_and(|q| q.iter().any(|e| e.emitted < e.out.len()));
+        if backlog || unsent {
+            m3d_obs::add("serve.write_errors", 1);
+        }
+    }
+
+    fn idle(&self, token: u64) -> bool {
+        self.queues.get(&token).is_none_or(VecDeque::is_empty)
+    }
+
+    fn busy(&self) -> bool {
+        !self.pending.is_empty()
+    }
+
+    fn drain_begin(&mut self) {
+        eprintln!("[router] draining");
+    }
+
+    /// SIGTERM every spawned shard and wait for it — the whole process
+    /// tree exits with the router. The loop has already closed the
+    /// upstream connections, so each shard's own drain sees a clean EOF
+    /// instead of an in-flight reset.
+    fn finish(&mut self) {
+        for s in &self.shards {
+            if let Some(pid) = s.pid {
+                sys::terminate(pid);
+            }
+        }
+        for s in &mut self.shards {
+            if let Some(child) = s.child.as_mut() {
+                let _ = child.wait();
+            }
+        }
+        eprintln!("[router] drained, bye");
+    }
+}
+
+impl Relay {
+    fn shard_of_token(&self, token: u64) -> Option<usize> {
+        self.shards.iter().position(|s| s.token == token)
+    }
+
+    fn new_entry(
+        &mut self,
+        id: i64,
+        method: Option<Method>,
+        received: Instant,
+        req_bytes: u64,
+    ) -> Entry {
         self.next_eid += 1;
         Entry {
             eid: self.next_eid,
@@ -849,17 +717,32 @@ impl RouterLoop {
         }
     }
 
-    /// Append a fully-answered entry (inline responses and immediate
-    /// errors) to the connection's order queue.
-    fn push_done(&mut self, token: u64, mut entry: Entry, line: String, outcome: Option<ErrorKind>) {
-        entry.out.push(line);
-        complete_entry(&self.telemetry, &mut entry, outcome);
-        if let Some(c) = self.clients.get_mut(&token) {
-            c.queue.push_back(entry);
-        }
+    /// Append an entry to the client's order queue.
+    fn enqueue(&mut self, token: u64, entry: Entry) {
+        self.queues.entry(token).or_default().push_back(entry);
     }
 
-    fn handle_client_line(&mut self, token: u64, line: &str) {
+    /// Append a fully-answered entry (inline responses and immediate
+    /// errors) to the connection's order queue.
+    fn push_done(
+        &mut self,
+        token: u64,
+        mut entry: Entry,
+        line: String,
+        outcome: Option<ErrorKind>,
+    ) {
+        entry.out.push(line);
+        complete_entry(&self.telemetry, &mut entry, outcome);
+        self.enqueue(token, entry);
+    }
+
+    /// Append an entry answered with an error.
+    fn push_err(&mut self, token: u64, entry: Entry, e: &WireError) {
+        let line = err_line(Some(entry.id), e);
+        self.push_done(token, entry, line, Some(e.kind));
+    }
+
+    fn handle_client_line(&mut self, conns: &mut Conns, token: u64, line: &str) {
         let received = Instant::now();
         let req_bytes = line.len() as u64;
         let req = match parse_request(line) {
@@ -873,75 +756,91 @@ impl RouterLoop {
         m3d_obs::add("serve.requests", 1);
         m3d_obs::add(method_counter(req.method), 1);
         match req.method {
-            Method::Stats => {
-                let mut entry = self.new_entry(req.id, Some(Method::Stats), received, req_bytes);
+            Method::Stats | Method::Telemetry => {
+                let mut entry = self.new_entry(req.id, Some(req.method), received, req_bytes);
                 entry.batch = 1;
-                let line = ok_line(req.id, self.stats_response());
-                self.push_done(token, entry, line, None);
-            }
-            Method::Telemetry => {
-                let mut entry =
-                    self.new_entry(req.id, Some(Method::Telemetry), received, req_bytes);
-                entry.batch = 1;
-                let uptime = self.start.elapsed().as_secs_f64();
-                match telemetry_response(&self.telemetry, uptime, &req.params) {
+                let result = if req.method == Method::Stats {
+                    Ok(self.stats_response())
+                } else {
+                    let uptime = self.start.elapsed().as_secs_f64();
+                    telemetry_response(&self.telemetry, uptime, &req.params)
+                };
+                match result {
                     Ok(v) => self.push_done(token, entry, ok_line(req.id, v), None),
-                    Err(e) => {
-                        let line = err_line(Some(req.id), &e);
-                        self.push_done(token, entry, line, Some(e.kind));
-                    }
+                    Err(e) => self.push_err(token, entry, &e),
                 }
             }
-            Method::Sim => self.route_sim(token, received, req_bytes, req),
+            Method::Sim => self.route_sim(conns, token, received, req_bytes, req),
             Method::Experiment | Method::Planner | Method::Plan => {
-                self.route_whole(token, received, req_bytes, req)
+                self.route_whole(conns, token, received, req_bytes, req)
             }
         }
     }
 
+    /// Register one sub-request and queue its line for its shard.
+    fn forward(
+        &mut self,
+        conns: &mut Conns,
+        p: Pending,
+        method: Method,
+        params: Json,
+        deadline_ms: Option<u64>,
+    ) {
+        self.next_upstream_id += 1;
+        let uid = self.next_upstream_id;
+        m3d_obs::add("serve.shard_subrequests", 1);
+        conns.send_line(
+            self.shards[p.shard].token,
+            &request_line(uid, method, params, deadline_ms),
+        );
+        self.pending.insert(uid, p);
+    }
+
     /// Forward one request whole to the shard its content hash picks.
-    fn route_whole(&mut self, token: u64, received: Instant, req_bytes: u64, req: Request) {
+    fn route_whole(
+        &mut self,
+        conns: &mut Conns,
+        token: u64,
+        received: Instant,
+        req_bytes: u64,
+        req: Request,
+    ) {
         let mut entry = self.new_entry(req.id, Some(req.method), received, req_bytes);
         entry.batch = 1;
         let primary = shard_of_hash(route_hash(req.method, &req.params), self.shards.len());
         let Some(si) = self.effective_shard(primary) else {
             let e = WireError::new(ErrorKind::ShardDown, "no live shards");
-            let line = err_line(Some(req.id), &e);
-            self.push_done(token, entry, line, Some(ErrorKind::ShardDown));
-            return;
+            return self.push_err(token, entry, &e);
         };
         if si != primary {
             m3d_obs::add("serve.shard_rerouted", 1);
         }
-        self.next_upstream_id += 1;
-        let uid = self.next_upstream_id;
-        self.pending.insert(
-            uid,
-            Pending {
-                shard: si,
-                ctoken: token,
-                eid: entry.eid,
-                cid: req.id,
-                kind: PendingKind::Whole,
-            },
-        );
-        m3d_obs::add("serve.shard_subrequests", 1);
-        self.shards[si].buffer(&request_line(uid, req.method, req.params, req.deadline_ms));
-        if let Some(c) = self.clients.get_mut(&token) {
-            c.queue.push_back(entry);
-        }
+        let pending = Pending {
+            shard: si,
+            ctoken: token,
+            eid: entry.eid,
+            cid: req.id,
+            kind: PendingKind::Whole,
+        };
+        self.forward(conns, pending, req.method, req.params, req.deadline_ms);
+        self.enqueue(token, entry);
     }
 
     /// Fan one `sim` out point-by-point to the shards owning each point's
     /// key slice.
-    fn route_sim(&mut self, token: u64, received: Instant, req_bytes: u64, req: Request) {
+    fn route_sim(
+        &mut self,
+        conns: &mut Conns,
+        token: u64,
+        received: Instant,
+        req_bytes: u64,
+        req: Request,
+    ) {
         let sim = match parse_sim_params(&req.params) {
             Ok(s) => s,
             Err(e) => {
                 let entry = self.new_entry(req.id, Some(Method::Sim), received, req_bytes);
-                let line = err_line(Some(req.id), &e);
-                self.push_done(token, entry, line, Some(e.kind));
-                return;
+                return self.push_err(token, entry, &e);
             }
         };
         let point_objs: Vec<Json> = match req.params.get("points") {
@@ -950,62 +849,50 @@ impl RouterLoop {
         };
         let mut entry = self.new_entry(req.id, Some(Method::Sim), received, req_bytes);
         entry.batch = sim.points.len() as u32;
-        entry.fan = Some(Fanout {
+        let mut fan = Fanout {
             strict: sim.strict,
             rows: vec![None; sim.points.len()],
             err: None,
             resolved: 0,
-        });
-        let eid = entry.eid;
+        };
         let n = self.shards.len();
-        for (i, p) in sim.points.iter().enumerate() {
+        for (i, (p, obj)) in sim.points.iter().zip(point_objs).enumerate() {
             let primary = p.shard_of(n);
             match self.effective_shard(primary) {
                 Some(si) => {
                     if si != primary {
                         m3d_obs::add("serve.shard_rerouted", 1);
                     }
-                    self.next_upstream_id += 1;
-                    let uid = self.next_upstream_id;
-                    self.pending.insert(
-                        uid,
-                        Pending {
-                            shard: si,
-                            ctoken: token,
-                            eid,
-                            cid: req.id,
-                            kind: PendingKind::Point(i),
-                        },
-                    );
-                    m3d_obs::add("serve.shard_subrequests", 1);
-                    self.shards[si].buffer(&request_line(
-                        uid,
-                        Method::Sim,
-                        point_objs[i].clone(),
-                        req.deadline_ms,
-                    ));
+                    let pending = Pending {
+                        shard: si,
+                        ctoken: token,
+                        eid: entry.eid,
+                        cid: req.id,
+                        kind: PendingKind::Point(i),
+                    };
+                    self.forward(conns, pending, Method::Sim, obj, req.deadline_ms);
                 }
                 None => {
                     let e = WireError::new(ErrorKind::ShardDown, "no live shards");
-                    let fan = entry.fan.as_mut().expect("fan just set");
-                    set_err_candidate(fan, i, err_line(Some(req.id), &e));
+                    set_err_candidate(&mut fan, i, err_line(Some(req.id), &e));
                     fan.resolved += 1;
                 }
             }
         }
-        let fan = entry.fan.as_ref().expect("fan just set");
-        if fan.resolved == sim.points.len() {
+        let all_resolved = fan.resolved == sim.points.len();
+        entry.fan = Some(fan);
+        if all_resolved {
             finalize_fanout(&self.telemetry, &mut entry);
         }
-        if let Some(c) = self.clients.get_mut(&token) {
-            c.queue.push_back(entry);
-        }
+        self.enqueue(token, entry);
     }
 
     /// The first live shard at or cyclically after `primary`.
     fn effective_shard(&self, primary: usize) -> Option<usize> {
         let n = self.shards.len();
-        (0..n).map(|k| (primary + k) % n).find(|&i| self.shards[i].live)
+        (0..n)
+            .map(|k| (primary + k) % n)
+            .find(|&i| self.shards[i].live)
     }
 
     /// The router's `stats` result: its own uptime and counters plus the
@@ -1024,204 +911,40 @@ impl RouterLoop {
         ])
     }
 
-    /// Move completed head-of-line output into the write buffer and try
-    /// to put it on the wire. Only the head entry's lines move: later
-    /// entries' lines stay buffered until every earlier entry is done, so
-    /// one connection's responses come back in request order like a
-    /// single daemon's.
-    fn pump_client(&mut self, token: u64) {
-        {
-            let Some(c) = self.clients.get_mut(&token) else {
-                return;
-            };
-            let ClientConn {
-                ref mut queue,
-                ref mut wbuf,
-                ..
-            } = *c;
-            while let Some(head) = queue.front_mut() {
-                while head.emitted < head.out.len() {
-                    wbuf.extend_from_slice(head.out[head.emitted].as_bytes());
-                    wbuf.push(b'\n');
-                    head.emitted += 1;
-                }
-                if !head.done {
-                    break;
-                }
-                queue.pop_front();
-            }
-        }
-        self.flush_client(token);
-    }
-
-    /// Write a client's backlog until it drains or would block; returns
-    /// whether the connection survived.
-    fn flush_client(&mut self, token: u64) -> bool {
-        let mut failed = false;
-        {
-            let Some(c) = self.clients.get_mut(&token) else {
-                return false;
-            };
-            while c.wstart < c.wbuf.len() {
-                match c.stream.write(&c.wbuf[c.wstart..]) {
-                    Ok(0) => {
-                        failed = true;
-                        break;
-                    }
-                    Ok(n) => c.wstart += n,
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        failed = true;
-                        break;
-                    }
-                }
-            }
-            if !failed {
-                if c.wstart == c.wbuf.len() {
-                    c.wbuf.clear();
-                    c.wstart = 0;
-                } else if c.wstart > 64 * 1024 {
-                    c.wbuf.drain(..c.wstart);
-                    c.wstart = 0;
-                }
-            }
-        }
-        if failed {
-            self.kill_client(token);
-            return false;
-        }
-        self.update_client_interest(token);
-        true
-    }
-
-    fn update_client_interest(&mut self, token: u64) {
-        let Some(c) = self.clients.get_mut(&token) else {
+    /// Move completed head-of-line output into the client's write buffer.
+    /// Only the head entry's lines move: later entries' lines stay
+    /// buffered until every earlier entry is done, so one connection's
+    /// responses come back in request order like a single daemon's.
+    fn pump(&mut self, conns: &mut Conns, token: u64) {
+        let Some(queue) = self.queues.get_mut(&token) else {
             return;
         };
-        let mut want = 0u32;
-        if !c.read_closed {
-            want |= sys::EPOLLIN;
-        }
-        if c.has_backlog() {
-            want |= sys::EPOLLOUT;
-        }
-        if want != c.interest {
-            let _ = self.epoll.modify(c.stream.as_raw_fd(), token, want);
-            c.interest = want;
-        }
-    }
-
-    /// Tear a client down now. Its queued-but-unflushed lines never
-    /// reached it (`serve.write_errors`); sub-requests still in flight
-    /// for it resolve against the missing connection later, counting one
-    /// write error each.
-    fn kill_client(&mut self, token: u64) {
-        if let Some(c) = self.clients.remove(&token) {
-            if c.has_backlog() || c.queue.iter().any(|e| e.emitted < e.out.len()) {
-                m3d_obs::add("serve.write_errors", 1);
+        while let Some(head) = queue.front_mut() {
+            for line in &head.out[head.emitted..] {
+                conns.send_line(token, line);
             }
-        }
-    }
-
-    /// Close clients that are finished (peer stopped sending, every
-    /// request answered and flushed) or that half-closed and could not
-    /// absorb their responses within the flush window.
-    fn reap(&mut self) {
-        let now = Instant::now();
-        let done: Vec<u64> = self
-            .clients
-            .iter()
-            .filter(|(_, c)| {
-                c.read_closed
-                    && ((c.queue.is_empty() && !c.has_backlog())
-                        || c.closed_at
-                            .is_some_and(|t| now.duration_since(t) > FLUSH_WINDOW))
-            })
-            .map(|(t, _)| *t)
-            .collect();
-        for token in done {
-            self.kill_client(token);
-        }
-    }
-
-    // ---- shard side -----------------------------------------------------
-
-    fn shard_event(&mut self, si: usize, bits: u32) {
-        if !self.shards[si].live {
-            return;
-        }
-        if bits & (sys::EPOLLERR | sys::EPOLLHUP) != 0 {
-            self.shard_death(si);
-            return;
-        }
-        if bits & sys::EPOLLOUT != 0 && !self.flush_shard(si) {
-            return;
-        }
-        if bits & sys::EPOLLIN != 0 {
-            self.read_shard(si);
-        }
-    }
-
-    /// Read a shard's responses until the socket would block and handle
-    /// every complete line.
-    fn read_shard(&mut self, si: usize) {
-        let mut lines = Vec::new();
-        let mut dead = false;
-        {
-            let s = &mut self.shards[si];
-            let Some(stream) = s.stream.as_mut() else {
-                return;
-            };
-            let mut chunk = [0u8; 16 * 1024];
-            loop {
-                match stream.read(&mut chunk) {
-                    Ok(0) => {
-                        dead = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        s.rbuf.extend_from_slice(&chunk[..n]);
-                        while let Some(nl) = s.rbuf.iter().position(|&b| b == b'\n') {
-                            let raw: Vec<u8> = s.rbuf.drain(..=nl).collect();
-                            let text = String::from_utf8_lossy(&raw[..raw.len() - 1]);
-                            let text = text.trim_end_matches('\r');
-                            if !text.trim().is_empty() {
-                                lines.push(text.to_owned());
-                            }
-                        }
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        dead = true;
-                        break;
-                    }
-                }
+            head.emitted = head.out.len();
+            if !head.done {
+                break;
             }
-        }
-        for line in lines {
-            self.handle_upstream(si, &line);
-        }
-        if dead {
-            self.shard_death(si);
+            queue.pop_front();
         }
     }
 
     /// Process one response line from shard `si`, matching it to its
     /// in-flight sub-request.
-    fn handle_upstream(&mut self, si: usize, line: &str) {
+    fn handle_upstream(&mut self, conns: &mut Conns, si: usize, line: &str) {
         let resp = match Response::parse(line) {
             Ok(r) => r,
             Err(_) => {
-                self.shard_death(si);
+                self.shard_death(conns, si);
                 return;
             }
         };
         let Some(uid) = resp.id else {
             // The router only sends well-formed requests; an id-less
             // response means the shard is not answering what we asked.
-            self.shard_death(si);
+            self.shard_death(conns, si);
             return;
         };
         if resp.partial {
@@ -1230,45 +953,42 @@ impl RouterLoop {
             };
             let (ctoken, eid, cid) = (p.ctoken, p.eid, p.cid);
             let rewritten = rewrite_id(line, cid);
-            match entry_mut(&mut self.clients, ctoken, eid) {
+            match entry_mut(&mut self.queues, ctoken, eid) {
                 Some(entry) => entry.out.push(rewritten),
                 None => m3d_obs::add("serve.write_errors", 1),
             }
-            self.pump_client(ctoken);
+            self.pump(conns, ctoken);
             return;
         }
         let Some(p) = self.pending.remove(&uid) else {
             return;
         };
         let outcome = resp.error().map(|e| e.kind);
-        match p.kind {
+        let delivered = match p.kind {
             PendingKind::Whole => {
-                let rewritten = rewrite_id(line, p.cid);
-                if !self.finish_whole(p.ctoken, p.eid, rewritten, outcome) {
-                    m3d_obs::add("serve.write_errors", 1);
-                }
+                self.finish_whole(p.ctoken, p.eid, rewrite_id(line, p.cid), outcome)
             }
             PendingKind::Point(i) => {
                 let result = if resp.is_ok() {
-                    match extract_row(line) {
-                        Some(row) => Ok(row),
-                        None => Err(err_line(
+                    extract_row(line).ok_or_else(|| {
+                        err_line(
                             Some(p.cid),
                             &WireError::new(
                                 ErrorKind::ShardDown,
                                 "malformed sim sub-response from shard",
                             ),
-                        )),
-                    }
+                        )
+                    })
                 } else {
                     Err(rewrite_id(line, p.cid))
                 };
-                if !self.resolve_point(p.ctoken, p.eid, i, result) {
-                    m3d_obs::add("serve.write_errors", 1);
-                }
+                self.resolve_point(p.ctoken, p.eid, i, result)
             }
+        };
+        if !delivered {
+            m3d_obs::add("serve.write_errors", 1);
         }
-        self.pump_client(p.ctoken);
+        self.pump(conns, p.ctoken);
     }
 
     /// Complete a whole-forwarded entry with its terminating line.
@@ -1279,12 +999,8 @@ impl RouterLoop {
         line: String,
         outcome: Option<ErrorKind>,
     ) -> bool {
-        let RouterLoop {
-            ref telemetry,
-            ref mut clients,
-            ..
-        } = *self;
-        let Some(entry) = entry_mut(clients, ctoken, eid) else {
+        let telemetry = &self.telemetry;
+        let Some(entry) = entry_mut(&mut self.queues, ctoken, eid) else {
             return false;
         };
         entry.out.push(line);
@@ -1302,12 +1018,8 @@ impl RouterLoop {
         i: usize,
         result: Result<String, String>,
     ) -> bool {
-        let RouterLoop {
-            ref telemetry,
-            ref mut clients,
-            ..
-        } = *self;
-        let Some(entry) = entry_mut(clients, ctoken, eid) else {
+        let telemetry = &self.telemetry;
+        let Some(entry) = entry_mut(&mut self.queues, ctoken, eid) else {
             return false;
         };
         let Some(fan) = entry.fan.as_mut() else {
@@ -1324,91 +1036,28 @@ impl RouterLoop {
         true
     }
 
-    /// Put every live shard's buffered sub-requests on the wire. Runs
-    /// once per loop iteration, after event handling, so a shard death
-    /// discovered here can never re-enter request routing.
-    fn flush_shards(&mut self) {
-        for si in 0..self.shards.len() {
-            if self.shards[si].live && self.shards[si].has_backlog() {
-                self.flush_shard(si);
-            }
-        }
-    }
-
-    /// Write one shard's backlog until it drains or would block; a write
-    /// failure is a shard death. Returns whether the shard survived.
-    fn flush_shard(&mut self, si: usize) -> bool {
-        let mut failed = false;
-        {
-            let s = &mut self.shards[si];
-            let Some(stream) = s.stream.as_mut() else {
-                return false;
-            };
-            let fd = stream.as_raw_fd();
-            while s.wstart < s.wbuf.len() {
-                match stream.write(&s.wbuf[s.wstart..]) {
-                    Ok(0) => {
-                        failed = true;
-                        break;
-                    }
-                    Ok(n) => s.wstart += n,
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        failed = true;
-                        break;
-                    }
-                }
-            }
-            if !failed {
-                if s.wstart == s.wbuf.len() {
-                    s.wbuf.clear();
-                    s.wstart = 0;
-                }
-                let mut want = sys::EPOLLIN;
-                if s.wstart < s.wbuf.len() {
-                    want |= sys::EPOLLOUT;
-                }
-                if want != s.interest {
-                    let _ = self.epoll.modify(fd, 1 + si as u64, want);
-                    s.interest = want;
-                }
-            }
-        }
-        if failed {
-            self.shard_death(si);
-            return false;
-        }
-        true
-    }
-
     /// A shard died: mark it dead (future routing skips it — its key
-    /// slice falls to the next live shard), answer everything in flight
-    /// on it with `shard_down`, and count the death.
-    fn shard_death(&mut self, si: usize) {
+    /// slice falls to the next live shard), drop its connection, answer
+    /// everything in flight on it with `shard_down`, and count the death.
+    fn shard_death(&mut self, conns: &mut Conns, si: usize) {
         if !self.shards[si].live {
             return;
         }
-        {
-            let s = &mut self.shards[si];
-            s.live = false;
-            // Dropping the stream closes the fd, which deregisters it.
-            s.stream = None;
-            s.rbuf.clear();
-            s.wbuf.clear();
-            s.wstart = 0;
-        }
+        self.shards[si].live = false;
+        conns.remove(self.shards[si].token);
         m3d_obs::add("serve.shard_deaths", 1);
         eprintln!("[router] shard {si} died; re-routing its key slice");
-        let affected: Vec<(i64, Pending)> = self
+        let affected: Vec<i64> = self
             .pending
             .iter()
             .filter(|(_, p)| p.shard == si)
-            .map(|(uid, p)| (*uid, p.clone()))
+            .map(|(uid, _)| *uid)
             .collect();
         let mut touched: Vec<u64> = Vec::new();
-        for (uid, p) in affected {
-            self.pending.remove(&uid);
+        for uid in affected {
+            let Some(p) = self.pending.remove(&uid) else {
+                continue;
+            };
             let e = WireError::new(
                 ErrorKind::ShardDown,
                 format!("shard {si} died with this request in flight"),
@@ -1428,65 +1077,8 @@ impl RouterLoop {
             }
         }
         for token in touched {
-            self.pump_client(token);
+            self.pump(conns, token);
         }
-    }
-
-    // ---- shutdown -------------------------------------------------------
-
-    /// Graceful drain, mirroring the daemon's: final accept sweep, one
-    /// last read of every client (requests whose bytes already arrived
-    /// get real answers), then keep relaying shard responses and flushing
-    /// clients until nothing is in flight (bounded by the flush window).
-    /// Finally SIGTERM every spawned shard and wait for it — the whole
-    /// process tree exits with the router.
-    fn drain_and_exit(&mut self) {
-        eprintln!("[router] draining");
-        self.accept_ready();
-        let tokens: Vec<u64> = self.clients.keys().copied().collect();
-        for token in tokens {
-            self.read_client(token);
-            if let Some(c) = self.clients.get_mut(&token) {
-                c.read_closed = true;
-                if c.closed_at.is_none() {
-                    c.closed_at = Some(Instant::now());
-                }
-            }
-            self.update_client_interest(token);
-        }
-        let t0 = Instant::now();
-        let mut events = [sys::EpollEvent { events: 0, data: 0 }; 64];
-        loop {
-            self.flush_shards();
-            let idle = self.pending.is_empty()
-                && self
-                    .clients
-                    .values()
-                    .all(|c| c.queue.is_empty() && !c.has_backlog());
-            if idle || t0.elapsed() > FLUSH_WINDOW {
-                break;
-            }
-            let n = self.epoll.wait(&mut events, 50);
-            for ev in events.iter().take(n).copied() {
-                self.dispatch(ev.data, ev.events, false);
-            }
-            self.reap();
-        }
-        self.clients.clear();
-        for s in &mut self.shards {
-            // Closing the upstream connection first lets the shard's own
-            // drain see a clean EOF instead of an in-flight reset.
-            s.stream = None;
-            if let Some(pid) = s.pid {
-                unsafe { kill(pid as i32, SIGTERM) };
-            }
-        }
-        for s in &mut self.shards {
-            if let Some(child) = s.child.as_mut() {
-                let _ = child.wait();
-            }
-        }
-        eprintln!("[router] drained, bye");
     }
 }
 
@@ -1518,7 +1110,10 @@ mod tests {
     fn id_rewrite_is_exact_string_surgery() {
         let line = ok_line(42, Json::obj([("x", Json::from(1.5f64))]));
         let rewritten = rewrite_id(&line, 7);
-        assert_eq!(rewritten, ok_line(7, Json::obj([("x", Json::from(1.5f64))])));
+        assert_eq!(
+            rewritten,
+            ok_line(7, Json::obj([("x", Json::from(1.5f64))]))
+        );
         let e = WireError::new(ErrorKind::Deadline, "too late");
         assert_eq!(
             rewrite_id(&err_line(Some(-3), &e), 12),
@@ -1566,7 +1161,11 @@ mod tests {
         let f = forwarded_point(&p);
         assert_eq!(f.get("app"), Some(&Json::from("Gcc")));
         assert_eq!(f.get("measure"), Some(&Json::from(1000u64)));
-        assert_eq!(f.get("strict"), None, "strict is request-level at the shard");
+        assert_eq!(
+            f.get("strict"),
+            None,
+            "strict is request-level at the shard"
+        );
         assert_eq!(f.get("points"), None, "points would change the parse shape");
     }
 

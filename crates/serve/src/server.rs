@@ -1,18 +1,17 @@
-//! The TCP server: one epoll readiness loop for every socket, a bounded
-//! admission queue, a worker pool with `sim` micro-batching, and graceful
-//! shutdown.
+//! The TCP daemon: the shared readiness loop (module `event_loop`) with
+//! a handler that feeds a bounded admission queue, a worker pool with
+//! `sim` micro-batching, and graceful shutdown.
 //!
 //! # Threading model
 //!
-//! * A single event-loop thread owns all socket I/O through a
-//!   dependency-free `epoll(7)` binding (module `sys` below, in the same
-//!   spirit as the `signal(2)` binding). It watches the non-blocking
-//!   listener, every connection, and an `eventfd` wake channel.
-//!   Connections never get threads: each one is a small state machine — a
-//!   read buffer with the line framing and oversized/resync handling, and
-//!   a write buffer drained as the socket accepts bytes — so an idle
-//!   connection costs one epoll registration instead of a parked reader
-//!   thread spinning on a 50 ms read timeout.
+//! * A single event-loop thread owns all socket I/O: the non-blocking
+//!   listener, every connection, and an `eventfd` wake channel, all on one
+//!   `epoll(7)` instance. Connections never get threads: each one is a
+//!   small state machine — a read buffer with the line framing and
+//!   oversized/resync handling, and a write buffer drained as the socket
+//!   accepts bytes — so an idle connection costs one epoll registration.
+//!   That loop is the same one the shard router runs; this module is the
+//!   daemon's handler for it.
 //! * Cheap read-only methods (`planner`, `stats`, `telemetry`) are
 //!   answered inline on the event loop; heavy work (`sim`, `experiment`,
 //!   `plan`) is pushed through the bounded admission queue — a full queue
@@ -26,230 +25,49 @@
 //!   [`SimBatch`](m3d_uarch::batch::SimBatch). Deadline-bearing `sim`
 //!   requests run alone — a deadline must never cancel a bystander.
 //! * Workers never touch sockets. A finished response line is pushed into
-//!   the mailbox and the eventfd is signalled; the event loop moves the
-//!   bytes into the connection's write buffer and flushes opportunistically,
-//!   registering for writability only while a partial write is
-//!   outstanding. Responses stay whole lines: pipelined responses may
-//!   interleave across requests but never within a line. A `plan` streams
-//!   its partial frontier lines through the same path; once the loop has
-//!   torn a connection down, sends to it report `false` back to the
-//!   worker, which cancels the search at the next chunk boundary
-//!   (counted in `serve.plan_aborted`).
+//!   the mailbox and the eventfd is signalled; once per loop turn the
+//!   handler moves mailbox lines into their connections' write buffers
+//!   and the loop flushes them. Responses stay whole lines: pipelined
+//!   responses may come back out of request order but never interleave
+//!   within a line. A `plan` streams its partial frontier lines through
+//!   the same path; once the loop has torn a connection down, sends to it
+//!   report `false` back to the worker, which cancels the search at the
+//!   next chunk boundary (counted in `serve.plan_aborted`).
 //!
 //! # Shutdown
 //!
-//! SIGTERM/SIGINT (or [`ServerHandle::shutdown`]) set a flag. The event
-//! loop stops accepting, sweeps each connection's kernel buffer one last
-//! time and dispatches every complete line already received, then closes
-//! the queue (new pushes answer `shutdown`). Workers finish everything
-//! admitted, the loop keeps draining the mailbox and the write buffers
-//! until all of it is on the wire (bounded by a 60 s window), and `run`
-//! returns — the binary then exits 0. A request that was fully buffered
-//! when the signal arrived therefore gets a real answer, never a silent
-//! close.
+//! SIGTERM/SIGINT (or [`ServerHandle::shutdown`]) stop the loop. It takes
+//! one final accept sweep, reads each connection's kernel buffer one last
+//! time and dispatches every complete line already received, then the
+//! handler closes the queue (new pushes answer `shutdown`). Workers finish
+//! everything admitted, the loop keeps delivering the mailbox and
+//! flushing until all of it is on the wire (bounded by a 60 s window), and
+//! `run` returns — the binary then exits 0. A request that was fully
+//! buffered when the signal arrived therefore gets a real answer, never a
+//! silent close.
 
 use crate::engine::{method_counter, parse_sim_params, Engine, SimRequest};
+use crate::event_loop::{Conns, EventLoop, Framed, Handler, Waker};
 use crate::protocol::{
-    err_line, ok_line, parse_request, ErrorKind, Method, WireError, MAX_LINE_BYTES,
+    err_line, ok_line, oversized_line, parse_request, ErrorKind, Method, WireError,
 };
 use crate::telemetry::{RequestObservation, SLOW_MS_DEFAULT};
 use m3d_core::report::Json;
 use std::collections::{HashMap, VecDeque};
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::os::fd::AsRawFd;
+use std::net::{SocketAddr, TcpListener};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Process-wide "a termination signal arrived" flag.
-static SIGNALLED: AtomicBool = AtomicBool::new(false);
-
-extern "C" fn on_signal(_sig: i32) {
-    // The only async-signal-safe thing worth doing: set a flag the event
-    // loop polls.
-    SIGNALLED.store(true, Ordering::SeqCst);
-}
-
-extern "C" {
-    fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
-}
-
-/// Whether a termination signal has arrived (see
-/// [`install_signal_handlers`]). The router's event loop polls this the
-/// same way the server's does.
-pub(crate) fn signalled() -> bool {
-    SIGNALLED.load(Ordering::Relaxed)
-}
-
-/// Route SIGTERM and SIGINT (ctrl-c) into a graceful drain instead of the
-/// default immediate kill. Called once by the `serve` and `router`
-/// binaries; safe to call more than once.
-pub fn install_signal_handlers() {
-    const SIGINT: i32 = 2;
-    const SIGTERM: i32 = 15;
-    unsafe {
-        signal(SIGINT, on_signal);
-        signal(SIGTERM, on_signal);
-    }
-}
-
-/// Raw `epoll(7)` + `eventfd(2)` bindings. The daemon stays
-/// dependency-free, so these mirror the `signal(2)` binding above instead
-/// of pulling in a crate; only the thin safe wrappers below touch them.
-pub(crate) mod sys {
-    use std::io;
-    use std::os::fd::RawFd;
-
-    pub const EPOLLIN: u32 = 0x001;
-    pub const EPOLLOUT: u32 = 0x004;
-    pub const EPOLLERR: u32 = 0x008;
-    pub const EPOLLHUP: u32 = 0x010;
-    const EPOLL_CTL_ADD: i32 = 1;
-    const EPOLL_CTL_MOD: i32 = 3;
-    const EPOLL_CLOEXEC: i32 = 0o2000000;
-    const EFD_NONBLOCK: i32 = 0o4000;
-    const EFD_CLOEXEC: i32 = 0o2000000;
-
-    /// Mirror of `struct epoll_event`; packed on x86-64 (the kernel ABI
-    /// packs it there), naturally aligned elsewhere. Fields are only ever
-    /// read by value — never by reference — because of the packing.
-    #[repr(C)]
-    #[cfg_attr(target_arch = "x86_64", repr(packed))]
-    #[derive(Clone, Copy)]
-    pub struct EpollEvent {
-        pub events: u32,
-        pub data: u64,
-    }
-
-    extern "C" {
-        fn epoll_create1(flags: i32) -> i32;
-        fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
-        fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32)
-            -> i32;
-        fn eventfd(initval: u32, flags: i32) -> i32;
-        fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
-        fn write(fd: i32, buf: *const u8, count: usize) -> isize;
-        fn close(fd: i32) -> i32;
-    }
-
-    /// Owned epoll instance. Registration errors surface as `io::Error`;
-    /// deregistration is implicit — closing a watched fd removes it (no
-    /// fd in this server is ever duplicated).
-    pub struct Epoll {
-        fd: RawFd,
-    }
-
-    impl Epoll {
-        pub fn new() -> io::Result<Epoll> {
-            let fd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
-            if fd < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(Epoll { fd })
-        }
-
-        fn ctl(&self, op: i32, fd: RawFd, token: u64, events: u32) -> io::Result<()> {
-            let mut ev = EpollEvent {
-                events,
-                data: token,
-            };
-            if unsafe { epoll_ctl(self.fd, op, fd, &mut ev) } < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(())
-        }
-
-        pub fn add(&self, fd: RawFd, token: u64, events: u32) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_ADD, fd, token, events)
-        }
-
-        pub fn modify(&self, fd: RawFd, token: u64, events: u32) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_MOD, fd, token, events)
-        }
-
-        /// Wait for readiness; `EINTR` (a signal landed) reports as zero
-        /// events so the caller re-checks its stop flag.
-        pub fn wait(&self, events: &mut [EpollEvent], timeout_ms: i32) -> usize {
-            let n = unsafe {
-                epoll_wait(
-                    self.fd,
-                    events.as_mut_ptr(),
-                    events.len() as i32,
-                    timeout_ms,
-                )
-            };
-            if n < 0 {
-                return 0;
-            }
-            n as usize
-        }
-    }
-
-    impl Drop for Epoll {
-        fn drop(&mut self) {
-            unsafe { close(self.fd) };
-        }
-    }
-
-    /// Non-blocking `eventfd` used as the worker → event-loop wake
-    /// channel: writers bump the counter, the loop drains it.
-    pub struct WakeFd {
-        fd: RawFd,
-    }
-
-    impl WakeFd {
-        pub fn new() -> io::Result<WakeFd> {
-            let fd = unsafe { eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC) };
-            if fd < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(WakeFd { fd })
-        }
-
-        pub fn raw(&self) -> RawFd {
-            self.fd
-        }
-
-        /// Signal the event loop. A full counter (`EAGAIN`) already means
-        /// "a wake is pending", so errors are ignorable.
-        pub fn wake(&self) {
-            let one = 1u64.to_ne_bytes();
-            unsafe { write(self.fd, one.as_ptr(), one.len()) };
-        }
-
-        /// Reset the counter so level-triggered epoll stops reporting it.
-        pub fn drain(&self) {
-            let mut buf = [0u8; 8];
-            unsafe { read(self.fd, buf.as_mut_ptr(), buf.len()) };
-        }
-    }
-
-    impl Drop for WakeFd {
-        fn drop(&mut self) {
-            unsafe { close(self.fd) };
-        }
-    }
-}
-
-/// Event-loop token of the listening socket.
-const TOKEN_LISTENER: u64 = 0;
-/// Event-loop token of the mailbox's wake eventfd.
-const TOKEN_WAKE: u64 = 1;
-/// First token handed to an accepted connection.
-const FIRST_CONN_TOKEN: u64 = 2;
+pub use crate::sys::install_signal_handlers;
 
 /// A worker popping a deadline-free `sim` head coalesces at most this
 /// many queued deadline-free `sim` requests into one batch. Uncapped
 /// coalescing would let one worker swallow the whole queue while the rest
 /// of the pool idles, serializing a 64-deep queue behind a single thread.
 const COALESCE_MAX: usize = 16;
-
-/// How long shutdown (and a half-closed connection) may wait for admitted
-/// work to finish and flush before giving up on the socket.
-pub(crate) const FLUSH_WINDOW: Duration = Duration::from_secs(60);
 
 /// Server construction parameters.
 #[derive(Debug, Clone)]
@@ -291,62 +109,43 @@ struct ReqMeta {
     req_bytes: u64,
 }
 
-/// One queued `sim` request.
-struct SimWork {
+/// One queued request: its identity, its parameters, the deadline it must
+/// start by, and the connection to answer on.
+struct Job<P> {
     meta: ReqMeta,
-    req: SimRequest,
-    reply: Arc<ConnWriter>,
-}
-
-/// One queued `experiment` request.
-struct ExpWork {
-    meta: ReqMeta,
-    params: Json,
-    deadline: Option<Instant>,
-    reply: Arc<ConnWriter>,
-}
-
-/// One queued `plan` request. Unlike the other work kinds it writes to its
-/// connection *while running*: each frontier chunk goes out as a partial
-/// line through the shared [`ConnWriter`] before the final result.
-struct PlanWork {
-    meta: ReqMeta,
-    params: Json,
+    params: P,
     deadline: Option<Instant>,
     reply: Arc<ConnWriter>,
 }
 
 enum Work {
-    /// Deadline-free `sim`: eligible for coalescing.
-    Sim(SimWork),
-    /// Deadline-bearing `sim`: runs alone.
-    SimDeadline(SimWork, Instant),
-    /// `experiment`.
-    Experiment(ExpWork),
-    /// `plan`: a streaming design-space search; never coalesced.
-    Plan(PlanWork),
+    /// `sim`: deadline-free ones are eligible for coalescing.
+    Sim(Job<SimRequest>),
+    /// `experiment` or `plan` (told apart by `meta.method`): runs alone. A
+    /// `plan` writes to its connection *while running*: each frontier
+    /// chunk goes out as a partial line before the final result.
+    Task(Job<Json>),
 }
 
 impl Work {
     /// Answer this work with an error without running it (queue
     /// rejection): `batch` 0 — it never reached a batch.
     fn fail(self, state: &ServerState, e: WireError) {
-        match self {
-            Work::Sim(w) | Work::SimDeadline(w, _) => {
-                send_result(state, &w.reply, &w.meta, 0, 0, Err(e))
-            }
-            Work::Experiment(w) => send_result(state, &w.reply, &w.meta, 0, 0, Err(e)),
-            Work::Plan(w) => send_result(state, &w.reply, &w.meta, 0, 0, Err(e)),
-        }
+        let (reply, meta) = match &self {
+            Work::Sim(w) => (&w.reply, &w.meta),
+            Work::Task(w) => (&w.reply, &w.meta),
+        };
+        send_result(state, reply, meta, 0, 0, Err(e));
     }
 }
 
 /// What a worker claims in one round.
 enum Batch {
-    /// One or more coalesced deadline-free `sim` requests.
-    Sims(Vec<SimWork>),
-    /// A single non-coalescible item.
-    One(Work),
+    /// Coalesced deadline-free `sim` requests, or one deadline-bearing
+    /// `sim` alone.
+    Sims(Vec<Job<SimRequest>>),
+    /// An `experiment` or `plan`.
+    Task(Job<Json>),
 }
 
 struct QueueInner {
@@ -418,19 +217,24 @@ impl Queue {
         loop {
             if let Some(w) = q.items.pop_front() {
                 return Some(match w {
-                    Work::Sim(first) => {
+                    Work::Sim(first) if first.deadline.is_none() => {
                         let mut group = vec![first];
                         let mut rest = VecDeque::with_capacity(q.items.len());
                         for other in q.items.drain(..) {
                             match other {
-                                Work::Sim(s) if group.len() < COALESCE_MAX => group.push(s),
+                                Work::Sim(s)
+                                    if s.deadline.is_none() && group.len() < COALESCE_MAX =>
+                                {
+                                    group.push(s)
+                                }
                                 keep => rest.push_back(keep),
                             }
                         }
                         q.items = rest;
                         Batch::Sims(group)
                     }
-                    other => Batch::One(other),
+                    Work::Sim(alone) => Batch::Sims(vec![alone]),
+                    Work::Task(t) => Batch::Task(t),
                 });
             }
             if q.closed {
@@ -443,26 +247,19 @@ impl Queue {
 
 /// Finished response lines travelling from whoever produced them (workers,
 /// or the event loop itself for inline methods) back to the event loop,
-/// which owns every socket. Pushing also signals the wake eventfd.
+/// which owns every socket. Pushing also wakes the loop.
 struct Mailbox {
     lines: Mutex<Vec<(u64, Vec<u8>)>>,
-    wake: sys::WakeFd,
+    waker: Arc<Waker>,
 }
 
 impl Mailbox {
-    fn new() -> std::io::Result<Mailbox> {
-        Ok(Mailbox {
-            lines: Mutex::new(Vec::new()),
-            wake: sys::WakeFd::new()?,
-        })
-    }
-
     fn push(&self, token: u64, bytes: Vec<u8>) {
         self.lines
             .lock()
             .expect("serve mailbox poisoned")
             .push((token, bytes));
-        self.wake.wake();
+        self.waker.wake();
     }
 
     fn drain(&self) -> Vec<(u64, Vec<u8>)> {
@@ -470,7 +267,10 @@ impl Mailbox {
     }
 
     fn is_empty(&self) -> bool {
-        self.lines.lock().expect("serve mailbox poisoned").is_empty()
+        self.lines
+            .lock()
+            .expect("serve mailbox poisoned")
+            .is_empty()
     }
 }
 
@@ -561,15 +361,8 @@ fn queue_wait_us(meta: &ReqMeta, claimed: Instant) -> u64 {
 struct ServerState {
     engine: Engine,
     queue: Queue,
-    stop: AtomicBool,
     workers: usize,
     mailbox: Arc<Mailbox>,
-}
-
-impl ServerState {
-    fn stopping(&self) -> bool {
-        self.stop.load(Ordering::Relaxed) || SIGNALLED.load(Ordering::Relaxed)
-    }
 }
 
 /// A bound, not-yet-running server.
@@ -583,19 +376,20 @@ impl Server {
     /// address, an out-of-range `jobs` (surfaced as `InvalidInput`), or
     /// an exhausted fd table (the wake eventfd).
     pub fn bind(cfg: ServerConfig) -> std::io::Result<Server> {
-        let engine = Engine::new(cfg.quick, cfg.jobs).map_err(|e| {
-            std::io::Error::new(std::io::ErrorKind::InvalidInput, e.to_string())
-        })?;
+        let engine = Engine::new(cfg.quick, cfg.jobs)
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e.to_string()))?;
         engine.set_slow_ms(cfg.slow_ms);
         let listener = TcpListener::bind(&cfg.addr)?;
         listener.set_nonblocking(true)?;
-        let mailbox = Arc::new(Mailbox::new()?);
+        let mailbox = Arc::new(Mailbox {
+            lines: Mutex::new(Vec::new()),
+            waker: Waker::new()?,
+        });
         Ok(Server {
             listener,
             state: Arc::new(ServerState {
                 engine,
                 queue: Queue::new(cfg.queue_cap),
-                stop: AtomicBool::new(false),
                 workers: cfg.workers.max(1),
                 mailbox,
             }),
@@ -623,383 +417,115 @@ impl Server {
                     .expect("spawn serve worker"),
             );
         }
-        let epoll = sys::Epoll::new().expect("epoll_create1");
-        epoll
-            .add(self.listener.as_raw_fd(), TOKEN_LISTENER, sys::EPOLLIN)
-            .expect("register listener");
-        epoll
-            .add(self.state.mailbox.wake.raw(), TOKEN_WAKE, sys::EPOLLIN)
-            .expect("register wake eventfd");
-        let mut el = EventLoop {
-            epoll,
-            listener: self.listener,
+        let waker = Arc::clone(&self.state.mailbox.waker);
+        let el = EventLoop::new(self.listener, waker).expect("set up the event loop");
+        el.run(&mut Daemon {
             state: self.state,
-            conns: HashMap::new(),
-            next_token: FIRST_CONN_TOKEN,
-        };
-        let mut events = [sys::EpollEvent { events: 0, data: 0 }; 64];
-        while !el.state.stopping() {
-            // The timeout bounds how long a signal can go unnoticed when
-            // the loop is otherwise idle.
-            let n = el.epoll.wait(&mut events, 100);
-            for ev in events.iter().take(n).copied() {
-                let (token, bits) = (ev.data, ev.events);
-                match token {
-                    TOKEN_LISTENER => el.accept_ready(),
-                    TOKEN_WAKE => el.state.mailbox.wake.drain(),
-                    t => el.conn_event(t, bits),
-                }
-            }
-            el.deliver_and_flush();
-            el.reap();
-        }
-        el.drain_and_exit(workers);
+            writers: HashMap::new(),
+            workers,
+        });
     }
 
     /// Run on a background thread; the returned handle stops it.
     pub fn spawn(self) -> ServerHandle {
-        let state = Arc::clone(&self.state);
+        let waker = Arc::clone(&self.state.mailbox.waker);
         let thread = std::thread::spawn(move || self.run());
-        ServerHandle { state, thread }
+        ServerHandle { waker, thread }
     }
 }
 
 /// Handle to a server running on a background thread.
 pub struct ServerHandle {
-    state: Arc<ServerState>,
+    waker: Arc<Waker>,
     thread: JoinHandle<()>,
 }
 
 impl ServerHandle {
     /// Request a graceful drain and wait for it to finish.
     pub fn shutdown(self) {
-        self.state.stop.store(true, Ordering::SeqCst);
-        // Kick the event loop out of its epoll_wait immediately.
-        self.state.mailbox.wake.wake();
+        self.waker.stop();
         let _ = self.thread.join();
     }
 }
 
-/// Per-connection state machine, owned by the event loop.
-struct Conn {
-    stream: TcpStream,
-    writer: Arc<ConnWriter>,
-    /// Bytes read but not yet framed into lines.
-    rbuf: Vec<u8>,
-    /// Response bytes not yet on the wire; `wstart` marks the written
-    /// prefix so a partial write never re-sends bytes.
-    wbuf: Vec<u8>,
-    wstart: usize,
-    /// Inside the tail of an oversized line (already answered): skip
-    /// until the next newline resyncs the stream.
-    discarding: bool,
-    /// The peer half-closed (or a read failed); responses still flush.
-    read_closed: bool,
-    /// When `read_closed` was set, for the flush-window cap.
-    closed_at: Option<Instant>,
-    /// Event mask currently registered with epoll.
-    interest: u32,
-}
-
-impl Conn {
-    fn has_backlog(&self) -> bool {
-        self.wstart < self.wbuf.len()
-    }
-}
-
-/// The readiness loop's working set: the epoll instance, the listener,
-/// and every live connection keyed by token.
-struct EventLoop {
-    epoll: sys::Epoll,
-    listener: TcpListener,
+/// The daemon's event-loop handler: request lines go to the admission
+/// queue (or are answered inline), mailbox lines go to their connections.
+/// Replies leave in completion order, so pipelined requests may be
+/// answered out of order.
+struct Daemon {
     state: Arc<ServerState>,
-    conns: HashMap<u64, Conn>,
-    next_token: u64,
+    /// Per connection token (created by its first line).
+    writers: HashMap<u64, Arc<ConnWriter>>,
+    workers: Vec<JoinHandle<()>>,
 }
 
-impl EventLoop {
-    /// Accept until the listener would block.
-    fn accept_ready(&mut self) {
-        loop {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => self.register(stream),
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                // Transient accept failures (EMFILE, aborted handshakes):
-                // back off briefly so a persistent one cannot spin the
-                // loop hot, then let the next readiness event retry.
-                Err(_) => {
-                    std::thread::sleep(Duration::from_millis(5));
-                    break;
-                }
-            }
-        }
-    }
-
-    fn register(&mut self, stream: TcpStream) {
-        let _ = stream.set_nodelay(true);
-        if stream.set_nonblocking(true).is_err() {
-            return;
-        }
-        let token = self.next_token;
-        self.next_token += 1;
-        if self
-            .epoll
-            .add(stream.as_raw_fd(), token, sys::EPOLLIN)
-            .is_err()
-        {
-            return;
-        }
-        let writer = Arc::new(ConnWriter {
-            token,
-            mailbox: Arc::clone(&self.state.mailbox),
-            dead: AtomicBool::new(false),
-            pending: AtomicUsize::new(0),
+impl Handler for Daemon {
+    fn on_input(&mut self, _conns: &mut Conns, token: u64, lines: Vec<Framed>) {
+        let writer = self.writers.entry(token).or_insert_with(|| {
+            Arc::new(ConnWriter {
+                token,
+                mailbox: Arc::clone(&self.state.mailbox),
+                dead: AtomicBool::new(false),
+                pending: AtomicUsize::new(0),
+            })
         });
-        self.conns.insert(
-            token,
-            Conn {
-                stream,
-                writer,
-                rbuf: Vec::new(),
-                wbuf: Vec::new(),
-                wstart: 0,
-                discarding: false,
-                read_closed: false,
-                closed_at: None,
-                interest: sys::EPOLLIN,
-            },
-        );
-    }
-
-    /// Dispatch one readiness event for a connection.
-    fn conn_event(&mut self, token: u64, bits: u32) {
-        if !self.conns.contains_key(&token) {
-            // A stale event for a connection torn down earlier in this
-            // same batch.
-            return;
-        }
-        if bits & (sys::EPOLLERR | sys::EPOLLHUP) != 0 {
-            self.kill(token);
-            return;
-        }
-        if bits & sys::EPOLLOUT != 0 && !self.flush(token) {
-            return;
-        }
-        if bits & sys::EPOLLIN != 0 {
-            self.read_ready(token);
-        }
-    }
-
-    /// Read until the socket would block (or EOF), framing and
-    /// dispatching complete lines as they appear.
-    fn read_ready(&mut self, token: u64) {
-        let state = Arc::clone(&self.state);
-        let Some(c) = self.conns.get_mut(&token) else {
-            return;
-        };
-        let mut chunk = [0u8; 4096];
-        loop {
-            match c.stream.read(&mut chunk) {
-                Ok(0) => {
-                    c.read_closed = true;
-                    c.closed_at = Some(Instant::now());
-                    break;
-                }
-                Ok(n) => {
-                    c.rbuf.extend_from_slice(&chunk[..n]);
-                    drain_lines(c, &state);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    c.read_closed = true;
-                    c.closed_at = Some(Instant::now());
-                    break;
+        for framed in lines {
+            match framed {
+                Framed::Line(line) => process_line(&line, writer, &self.state),
+                Framed::Oversized => {
+                    m3d_obs::add("serve.errors", 1);
+                    writer.send(&oversized_line());
                 }
             }
         }
-        Self::update_interest(&self.epoll, token, c);
     }
 
-    /// Write the connection's backlog until it drains or would block.
-    /// Returns whether the connection survived.
-    fn flush(&mut self, token: u64) -> bool {
-        let mut failed = false;
-        {
-            let Some(c) = self.conns.get_mut(&token) else {
-                return false;
-            };
-            while c.wstart < c.wbuf.len() {
-                match c.stream.write(&c.wbuf[c.wstart..]) {
-                    Ok(0) => {
-                        failed = true;
-                        break;
-                    }
-                    Ok(n) => c.wstart += n,
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        failed = true;
-                        break;
-                    }
-                }
-            }
-            if !failed {
-                if c.wstart == c.wbuf.len() {
-                    c.wbuf.clear();
-                    c.wstart = 0;
-                } else if c.wstart > 64 * 1024 {
-                    // Compact occasionally so a slow client cannot pin the
-                    // whole history of its responses in memory.
-                    c.wbuf.drain(..c.wstart);
-                    c.wstart = 0;
-                }
-                Self::update_interest(&self.epoll, token, c);
-            }
-        }
-        if failed {
-            self.kill(token);
-            return false;
-        }
-        true
-    }
-
-    /// Keep the registered event mask in sync with what the state machine
-    /// can still make progress on: readable while the peer may send,
-    /// writable only while a partial write is outstanding.
-    fn update_interest(epoll: &sys::Epoll, token: u64, c: &mut Conn) {
-        let mut want = 0u32;
-        if !c.read_closed {
-            want |= sys::EPOLLIN;
-        }
-        if c.has_backlog() {
-            want |= sys::EPOLLOUT;
-        }
-        if want != c.interest {
-            let _ = epoll.modify(c.stream.as_raw_fd(), token, want);
-            c.interest = want;
-        }
-    }
-
-    /// Tear a connection down *now*: mark its writer dead (late sends
-    /// from workers then fail fast and count `serve.write_errors`) and
-    /// drop the socket, which also deregisters it from epoll.
-    fn kill(&mut self, token: u64) {
-        if let Some(c) = self.conns.remove(&token) {
-            c.writer.dead.store(true, Ordering::Release);
-            if c.has_backlog() {
-                // The unflushed tail never reached the client.
+    /// Move mailbox lines into their connections' write buffers. Lines for
+    /// a connection that no longer exists are write errors: the client
+    /// hung up before its answer.
+    fn on_tick(&mut self, conns: &mut Conns) {
+        for (token, bytes) in self.state.mailbox.drain() {
+            if !conns.send(token, &bytes) {
                 m3d_obs::add("serve.write_errors", 1);
             }
         }
     }
 
-    /// Move mailbox lines into their connections' write buffers and try
-    /// to put them on the wire. Lines for a connection that no longer
-    /// exists are write errors: the client hung up before its answer.
-    fn deliver_and_flush(&mut self) {
-        for (token, bytes) in self.state.mailbox.drain() {
-            match self.conns.get_mut(&token) {
-                Some(c) => c.wbuf.extend_from_slice(&bytes),
-                None => m3d_obs::add("serve.write_errors", 1),
-            }
+    /// Mark the writer dead: late sends from workers then fail fast and
+    /// count `serve.write_errors`.
+    fn on_close(&mut self, _conns: &mut Conns, token: u64, backlog: bool) {
+        if let Some(w) = self.writers.remove(&token) {
+            w.dead.store(true, Ordering::Release);
         }
-        let backlogged: Vec<u64> = self
-            .conns
-            .iter()
-            .filter(|(_, c)| c.has_backlog())
-            .map(|(t, _)| *t)
-            .collect();
-        for token in backlogged {
-            self.flush(token);
+        if backlog {
+            // The unflushed tail never reached the client.
+            m3d_obs::add("serve.write_errors", 1);
         }
     }
 
-    /// Close connections that are finished: the peer stopped sending and
-    /// every admitted request has been answered and flushed. A peer that
-    /// half-closed but cannot absorb its responses is cut off after the
-    /// flush window, like shutdown.
-    fn reap(&mut self) {
-        let now = Instant::now();
-        let mailbox_empty = self.state.mailbox.is_empty();
-        let done: Vec<u64> = self
-            .conns
-            .iter()
-            .filter(|(_, c)| {
-                c.read_closed
-                    && ((mailbox_empty
-                        && !c.has_backlog()
-                        && c.writer.pending.load(Ordering::Acquire) == 0)
-                        || c.closed_at
-                            .is_some_and(|t| now.duration_since(t) > FLUSH_WINDOW))
-            })
-            .map(|(t, _)| *t)
-            .collect();
-        for token in done {
-            self.kill(token);
-        }
+    /// Every admitted request answered and handed over. `pending` is read
+    /// before the mailbox: a worker pushes its line before decrementing.
+    fn idle(&self, token: u64) -> bool {
+        self.writers
+            .get(&token)
+            .is_none_or(|w| w.pending.load(Ordering::Acquire) == 0)
+            && self.state.mailbox.is_empty()
     }
 
-    /// Graceful drain. Requests whose bytes already reached this host are
-    /// still answered: sweep each connection's kernel buffer, dispatch
-    /// every complete line (the queue is still open, so they get real
-    /// answers or structured rejections), then close the queue and keep
-    /// the loop alive until the workers finish and every response line is
-    /// on the wire — bounded by the flush window.
-    fn drain_and_exit(mut self, workers: Vec<JoinHandle<()>>) {
-        // One final accept sweep first: a client whose handshake finished
-        // before the signal may still be sitting in the listener backlog
-        // with fully written requests — established is established, so it
-        // gets the same drain guarantee as an already-registered
-        // connection. (Handshakes completing after this instant see a
-        // reset when the listener drops, which is indistinguishable from
-        // the daemon having exited a moment sooner.)
-        self.accept_ready();
-        let tokens: Vec<u64> = self.conns.keys().copied().collect();
-        for token in tokens {
-            self.read_ready(token);
-            if let Some(c) = self.conns.get_mut(&token) {
-                // No more reads from here on; dropping EPOLLIN interest
-                // keeps readable-but-ignored sockets from spinning the
-                // drain loop hot.
-                c.read_closed = true;
-                Self::update_interest(&self.epoll, token, c);
-            }
-        }
+    /// A worker pushes its last response before exiting, so "all
+    /// finished" before a delivery means every response was handed over.
+    fn busy(&self) -> bool {
+        !self.workers.iter().all(|w| w.is_finished())
+    }
+
+    fn drain_begin(&mut self) {
         self.state.queue.close();
-        let t0 = Instant::now();
-        let mut events = [sys::EpollEvent { events: 0, data: 0 }; 64];
-        loop {
-            // Read the workers' state *before* draining the mailbox: a
-            // worker always pushes its last response before exiting, so
-            // "all finished" + "mailbox empty after a drain" means every
-            // response has been handed over.
-            let workers_done = workers.iter().all(|w| w.is_finished());
-            self.deliver_and_flush();
-            let flushed = self.state.mailbox.is_empty()
-                && self.conns.values().all(|c| !c.has_backlog());
-            if (workers_done && flushed) || t0.elapsed() > FLUSH_WINDOW {
-                break;
-            }
-            let n = self.epoll.wait(&mut events, 50);
-            for ev in events.iter().take(n).copied() {
-                let (token, bits) = (ev.data, ev.events);
-                if token == TOKEN_WAKE {
-                    self.state.mailbox.wake.drain();
-                } else if token >= FIRST_CONN_TOKEN {
-                    if bits & (sys::EPOLLERR | sys::EPOLLHUP) != 0 {
-                        self.kill(token);
-                    } else if bits & sys::EPOLLOUT != 0 {
-                        self.flush(token);
-                    }
-                }
-            }
-        }
-        for w in workers {
+    }
+
+    fn finish(&mut self) {
+        for w in self.workers.drain(..) {
             let _ = w.join();
         }
-        // Dropping the event loop closes every socket: clients see EOF
-        // only after their buffered requests were answered.
     }
 }
 
@@ -1013,45 +539,60 @@ fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Run one claimed `sim` group (coalesced, solo, or deadline-bearing)
-/// behind a panic guard and answer every member. Every `sim` path goes
-/// through here, so no arm can leak a panic and kill its worker thread.
-fn run_sim_group(
-    state: &ServerState,
-    group: &[SimWork],
-    deadline: Option<Instant>,
-    claimed: Instant,
-) {
-    let _span = m3d_obs::span("serve", "sim");
+/// Run one claimed `sim` group (coalesced, or one deadline-bearing
+/// request) behind a panic guard and answer every member. Every `sim`
+/// path goes through here, so no arm can leak a panic and kill its worker
+/// thread.
+fn run_sim_group(state: &ServerState, group: &[Job<SimRequest>], claimed: Instant) {
+    // Only a lone request can carry a deadline: `pop_batch` never
+    // coalesces one.
+    let deadline = group[0].deadline;
     let batch_size = group.len() as u32;
-    let reqs: Vec<&SimRequest> = group.iter().map(|w| &w.req).collect();
-    match catch_unwind(AssertUnwindSafe(|| state.engine.sim_group(&reqs, deadline))) {
-        Ok(results) => {
-            for (w, r) in group.iter().zip(results) {
-                send_result(
-                    state,
-                    &w.reply,
-                    &w.meta,
-                    queue_wait_us(&w.meta, claimed),
-                    batch_size,
-                    r,
-                );
-            }
-        }
-        Err(p) => {
+    let reqs: Vec<&SimRequest> = group.iter().map(|w| &w.params).collect();
+    let results = catch_unwind(AssertUnwindSafe(|| state.engine.sim_group(&reqs, deadline)))
+        .unwrap_or_else(|p| {
             let e = WireError::new(ErrorKind::Panic, panic_text(p));
-            for w in group {
-                send_result(
-                    state,
-                    &w.reply,
-                    &w.meta,
-                    queue_wait_us(&w.meta, claimed),
-                    batch_size,
-                    Err(e.clone()),
-                );
-            }
-        }
+            vec![Err(e); group.len()]
+        });
+    for (w, r) in group.iter().zip(results) {
+        let queue_us = queue_wait_us(&w.meta, claimed);
+        send_result(state, &w.reply, &w.meta, queue_us, batch_size, r);
     }
+}
+
+/// Run one `experiment` or `plan` behind a panic guard and answer it.
+fn run_task(state: &ServerState, w: &Job<Json>, claimed: Instant) {
+    let plan = w.meta.method == Method::Plan;
+    let r = if w.deadline.is_some_and(|d| Instant::now() >= d) {
+        let what = if plan { "search" } else { "experiment" };
+        Err(WireError::new(
+            ErrorKind::Deadline,
+            format!("deadline expired before the {what} started"),
+        ))
+    } else if plan {
+        // Partials go out through the mailbox as they are produced. The
+        // send result feeds back into the search: once the client is gone
+        // the next chunk boundary aborts the run instead of simulating for
+        // nobody. The final line still flows through `send_result` for the
+        // counters and latency record.
+        catch_unwind(AssertUnwindSafe(|| {
+            state
+                .engine
+                .plan(w.meta.id, &w.params, w.deadline, |line| w.reply.send(line))
+        }))
+        .unwrap_or_else(|p| Err(WireError::new(ErrorKind::Panic, panic_text(p))))
+    } else {
+        catch_unwind(AssertUnwindSafe(|| state.engine.experiment(&w.params)))
+            .unwrap_or_else(|p| Err(WireError::new(ErrorKind::Panic, panic_text(p))))
+    };
+    send_result(
+        state,
+        &w.reply,
+        &w.meta,
+        queue_wait_us(&w.meta, claimed),
+        1,
+        r,
+    );
 }
 
 fn worker_loop(state: &ServerState) {
@@ -1064,104 +605,10 @@ fn worker_loop(state: &ServerState) {
                 if group.len() > 1 {
                     m3d_obs::add("serve.coalesced", (group.len() - 1) as u64);
                 }
-                run_sim_group(state, &group, None, claimed);
+                run_sim_group(state, &group, claimed);
             }
-            Batch::One(Work::SimDeadline(w, deadline)) => {
-                run_sim_group(state, std::slice::from_ref(&w), Some(deadline), claimed);
-            }
-            Batch::One(Work::Sim(w)) => {
-                // Unreachable by construction (pop_batch coalesces these),
-                // but answering it is still the right fallback — and it
-                // shares the panic guard, so even this path cannot
-                // silently shrink the pool.
-                run_sim_group(state, std::slice::from_ref(&w), None, claimed);
-            }
-            Batch::One(Work::Experiment(w)) => {
-                let _span = m3d_obs::span("serve", "experiment");
-                let r = if w.deadline.is_some_and(|d| Instant::now() >= d) {
-                    Err(WireError::new(
-                        ErrorKind::Deadline,
-                        "deadline expired before the experiment started",
-                    ))
-                } else {
-                    catch_unwind(AssertUnwindSafe(|| state.engine.experiment(&w.params)))
-                        .unwrap_or_else(|p| {
-                            Err(WireError::new(ErrorKind::Panic, panic_text(p)))
-                        })
-                };
-                send_result(state, &w.reply, &w.meta, queue_wait_us(&w.meta, claimed), 1, r);
-            }
-            Batch::One(Work::Plan(w)) => {
-                let _span = m3d_obs::span("serve", "plan");
-                let r = if w.deadline.is_some_and(|d| Instant::now() >= d) {
-                    Err(WireError::new(
-                        ErrorKind::Deadline,
-                        "deadline expired before the search started",
-                    ))
-                } else {
-                    // Partials go out through the mailbox as they are
-                    // produced. The send result feeds back into the
-                    // search: once the client is gone the next chunk
-                    // boundary aborts the run instead of simulating for
-                    // nobody. The final line still flows through
-                    // `send_result` for the counters and latency record.
-                    catch_unwind(AssertUnwindSafe(|| {
-                        state
-                            .engine
-                            .plan(w.meta.id, &w.params, w.deadline, |line| w.reply.send(line))
-                    }))
-                    .unwrap_or_else(|p| Err(WireError::new(ErrorKind::Panic, panic_text(p))))
-                };
-                send_result(state, &w.reply, &w.meta, queue_wait_us(&w.meta, claimed), 1, r);
-            }
+            Batch::Task(w) => run_task(state, &w, claimed),
         }
-    }
-}
-
-pub(crate) fn oversized_line() -> String {
-    err_line(
-        None,
-        &WireError::new(
-            ErrorKind::Oversized,
-            format!("request line exceeds {MAX_LINE_BYTES} bytes"),
-        ),
-    )
-}
-
-/// Frame and dispatch every complete line in the connection's read
-/// buffer, then enforce the line cap on the unfinished remainder (a line
-/// that overflows the buffer before its newline arrives is answered
-/// `oversized` immediately and its tail discarded until the stream
-/// resyncs at the next newline).
-fn drain_lines(c: &mut Conn, state: &Arc<ServerState>) {
-    while let Some(nl) = c.rbuf.iter().position(|&b| b == b'\n') {
-        let line: Vec<u8> = c.rbuf.drain(..=nl).collect();
-        if c.discarding {
-            // Tail of an oversized line (already answered): resync.
-            c.discarding = false;
-            continue;
-        }
-        // The streaming check below only catches lines that overflow
-        // the buffer before their newline arrives; a line that exceeds
-        // the cap within the final read chunk completes normally, so
-        // the cap must also be enforced on every completed line.
-        if line.len() - 1 > MAX_LINE_BYTES {
-            m3d_obs::add("serve.errors", 1);
-            c.writer.send(&oversized_line());
-            continue;
-        }
-        let text = String::from_utf8_lossy(&line[..line.len() - 1]);
-        let text = text.trim_end_matches('\r');
-        if text.trim().is_empty() {
-            continue;
-        }
-        process_line(text, &c.writer, state);
-    }
-    if c.rbuf.len() > MAX_LINE_BYTES {
-        m3d_obs::add("serve.errors", 1);
-        c.writer.send(&oversized_line());
-        c.rbuf.clear();
-        c.discarding = true;
     }
 }
 
@@ -1186,70 +633,36 @@ fn process_line(line: &str, writer: &Arc<ConnWriter>, state: &Arc<ServerState>) 
     let deadline = req
         .deadline_ms
         .map(|ms| received + Duration::from_millis(ms));
-    match req.method {
+    writer.pending.fetch_add(1, Ordering::AcqRel);
+    let work = match req.method {
         Method::Planner => {
-            let _span = m3d_obs::span("serve", "planner");
-            writer.pending.fetch_add(1, Ordering::AcqRel);
-            send_result(state, writer, &meta, 0, 1, Ok(state.engine.planner()));
+            return send_result(state, writer, &meta, 0, 1, Ok(state.engine.planner()));
         }
         Method::Stats => {
-            let _span = m3d_obs::span("serve", "stats");
-            writer.pending.fetch_add(1, Ordering::AcqRel);
-            send_result(state, writer, &meta, 0, 1, Ok(state.engine.stats()));
+            return send_result(state, writer, &meta, 0, 1, Ok(state.engine.stats()));
         }
         Method::Telemetry => {
-            let _span = m3d_obs::span("serve", "telemetry");
-            writer.pending.fetch_add(1, Ordering::AcqRel);
             let r = state.engine.telemetry(&req.params);
-            send_result(state, writer, &meta, 0, 1, r);
+            return send_result(state, writer, &meta, 0, 1, r);
         }
-        Method::Sim => {
-            let sim = match parse_sim_params(&req.params) {
-                Ok(s) => s,
-                Err(e) => {
-                    writer.pending.fetch_add(1, Ordering::AcqRel);
-                    send_result(state, writer, &meta, 0, 0, Err(e));
-                    return;
-                }
-            };
-            let w = SimWork {
+        Method::Sim => match parse_sim_params(&req.params) {
+            Ok(params) => Work::Sim(Job {
                 meta,
-                req: sim,
-                reply: Arc::clone(writer),
-            };
-            writer.pending.fetch_add(1, Ordering::AcqRel);
-            let work = match deadline {
-                Some(d) => Work::SimDeadline(w, d),
-                None => Work::Sim(w),
-            };
-            if let Err((work, e)) = state.queue.push(work) {
-                work.fail(state, e);
-            }
-        }
-        Method::Experiment => {
-            let w = ExpWork {
-                meta,
-                params: req.params.clone(),
+                params,
                 deadline,
                 reply: Arc::clone(writer),
-            };
-            writer.pending.fetch_add(1, Ordering::AcqRel);
-            if let Err((work, e)) = state.queue.push(Work::Experiment(w)) {
-                work.fail(state, e);
-            }
-        }
-        Method::Plan => {
-            let w = PlanWork {
-                meta,
-                params: req.params.clone(),
-                deadline,
-                reply: Arc::clone(writer),
-            };
-            writer.pending.fetch_add(1, Ordering::AcqRel);
-            if let Err((work, e)) = state.queue.push(Work::Plan(w)) {
-                work.fail(state, e);
-            }
-        }
+            }),
+            Err(e) => return send_result(state, writer, &meta, 0, 0, Err(e)),
+        },
+        Method::Experiment | Method::Plan => Work::Task(Job {
+            meta,
+            params: req.params,
+            deadline,
+            reply: Arc::clone(writer),
+        }),
+    };
+    if let Err((work, e)) = state.queue.push(work) {
+        work.fail(state, e);
     }
 }
 
@@ -1257,34 +670,47 @@ fn process_line(line: &str, writer: &Arc<ConnWriter>, state: &Arc<ServerState>) 
 mod tests {
     use super::*;
 
+    fn test_mailbox() -> Arc<Mailbox> {
+        Arc::new(Mailbox {
+            lines: Mutex::new(Vec::new()),
+            waker: Waker::new().expect("eventfd"),
+        })
+    }
+
     fn test_writer(mailbox: &Arc<Mailbox>) -> Arc<ConnWriter> {
         Arc::new(ConnWriter {
-            token: FIRST_CONN_TOKEN,
+            token: 2,
             mailbox: Arc::clone(mailbox),
             dead: AtomicBool::new(false),
             pending: AtomicUsize::new(0),
         })
     }
 
-    fn sim_work(mailbox: &Arc<Mailbox>, id: i64) -> Work {
-        Work::Sim(SimWork {
+    fn job<P>(mailbox: &Arc<Mailbox>, id: i64, method: Method, params: P) -> Job<P> {
+        Job {
             meta: ReqMeta {
                 id,
-                method: Method::Sim,
+                method,
                 received: Instant::now(),
                 req_bytes: 0,
             },
-            req: SimRequest {
-                points: Vec::new(),
-                strict: false,
-            },
+            params,
+            deadline: None,
             reply: test_writer(mailbox),
-        })
+        }
+    }
+
+    fn sim_work(mailbox: &Arc<Mailbox>, id: i64) -> Work {
+        let req = SimRequest {
+            points: Vec::new(),
+            strict: false,
+        };
+        Work::Sim(job(mailbox, id, Method::Sim, req))
     }
 
     #[test]
     fn coalescing_caps_the_group_size() {
-        let mailbox = Arc::new(Mailbox::new().expect("eventfd"));
+        let mailbox = test_mailbox();
         let q = Queue::new(64);
         for id in 0..40 {
             assert!(q.push(sim_work(&mailbox, id)).is_ok());
@@ -1298,33 +724,25 @@ mod tests {
                     sizes.push(group.len());
                     ids.extend(group.iter().map(|w| w.meta.id));
                 }
-                Batch::One(_) => panic!("only sims were queued"),
+                Batch::Task(_) => panic!("only sims were queued"),
             }
         }
-        assert_eq!(sizes, vec![COALESCE_MAX, COALESCE_MAX, 40 - 2 * COALESCE_MAX]);
+        assert_eq!(
+            sizes,
+            vec![COALESCE_MAX, COALESCE_MAX, 40 - 2 * COALESCE_MAX]
+        );
         assert_eq!(ids, (0..40).collect::<Vec<_>>());
     }
 
     #[test]
     fn capped_coalescing_preserves_queue_order_around_other_work() {
-        let mailbox = Arc::new(Mailbox::new().expect("eventfd"));
+        let mailbox = test_mailbox();
         let q = Queue::new(64);
         for id in 0..10 {
             assert!(q.push(sim_work(&mailbox, id)).is_ok());
         }
-        assert!(q
-            .push(Work::Experiment(ExpWork {
-                meta: ReqMeta {
-                    id: 100,
-                    method: Method::Experiment,
-                    received: Instant::now(),
-                    req_bytes: 0,
-                },
-                params: Json::Null,
-                deadline: None,
-                reply: test_writer(&mailbox),
-            }))
-            .is_ok());
+        let experiment = job(&mailbox, 100, Method::Experiment, Json::Null);
+        assert!(q.push(Work::Task(experiment)).is_ok());
         for id in 10..30 {
             assert!(q.push(sim_work(&mailbox, id)).is_ok());
         }
@@ -1340,7 +758,7 @@ mod tests {
             want
         });
         // The experiment kept its place ahead of the overflow sims.
-        let Some(Batch::One(Work::Experiment(e))) = q.pop_batch() else {
+        let Some(Batch::Task(e)) = q.pop_batch() else {
             panic!("experiment is next");
         };
         assert_eq!(e.meta.id, 100);
@@ -1355,8 +773,33 @@ mod tests {
     }
 
     #[test]
+    fn deadline_sims_run_alone_without_reordering() {
+        let mailbox = test_mailbox();
+        let q = Queue::new(64);
+        assert!(q.push(sim_work(&mailbox, 0)).is_ok());
+        let mut timed = job(
+            &mailbox,
+            1,
+            Method::Sim,
+            SimRequest {
+                points: Vec::new(),
+                strict: false,
+            },
+        );
+        timed.deadline = Some(Instant::now());
+        assert!(q.push(Work::Sim(timed)).is_ok());
+        assert!(q.push(sim_work(&mailbox, 2)).is_ok());
+        q.close();
+        let mut claims = Vec::new();
+        while let Some(Batch::Sims(group)) = q.pop_batch() {
+            claims.push(group.iter().map(|w| w.meta.id).collect::<Vec<_>>());
+        }
+        assert_eq!(claims, vec![vec![0, 2], vec![1]]);
+    }
+
+    #[test]
     fn dead_writer_fails_sends_without_touching_the_mailbox() {
-        let mailbox = Arc::new(Mailbox::new().expect("eventfd"));
+        let mailbox = test_mailbox();
         let w = test_writer(&mailbox);
         assert!(w.send("{\"ok\":1}"));
         w.dead.store(true, Ordering::Release);

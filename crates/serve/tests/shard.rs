@@ -323,3 +323,45 @@ fn router_keeps_answering_after_a_shard_is_killed() {
     drop(c);
     handle.shutdown();
 }
+
+#[test]
+fn router_answers_deeply_nested_json_and_keeps_serving() {
+    let router = Router::bind(RouterConfig {
+        shards: 2,
+        serve_binary: Some(PathBuf::from(env!("CARGO_BIN_EXE_serve"))),
+        quick: true,
+        ..RouterConfig::default()
+    })
+    .expect("bind router");
+    let addr = router.local_addr().expect("router addr").to_string();
+    let handle = router.spawn();
+
+    let mut c = Client::connect(&addr).expect("connect");
+    let reply = c.call_raw(&"[".repeat(240 * 1024)).expect("reply");
+    let resp = m3d_serve::protocol::Response::parse(&reply).expect("parses");
+    assert_eq!(
+        resp.error().map(|e| e.kind.wire_name()),
+        Some("parse"),
+        "{reply}"
+    );
+
+    // Both the router itself and its shards still answer.
+    let stats = c.stats(2).expect("stats after the deep line");
+    assert!(stats.is_ok(), "{}", stats.raw);
+    let sim = c
+        .sim(
+            3,
+            Json::obj([(
+                "points",
+                Json::arr([
+                    sim_point("Gcc", "Base", 0x5AAD_2000, 700, 500),
+                    sim_point("Mcf", "Base", 0x5AAD_2001, 700, 500),
+                ]),
+            )]),
+        )
+        .expect("sim after the deep line");
+    assert!(sim.is_ok(), "{}", sim.raw);
+
+    drop(c);
+    handle.shutdown();
+}

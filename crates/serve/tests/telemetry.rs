@@ -161,3 +161,33 @@ fn oneshot_records_exactly_one_latency_sample_per_request() {
     }
     assert_eq!(count() - before, N, "one latency sample per oneshot request");
 }
+
+/// Answering requests leaves nothing in the `serve` trace category: the
+/// daemon never exports spans, so each one recorded would be memory held
+/// for the life of the process. Per-request timing lives in the telemetry
+/// windows and the slow log instead.
+#[test]
+fn warm_cache_hit_sims_record_no_serve_trace_events() {
+    let _guard = STORE_LOCK.lock().expect("store lock");
+    let (addr, handle) = start();
+    let mut c = Client::connect(&addr).expect("connect");
+    let params = sim_points_params(0x7EAC_E000);
+    let warm = c.sim(1, params.clone()).expect("warm-up sim");
+    assert!(warm.is_ok(), "{}", warm.raw);
+    let _ = m3d_obs::take_trace();
+
+    const N: i64 = 64;
+    for id in 2..2 + N {
+        let resp = c.sim(id, params.clone()).expect("cache-hit sim");
+        assert!(resp.is_ok(), "{}", resp.raw);
+    }
+    let stats = c.stats(100).expect("stats");
+    assert!(stats.is_ok(), "{}", stats.raw);
+    handle.shutdown();
+
+    let serve_events = m3d_obs::take_trace()
+        .iter()
+        .filter(|e| e.cat == "serve")
+        .count();
+    assert_eq!(serve_events, 0, "{N} warm sims left serve trace events");
+}

@@ -629,3 +629,22 @@ fn pipelined_requests_are_all_answered_and_shutdown_closes_cleanly() {
         "connection must be closed after shutdown"
     );
 }
+
+#[test]
+fn deeply_nested_json_answers_parse_and_the_connection_keeps_working() {
+    let (addr, handle) = start(8);
+    let mut c = Client::connect(&addr).expect("connect");
+
+    // 240 KB of `[` fits under the line cap; before the parser capped its
+    // nesting depth this line overflowed the event loop's stack.
+    let reply = c.call_raw(&"[".repeat(240 * 1024)).expect("reply");
+    let resp = Response::parse(&reply).expect("parses");
+    assert_eq!(kind_of(&resp), Some("parse"), "{reply}");
+    assert_eq!(resp.id, None, "{reply}");
+
+    let stats = c.stats(2).expect("stats after the deep line");
+    assert!(stats.is_ok(), "{}", stats.raw);
+    assert_eq!(stats.id, Some(2));
+
+    handle.shutdown();
+}
