@@ -121,6 +121,27 @@ echo "$DEEP_OUT" | grep -q '"ok":false,"error":{"kind":"parse"' || {
   exit 1
 }
 
+echo "== long-string smoke (8 lines with a 200 KB string each to serve --oneshot) =="
+# The JSON parser must scan a string in time linear in its length. A
+# quadratic scan spends about a second of event-loop time on each of these
+# lines; a linear one answers all eight well inside the timeout. The app
+# name is unknown and the point has no window, so each is `bad_request`.
+LONG_APP=$(head -c 204800 /dev/zero | tr '\0' 'x')
+LONG_OUT=$(for i in $(seq 1 8); do
+  printf '{"id":%d,"method":"sim","params":{"app":"%s"}}\n' "$i" "$LONG_APP"
+done | timeout 5 ./target/release/serve --oneshot --quick) || {
+  echo "ci.sh: serve --oneshot did not answer 8 long-string lines within 5 s" >&2
+  exit 1
+}
+[ "$(printf '%s\n' "$LONG_OUT" | wc -l)" -eq 8 ] || {
+  echo "ci.sh: 8 long-string lines did not get exactly 8 reply lines" >&2
+  exit 1
+}
+[ "$(printf '%s\n' "$LONG_OUT" | grep -c '"ok":false,"error":{"kind":"bad_request"')" -eq 8 ] || {
+  echo "ci.sh: long-string lines were not all answered bad_request: $LONG_OUT" >&2
+  exit 1
+}
+
 echo "== sharded serve smoke test (router, 2 shards, whole-tree shutdown) =="
 # The router fronts two spawned shard daemons; clients see the same wire
 # protocol on one ephemeral port. SIGTERM must drain the whole process

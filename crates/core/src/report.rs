@@ -427,13 +427,18 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so slicing
-                    // on char boundaries is safe).
+                    // Consume the whole run up to the next quote or
+                    // backslash as one slice. Both are ASCII, so the run
+                    // ends on a char boundary of the input `&str`, and each
+                    // byte is scanned once however long the string is.
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                    let c = s.chars().next().expect("peeked non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    let len = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let run = std::str::from_utf8(&rest[..len]).map_err(|e| e.to_string())?;
+                    out.push_str(run);
+                    self.pos += len;
                 }
             }
         }
@@ -689,6 +694,25 @@ mod tests {
         // are fine.
         let wide = format!("[{}[]]", "[[]],".repeat(10_000));
         assert!(Json::parse(&wide).is_ok());
+    }
+
+    #[test]
+    fn long_strings_round_trip() {
+        // Over 256 KiB of mixed ASCII, 2-, 3- and 4-byte UTF-8, and
+        // characters the renderer escapes.
+        let unit = "plain ascii é ü → 中文 😀 \"q\" back\\slash\nnew\ttab\r\u{1}|";
+        let text = unit.repeat(256 * 1024 / unit.len() + 1);
+        assert!(text.len() >= 256 * 1024);
+        for doc in [Json::from(text.as_str()), Json::obj([("k", Json::from(text.as_str()))])] {
+            assert_eq!(Json::parse(&doc.render_compact()), Ok(doc.clone()));
+            assert_eq!(Json::parse(&doc.render()), Ok(doc));
+        }
+        // `\u` escapes, surrogate pairs included, between long raw runs.
+        let run = "x".repeat(64 * 1024);
+        let escaped = format!(r#""{run}\u00e9{run}\ud83d\ude00{run}\u4E2D\/{run}""#);
+        let want = format!("{run}é{run}😀{run}中/{run}");
+        assert_eq!(Json::parse(&escaped), Ok(Json::Str(want)));
+        assert!(Json::parse(&format!("\"{run}")).is_err(), "unterminated");
     }
 
     #[test]

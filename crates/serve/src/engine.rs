@@ -27,7 +27,7 @@ use std::time::Instant;
 /// Every counter the server maintains. [`Engine::stats`] reports each of
 /// them unconditionally (zeros included), so monitoring clients can tell
 /// "never happened" apart from "not a counter".
-pub const SERVE_COUNTERS: [&str; 18] = [
+pub const SERVE_COUNTERS: [&str; 19] = [
     "serve.requests",
     "serve.requests.sim",
     "serve.requests.experiment",
@@ -36,6 +36,9 @@ pub const SERVE_COUNTERS: [&str; 18] = [
     "serve.requests.stats",
     "serve.requests.telemetry",
     "serve.coalesced",
+    // `sim` requests the daemon answered from the memo cache on its event
+    // loop, without queueing them.
+    "serve.inline_hits",
     "serve.rejected",
     "serve.deadline_expired",
     "serve.errors",
@@ -57,16 +60,27 @@ const NO_INJECTED_PANIC: u64 = u64::MAX;
 static INJECTED_PANIC_SEED: std::sync::atomic::AtomicU64 =
     std::sync::atomic::AtomicU64::new(NO_INJECTED_PANIC);
 
-/// Test hook: arm [`Engine::sim_group`] to panic whenever a request
-/// carries a point with this exact seed (`None` disarms). The serve wire
-/// tests use it to prove a panicking request is answered with the `panic`
-/// error kind and leaves the worker pool able to answer subsequent
-/// requests. Process-global; pick a seed no other concurrent test uses.
+/// Test hook: arm [`Engine::sim_group`] and [`Engine::sim_cached`] to
+/// panic whenever a request carries a point with this exact seed (`None`
+/// disarms). The serve tests use it to prove a panicking request is
+/// answered with the `panic` error kind and leaves the worker pool (or,
+/// for a memo hit, the event loop) able to answer subsequent requests.
+/// Process-global; pick a seed no other concurrent test uses.
 pub fn inject_sim_panic_seed(seed: Option<u64>) {
     INJECTED_PANIC_SEED.store(
         seed.unwrap_or(NO_INJECTED_PANIC),
         std::sync::atomic::Ordering::SeqCst,
     );
+}
+
+/// Panic if [`inject_sim_panic_seed`] armed a seed one of `reqs` carries.
+fn injected_panic_check(reqs: &[&SimRequest]) {
+    let armed = INJECTED_PANIC_SEED.load(std::sync::atomic::Ordering::SeqCst);
+    if armed != NO_INJECTED_PANIC
+        && reqs.iter().any(|r| r.points.iter().any(|p| p.seed == armed))
+    {
+        panic!("injected sim panic (seed {armed})");
+    }
 }
 
 /// The per-method request counter for a method (`serve.requests.sim`,
@@ -249,12 +263,7 @@ impl Engine {
         reqs: &[&SimRequest],
         deadline: Option<Instant>,
     ) -> Vec<Result<Json, WireError>> {
-        let armed = INJECTED_PANIC_SEED.load(std::sync::atomic::Ordering::SeqCst);
-        if armed != NO_INJECTED_PANIC
-            && reqs.iter().any(|r| r.points.iter().any(|p| p.seed == armed))
-        {
-            panic!("injected sim panic (seed {armed})");
-        }
+        injected_panic_check(reqs);
         let all: Vec<SimPoint> = reqs.iter().flat_map(|r| r.points.iter().cloned()).collect();
         let mut batch = SimBatch::new(self.ctx.jobs());
         if let Some(d) = deadline {
@@ -269,6 +278,19 @@ impl Engine {
                 sim_response(slice, req.strict)
             })
             .collect()
+    }
+
+    /// Answer a `sim` request from the memo cache alone when every one of
+    /// its points is cached: the same reply [`Engine::sim_group`] would
+    /// give, with the same `uarch.batch.*` counts, but without a batch
+    /// submission. `None` on any miss, with nothing counted; the caller
+    /// then takes the full path. Deadlines do not apply (memo hits are
+    /// served past a deadline anyway); `strict` does.
+    pub fn sim_cached(&self, req: &SimRequest) -> Option<Result<Json, WireError>> {
+        let hits = SimBatch::new(self.ctx.jobs()).run_cached(&req.points)?;
+        injected_panic_check(&[req]);
+        let results: Vec<_> = hits.into_iter().map(Ok).collect();
+        Some(sim_response(&results, req.strict))
     }
 
     /// Run one registry experiment by name and return its schema-v2 JSON.

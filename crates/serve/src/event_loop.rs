@@ -427,6 +427,18 @@ impl EventLoop {
         }
         if bits & sys::EPOLLIN != 0 {
             self.read(h, token);
+            // Replies the handler answered inline go out now, before the
+            // interest update, so a fully written reply never registers
+            // write interest at all.
+            if self
+                .conns
+                .map
+                .get_mut(&token)
+                .is_some_and(|c| c.has_backlog() && !c.flush())
+            {
+                self.close(h, token);
+                return;
+            }
         }
         self.conns.update_interest(token);
     }

@@ -36,9 +36,11 @@
 //!   workers' eventfd-woken mailbox (replies in completion order), and
 //!   the router's handler fans lines out to its shard connections and
 //!   replies in request order. Workers never touch a socket.
-//! * **Backpressure** — heavy work (`sim`, `experiment`) passes through a
-//!   bounded admission queue; a full queue rejects with a structured
-//!   `overloaded` error instead of buffering unboundedly.
+//! * **Backpressure** — heavy work (`sim`, `experiment`, `plan`) passes
+//!   through a bounded admission queue; a full queue rejects with a
+//!   structured `overloaded` error instead of buffering unboundedly. A
+//!   `sim` whose every point is memoized is not heavy: the daemon answers
+//!   it inline on the event loop (`serve.inline_hits`).
 //! * **Deadlines** — a request may carry `deadline_ms`; work that cannot
 //!   start (or, for `sim`, whose warm-up groups cannot start) before the
 //!   deadline is cancelled cleanly with a `deadline` error.
@@ -211,7 +213,9 @@
 //! cancellation cannot take bystanders down; `plan` re-checks at every
 //! chunk boundary, so a timed-out search still streams the chunks it
 //! finished before failing with `deadline`. Memo-cache hits are served
-//! even past a deadline (they cost nothing). The admission queue is
+//! even past a deadline (they cost nothing). A `sim` whose every point is
+//! memoized is answered inline on the daemon's event loop and never
+//! queued. The admission queue is
 //! bounded (`--queue-cap`); a full queue answers `overloaded` immediately
 //! rather than buffering, and a draining server answers `shutdown`.
 //!

@@ -13,9 +13,14 @@
 //!   That loop is the same one the shard router runs; this module is the
 //!   daemon's handler for it.
 //! * Cheap read-only methods (`planner`, `stats`, `telemetry`) are
-//!   answered inline on the event loop; heavy work (`sim`, `experiment`,
-//!   `plan`) is pushed through the bounded admission queue — a full queue
-//!   answers `overloaded` immediately (backpressure, never buffering).
+//!   answered inline on the event loop, and so is a `sim` whose every
+//!   point is already in the memo cache: it costs one lookup, not a
+//!   simulation, so it skips the queue, the worker and the mailbox (counted
+//!   in `serve.inline_hits`). Inline answers go straight into the
+//!   connection's write buffer and out in the same loop turn. Heavy work
+//!   (`experiment`, `plan`, and any `sim` with a point not yet cached) is
+//!   pushed through the bounded admission queue — a full queue answers
+//!   `overloaded` immediately (backpressure, never buffering).
 //! * A fixed worker pool drains the queue. A worker that pops a
 //!   deadline-free `sim` request also drains other queued deadline-free
 //!   `sim` requests — up to `COALESCE_MAX` of them, so a deep queue
@@ -129,13 +134,14 @@ enum Work {
 
 impl Work {
     /// Answer this work with an error without running it (queue
-    /// rejection): `batch` 0 — it never reached a batch.
-    fn fail(self, state: &ServerState, e: WireError) {
+    /// rejection, on the event-loop thread): `batch` 0 — it never reached
+    /// a batch.
+    fn fail(self, state: &ServerState, conns: &mut Conns, e: WireError) {
         let (reply, meta) = match &self {
             Work::Sim(w) => (&w.reply, &w.meta),
             Work::Task(w) => (&w.reply, &w.meta),
         };
-        send_result(state, reply, meta, 0, 0, Err(e));
+        send_result(state, reply, Some(conns), meta, 0, 0, Err(e));
     }
 }
 
@@ -245,9 +251,8 @@ impl Queue {
     }
 }
 
-/// Finished response lines travelling from whoever produced them (workers,
-/// or the event loop itself for inline methods) back to the event loop,
-/// which owns every socket. Pushing also wakes the loop.
+/// Finished response lines travelling from the workers back to the event
+/// loop, which owns every socket. Pushing also wakes the loop.
 struct Mailbox {
     lines: Mutex<Vec<(u64, Vec<u8>)>>,
     waker: Arc<Waker>,
@@ -308,6 +313,17 @@ impl ConnWriter {
         self.mailbox.push(self.token, buf);
         true
     }
+
+    /// Write one response line produced on the event-loop thread straight
+    /// into the connection's write buffer: no mailbox, no wake. A gone
+    /// connection counts in `serve.write_errors`, as in [`ConnWriter::send`].
+    fn send_inline(&self, conns: &mut Conns, line: &str) -> bool {
+        if !conns.send_line(self.token, line) {
+            m3d_obs::add("serve.write_errors", 1);
+            return false;
+        }
+        true
+    }
 }
 
 /// Send a handler outcome and maintain the serve counters, the latency
@@ -315,9 +331,13 @@ impl ConnWriter {
 /// recorder). A response whose connection is already gone records no
 /// latency — the client never saw it — but still leaves a flight record
 /// with outcome `write_error`. Decrements the connection's pending count.
+///
+/// On the event-loop thread `conns` is `Some` and the line goes straight
+/// into the write buffer; workers pass `None` and go through the mailbox.
 fn send_result(
     state: &ServerState,
     writer: &ConnWriter,
+    conns: Option<&mut Conns>,
     meta: &ReqMeta,
     queue_us: u64,
     batch: u32,
@@ -335,7 +355,10 @@ fn send_result(
             (err_line(Some(meta.id), &e), e.kind.wire_name())
         }
     };
-    let sent = writer.send(&line);
+    let sent = match conns {
+        Some(conns) => writer.send_inline(conns, &line),
+        None => writer.send(&line),
+    };
     let total_us = (meta.received.elapsed().as_secs_f64() * 1e6) as u64;
     if sent {
         m3d_obs::record("serve.latency_us", total_us as f64);
@@ -448,8 +471,8 @@ impl ServerHandle {
     }
 }
 
-/// The daemon's event-loop handler: request lines go to the admission
-/// queue (or are answered inline), mailbox lines go to their connections.
+/// The daemon's event-loop handler: request lines are answered inline or
+/// go to the admission queue, mailbox lines go to their connections.
 /// Replies leave in completion order, so pipelined requests may be
 /// answered out of order.
 struct Daemon {
@@ -460,7 +483,7 @@ struct Daemon {
 }
 
 impl Handler for Daemon {
-    fn on_input(&mut self, _conns: &mut Conns, token: u64, lines: Vec<Framed>) {
+    fn on_input(&mut self, conns: &mut Conns, token: u64, lines: Vec<Framed>) {
         let writer = self.writers.entry(token).or_insert_with(|| {
             Arc::new(ConnWriter {
                 token,
@@ -471,10 +494,10 @@ impl Handler for Daemon {
         });
         for framed in lines {
             match framed {
-                Framed::Line(line) => process_line(&line, writer, &self.state),
+                Framed::Line(line) => process_line(&line, writer, conns, &self.state),
                 Framed::Oversized => {
                     m3d_obs::add("serve.errors", 1);
-                    writer.send(&oversized_line());
+                    writer.send_inline(conns, &oversized_line());
                 }
             }
         }
@@ -556,7 +579,7 @@ fn run_sim_group(state: &ServerState, group: &[Job<SimRequest>], claimed: Instan
         });
     for (w, r) in group.iter().zip(results) {
         let queue_us = queue_wait_us(&w.meta, claimed);
-        send_result(state, &w.reply, &w.meta, queue_us, batch_size, r);
+        send_result(state, &w.reply, None, &w.meta, queue_us, batch_size, r);
     }
 }
 
@@ -588,6 +611,7 @@ fn run_task(state: &ServerState, w: &Job<Json>, claimed: Instant) {
     send_result(
         state,
         &w.reply,
+        None,
         &w.meta,
         queue_wait_us(&w.meta, claimed),
         1,
@@ -612,13 +636,18 @@ fn worker_loop(state: &ServerState) {
     }
 }
 
-fn process_line(line: &str, writer: &Arc<ConnWriter>, state: &Arc<ServerState>) {
+fn process_line(
+    line: &str,
+    writer: &Arc<ConnWriter>,
+    conns: &mut Conns,
+    state: &Arc<ServerState>,
+) {
     let received = Instant::now();
     let req = match parse_request(line) {
         Ok(r) => r,
         Err((id, e)) => {
             m3d_obs::add("serve.errors", 1);
-            writer.send(&err_line(id, &e));
+            writer.send_inline(conns, &err_line(id, &e));
             return;
         }
     };
@@ -634,25 +663,32 @@ fn process_line(line: &str, writer: &Arc<ConnWriter>, state: &Arc<ServerState>) 
         .deadline_ms
         .map(|ms| received + Duration::from_millis(ms));
     writer.pending.fetch_add(1, Ordering::AcqRel);
+    let mut inline = |r| send_result(state, writer, Some(conns), &meta, 0, 1, r);
     let work = match req.method {
-        Method::Planner => {
-            return send_result(state, writer, &meta, 0, 1, Ok(state.engine.planner()));
-        }
-        Method::Stats => {
-            return send_result(state, writer, &meta, 0, 1, Ok(state.engine.stats()));
-        }
-        Method::Telemetry => {
-            let r = state.engine.telemetry(&req.params);
-            return send_result(state, writer, &meta, 0, 1, r);
-        }
+        Method::Planner => return inline(Ok(state.engine.planner())),
+        Method::Stats => return inline(Ok(state.engine.stats())),
+        Method::Telemetry => return inline(state.engine.telemetry(&req.params)),
         Method::Sim => match parse_sim_params(&req.params) {
-            Ok(params) => Work::Sim(Job {
-                meta,
-                params,
-                deadline,
-                reply: Arc::clone(writer),
-            }),
-            Err(e) => return send_result(state, writer, &meta, 0, 0, Err(e)),
+            Ok(params) => {
+                // Every point memoized: a lookup answers it, so it does not
+                // wait behind simulations in the queue. Behind the same
+                // panic guard as a worker's batch, so the loop survives.
+                let hit = catch_unwind(AssertUnwindSafe(|| state.engine.sim_cached(&params)))
+                    .unwrap_or_else(|p| {
+                        Some(Err(WireError::new(ErrorKind::Panic, panic_text(p))))
+                    });
+                if let Some(r) = hit {
+                    m3d_obs::add("serve.inline_hits", 1);
+                    return inline(r);
+                }
+                Work::Sim(Job {
+                    meta,
+                    params,
+                    deadline,
+                    reply: Arc::clone(writer),
+                })
+            }
+            Err(e) => return send_result(state, writer, Some(conns), &meta, 0, 0, Err(e)),
         },
         Method::Experiment | Method::Plan => Work::Task(Job {
             meta,
@@ -662,7 +698,7 @@ fn process_line(line: &str, writer: &Arc<ConnWriter>, state: &Arc<ServerState>) 
         }),
     };
     if let Err((work, e)) = state.queue.push(work) {
-        work.fail(state, e);
+        work.fail(state, conns, e);
     }
 }
 

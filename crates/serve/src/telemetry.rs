@@ -13,7 +13,10 @@
 //! `queue_us` still ends when a worker claims the request, and
 //! `total_us` still ends when the worker hands the response line off for
 //! delivery (now: pushes it into the event loop's mailbox; before: wrote
-//! the socket itself). Time the event loop spends flushing a slow
+//! the socket itself). A request answered inline on the event loop (a
+//! cheap method, or a `sim` every point of which is memoized) has
+//! `queue_us` 0, and its `total_us` ends when the line is appended to the
+//! connection's write buffer. Time the event loop spends flushing a slow
 //! client's write backlog is deliberately outside `total_us` — it
 //! measures the *daemon's* work, not the client's read rate.
 

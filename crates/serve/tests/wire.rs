@@ -648,3 +648,72 @@ fn deeply_nested_json_answers_parse_and_the_connection_keeps_working() {
 
     handle.shutdown();
 }
+
+#[test]
+fn fully_cached_sims_bypass_the_queue() {
+    // The memo cache is process-wide, so a point answered in-process is a
+    // hit for the daemon too. A seed unique to this test keeps it apart.
+    let engine = Engine::new(true, 1).expect("engine");
+    let warm = sim_params("Gcc", 0x1A11_0001, 1_000, 800);
+    let line = |id: i64, params: Json, deadline: Option<u64>| {
+        request_line(id, Method::Sim, params, deadline)
+    };
+    let plain = line(1, warm.clone(), None);
+    let timed = line(2, warm.clone(), Some(0));
+    let strict = line(
+        3,
+        Json::obj([
+            ("points", Json::arr([warm.clone()])),
+            ("strict", Json::from(true)),
+        ]),
+        None,
+    );
+    let want: Vec<String> = [&plain, &timed, &strict]
+        .iter()
+        .map(|l| engine.answer_line(l))
+        .collect();
+
+    // cap 0: anything that reaches the queue is rejected.
+    let (addr, handle) = start(0);
+    let mut c = Client::connect(&addr).expect("connect");
+    let before = c.stats(10).expect("stats").result.expect("ok");
+    let before = stats_counter(&before, "serve.inline_hits");
+    for (l, w) in [&plain, &timed, &strict].into_iter().zip(&want) {
+        let reply = c.call_raw(l).expect("reply");
+        assert!(reply.contains(r#""ok":true"#), "{reply}");
+        assert_eq!(&reply, w, "inline reply differs from the engine's");
+    }
+    let after = c.stats(11).expect("stats").result.expect("ok");
+    let after = stats_counter(&after, "serve.inline_hits");
+    assert!(after >= before + 3, "inline hits {before} -> {after}");
+
+    // A partial hit takes the queue, which is full.
+    let pair = Json::obj([(
+        "points",
+        Json::arr([warm, sim_params("Gcc", 0x1A11_0002, 1_000, 800)]),
+    )]);
+    let resp = c.sim(4, pair).expect("reply");
+    assert_eq!(kind_of(&resp), Some("overloaded"), "{}", resp.raw);
+
+    // Inline hits leave flight records with no queue wait and batch 1.
+    let tele = c
+        .telemetry(12, Json::obj([("recent", Json::from(16i64))]))
+        .expect("telemetry")
+        .result
+        .expect("ok");
+    let Some(Json::Arr(recent)) = tele.get("flight").and_then(|f| f.get("recent")) else {
+        panic!("no flight records: {tele:?}");
+    };
+    let hits: Vec<&Json> = recent
+        .iter()
+        .filter(|r| matches!(r.get("id"), Some(Json::Int(1..=3))))
+        .collect();
+    assert_eq!(hits.len(), 3, "{recent:?}");
+    for r in hits {
+        assert_eq!(r.get("queue_us"), Some(&Json::Int(0)), "{r:?}");
+        assert_eq!(r.get("batch"), Some(&Json::Int(1)), "{r:?}");
+        assert_eq!(r.get("outcome"), Some(&Json::from("ok")), "{r:?}");
+    }
+
+    handle.shutdown();
+}

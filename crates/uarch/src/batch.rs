@@ -441,19 +441,15 @@ impl SimBatch {
             points: n as u64,
             ..BatchStats::default()
         };
-        let mut results: Vec<Option<Result<PerfResult, SimError>>> = vec![None; n];
         let keys: Vec<PointKey> = points.iter().map(SimPoint::key).collect();
 
-        // Phase 1: memo-cache lookups (one lock round for the whole batch).
-        if self.use_cache {
-            let cache = result_cache().lock().expect("batch result cache poisoned");
-            for (i, key) in keys.iter().enumerate() {
-                if let Some(r) = cache.get(key) {
-                    results[i] = Some(Ok(*r));
-                    stats.cache_hits += 1;
-                }
-            }
-        }
+        // Phase 1: memo-cache lookups.
+        let mut results: Vec<Option<Result<PerfResult, SimError>>> = if self.use_cache {
+            memo_lookup(&keys).into_iter().map(|r| r.map(Ok)).collect()
+        } else {
+            vec![None; n]
+        };
+        stats.cache_hits = results.iter().filter(|r| r.is_some()).count() as u64;
 
         // Phase 2: collapse duplicates of the remaining points. The first
         // occurrence becomes the primary; later copies are aliases and
@@ -578,11 +574,7 @@ impl SimBatch {
             }
         }
 
-        m3d_obs::add("uarch.batch.points", stats.points);
-        m3d_obs::add("uarch.batch.cache_hits", stats.cache_hits);
-        m3d_obs::add("uarch.batch.checkpoint_reuses", stats.checkpoint_reuses);
-        m3d_obs::add("uarch.batch.cycles", stats.cycles);
-        m3d_obs::add("uarch.batch.cap_exhausted", stats.cap_exhausted);
+        count_batch(&stats);
 
         let results = results
             .into_iter()
@@ -590,6 +582,46 @@ impl SimBatch {
             .collect();
         (results, stats)
     }
+
+    /// Answer every point from the process-wide memo cache, or none of
+    /// them. When each point is cached this returns the results in input
+    /// order and counts the `uarch.batch.*` statistics exactly as a
+    /// [`run_with_stats`](SimBatch::run_with_stats) call on the same points
+    /// would (every point a hit, nothing simulated). On any miss, or for a
+    /// runner built [`without_cache`](SimBatch::without_cache), it returns
+    /// `None` and counts nothing, so the caller can fall back to a full run.
+    ///
+    /// The lookup is the same one `run_with_stats` starts with, so the
+    /// answer is the one a full run would give. Deadlines play no part:
+    /// memo hits are served past a deadline anyway.
+    pub fn run_cached(&self, points: &[SimPoint]) -> Option<Vec<PerfResult>> {
+        if !self.use_cache {
+            return None;
+        }
+        let keys: Vec<PointKey> = points.iter().map(SimPoint::key).collect();
+        let hits: Vec<PerfResult> = memo_lookup(&keys).into_iter().collect::<Option<_>>()?;
+        count_batch(&BatchStats {
+            points: hits.len() as u64,
+            cache_hits: hits.len() as u64,
+            ..BatchStats::default()
+        });
+        Some(hits)
+    }
+}
+
+/// Look every key up in the process-wide memo cache under one lock round.
+fn memo_lookup(keys: &[PointKey]) -> Vec<Option<PerfResult>> {
+    let cache = result_cache().lock().expect("batch result cache poisoned");
+    keys.iter().map(|k| cache.get(k).copied()).collect()
+}
+
+/// Add one batch's statistics to the `uarch.batch.*` m3d-obs counters.
+fn count_batch(stats: &BatchStats) {
+    m3d_obs::add("uarch.batch.points", stats.points);
+    m3d_obs::add("uarch.batch.cache_hits", stats.cache_hits);
+    m3d_obs::add("uarch.batch.checkpoint_reuses", stats.checkpoint_reuses);
+    m3d_obs::add("uarch.batch.cycles", stats.cycles);
+    m3d_obs::add("uarch.batch.cap_exhausted", stats.cap_exhausted);
 }
 
 /// Simulate one warm-up group: build the machine, warm it once, then run
@@ -792,6 +824,27 @@ mod tests {
         assert_eq!(s1.cycles, 0, "no simulation on a full cache hit");
         assert_eq!(s1.checkpoint_reuses, 0);
         assert_eq!(first, second);
+    }
+
+    #[test]
+    fn cached_lookup_is_all_or_nothing() {
+        let seed = 0xBA7C_0008;
+        let warm = single("Astar", seed, CoreConfig::base_2d(), 6_000, 4_000);
+        let cold = single("Astar", seed + 1, CoreConfig::base_2d(), 6_000, 4_000);
+        let batch = SimBatch::new(1);
+        assert_eq!(batch.run_cached(std::slice::from_ref(&warm)), None);
+        let full = batch.run(std::slice::from_ref(&warm));
+        let pts = [warm.clone(), warm.clone()];
+        let hits = batch.run_cached(&pts).expect("every point memoized");
+        assert_eq!(hits.len(), 2);
+        assert_eq!(Ok(hits[0]), full[0], "a cached answer equals the full run's");
+        assert_eq!(
+            hits.into_iter().map(Ok).collect::<Vec<_>>(),
+            batch.run(&pts)
+        );
+        // One unseen point sends the whole request down the full path.
+        assert_eq!(batch.run_cached(&[warm.clone(), cold]), None);
+        assert_eq!(SimBatch::new(1).without_cache().run_cached(&pts), None);
     }
 
     #[test]
