@@ -59,10 +59,14 @@ use std::time::Instant;
 /// deliberately absent — its warm-start chains are chunked over
 /// `available_parallelism`, so its thermal iteration counts legitimately
 /// vary across machines — and fig9/fig10 share fig8's thermal coupling.
-/// fig6/fig7 is the cycle-level representative: its µop count depends only
-/// on the scale and seeds.
+/// fig6/fig7 is the single-core cycle-level representative: its µop count
+/// depends only on the scale and seeds. ablations is the multicore one: its
+/// cycle-level points run `Multicore::run` with barriers and coherence,
+/// under their own seed and with the memo cache bypassed, so its
+/// `uarch.batch.cycles` is a pure function of the scale.
 pub const GATED_EXPERIMENTS: &[&str] = &[
     "table3", "table4", "table5", "fig5", "table6", "table8", "table11", "fig6_fig7",
+    "ablations",
 ];
 
 /// The counters the drift gate compares exactly. All integers; all

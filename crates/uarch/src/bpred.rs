@@ -1,6 +1,8 @@
-//! Branch prediction: tournament predictor, branch target buffer, and
-//! return address stack (paper Table 9: 4K-entry selector/local/global
-//! tables, 4K-entry 4-way BTB, 32-entry RAS).
+//! Branch prediction: tournament predictor and branch target buffer
+//! (paper Table 9: 4K-entry selector/local/global tables, 4K-entry 4-way
+//! BTB). Table 9's 32-entry RAS is a configuration parameter only
+//! ([`crate::CoreConfig::ras_entries`]): the synthetic traces carry no
+//! call/return pairs for a return address stack to predict.
 
 /// A saturating 2-bit counter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -160,44 +162,6 @@ impl Btb {
     }
 }
 
-/// Return address stack (circular, overwrite on overflow).
-#[derive(Debug, Clone)]
-pub struct Ras {
-    stack: Vec<u64>,
-    top: usize,
-    depth: usize,
-}
-
-impl Ras {
-    /// A RAS with `entries` slots.
-    pub fn new(entries: usize) -> Self {
-        assert!(entries > 0, "RAS needs at least one entry");
-        Self {
-            stack: vec![0; entries],
-            top: 0,
-            depth: 0,
-        }
-    }
-
-    /// Push a return address (call).
-    pub fn push(&mut self, addr: u64) {
-        self.top = (self.top + 1) % self.stack.len();
-        self.stack[self.top] = addr;
-        self.depth = (self.depth + 1).min(self.stack.len());
-    }
-
-    /// Pop the predicted return address.
-    pub fn pop(&mut self) -> Option<u64> {
-        if self.depth == 0 {
-            return None;
-        }
-        let v = self.stack[self.top];
-        self.top = (self.top + self.stack.len() - 1) % self.stack.len();
-        self.depth -= 1;
-        Some(v)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -283,25 +247,5 @@ mod tests {
         assert_eq!(b.lookup(p1), Some(1));
         assert_eq!(b.lookup(p2), None);
         assert_eq!(b.lookup(p3), Some(3));
-    }
-
-    #[test]
-    fn ras_is_lifo() {
-        let mut r = Ras::new(4);
-        r.push(1);
-        r.push(2);
-        assert_eq!(r.pop(), Some(2));
-        assert_eq!(r.pop(), Some(1));
-        assert_eq!(r.pop(), None);
-    }
-
-    #[test]
-    fn ras_overwrites_on_overflow() {
-        let mut r = Ras::new(2);
-        r.push(1);
-        r.push(2);
-        r.push(3); // overwrites the slot holding 1
-        assert_eq!(r.pop(), Some(3));
-        assert_eq!(r.pop(), Some(2));
     }
 }

@@ -10,8 +10,11 @@
 //! # Hot-loop layout
 //!
 //! The reorder buffer is a structure-of-arrays ring (`RobSoa`): one flat
-//! array per field, indexed by slot, so the issue scan walks a handful of
-//! dense `u64` arrays instead of chasing `VecDeque` entries. Slots are
+//! array per field, indexed by slot, so the hot paths read a handful of
+//! dense `u64` arrays instead of chasing `VecDeque` entries. The issue
+//! queue is an age-ordered list of the ROB slots of the unissued entries:
+//! issue select and [`CoreEngine::next_wake`] walk only that list, never
+//! the already-issued entries that make up most of the window. Slots are
 //! generation-tagged: a dependency is the packed pair `(generation, slot)`,
 //! and a tag whose generation no longer matches its slot refers to a
 //! retired producer, which is by definition complete. This removes the
@@ -33,7 +36,7 @@
 //! is spelled out in DESIGN.md and enforced by the `skip_equiv` property
 //! test.
 
-use crate::bpred::{Btb, Ras, Tournament};
+use crate::bpred::{Btb, Tournament};
 use crate::config::CoreConfig;
 use crate::memory::MemorySystem;
 use crate::stats::{ActivityStats, PerfResult};
@@ -61,12 +64,10 @@ const NO_DST: u8 = u8::MAX;
 
 /// Entry flag: this µop is a mispredicted branch (resolves the front end).
 const F_MISPRED: u8 = 1 << 0;
-/// Entry flag: the µop currently occupies an issue-queue slot.
-const F_IN_IQ: u8 = 1 << 1;
 /// Entry flag: the µop touches cross-core shared data.
-const F_SHARED: u8 = 1 << 2;
+const F_SHARED: u8 = 1 << 1;
 /// Entry flag: the destination register comes from the FP pool.
-const F_FP_DST: u8 = 1 << 3;
+const F_FP_DST: u8 = 1 << 2;
 
 /// Structure-of-arrays reorder buffer: a ring of `cap` generation-tagged
 /// slots. Field `x` of the entry in slot `s` lives at `x[s]`; the occupied
@@ -262,9 +263,9 @@ pub struct CoreEngine {
     /// Latest in-flight producer tag per architectural register
     /// (`TAG_NONE` = the committed register file holds the value).
     rat: [u64; 32],
-    /// In-window entries not yet issued (lets the issue scan stop early).
-    unissued: usize,
-    iq_occ: usize,
+    /// The issue queue: ROB slots of the unissued, non-barrier entries,
+    /// oldest first. Its length is the IQ occupancy.
+    iq: Vec<u32>,
     lq_occ: usize,
     sq_occ: usize,
     free_int: usize,
@@ -274,8 +275,6 @@ pub struct CoreEngine {
     fetch_blocked_on_branch: bool,
     bpred: Tournament,
     btb: Btb,
-    #[allow(dead_code)]
-    ras: Ras,
     sq_fwd: StoreFwd,
     next_div_free: u64,
     next_fpdiv_free: u64,
@@ -296,8 +295,8 @@ impl CoreEngine {
     pub fn new(core_id: usize, cfg: CoreConfig, gen: TraceGenerator) -> Self {
         let bpred = Tournament::new(cfg.bpred_entries);
         let btb = Btb::new(cfg.btb_entries, cfg.btb_ways);
-        let ras = Ras::new(cfg.ras_entries);
         let rob = RobSoa::new(cfg.rob_entries);
+        let iq = Vec::with_capacity(cfg.iq_entries);
         Self {
             core_id,
             free_int: cfg.int_regs,
@@ -307,8 +306,7 @@ impl CoreEngine {
             rob,
             next_seq: 0,
             rat: [TAG_NONE; 32],
-            unissued: 0,
-            iq_occ: 0,
+            iq,
             lq_occ: 0,
             sq_occ: 0,
             fetch_queue: VecDeque::new(),
@@ -316,7 +314,6 @@ impl CoreEngine {
             fetch_blocked_on_branch: false,
             bpred,
             btb,
-            ras,
             sq_fwd: StoreFwd::default(),
             next_div_free: 0,
             next_fpdiv_free: 0,
@@ -385,7 +382,7 @@ impl CoreEngine {
     fn sample_occupancy(&mut self) {
         self.stats.occupancy_samples += 1;
         self.stats.rob_occupancy_sum += self.rob.len as u64;
-        self.stats.iq_occupancy_sum += self.iq_occ as u64;
+        self.stats.iq_occupancy_sum += self.iq.len() as u64;
     }
 
     /// Attribute a commit-less cycle to the structure holding it up.
@@ -473,19 +470,17 @@ impl CoreEngine {
             self.cfg.fus.fpus,
         );
         let core = self.core_id;
-        // Oldest-first scan; once every unissued entry has been considered
-        // the remaining window holds only issued entries.
-        let unissued_total = self.unissued;
-        let mut unissued_seen = 0;
-        for k in 0..self.rob.len {
-            if issued >= self.cfg.issue_width || unissued_seen >= unissued_total {
-                break;
-            }
-            let s = self.rob.slot_at(k);
-            if self.rob.done[s] != NOT_ISSUED {
-                continue;
-            }
-            unissued_seen += 1;
+        // Oldest-first walk of the issue queue, up to the issue width. Each
+        // visited entry is first kept (compacted towards the front, in
+        // order) and un-kept if it issues; the `drain` after the loop drops
+        // the gap this leaves before the unvisited tail.
+        let mut kept = 0;
+        let mut k = 0;
+        while k < self.iq.len() && issued < self.cfg.issue_width {
+            let s = self.iq[k] as usize;
+            k += 1;
+            self.iq[kept] = s as u32;
+            kept += 1;
             if self.rob.dispatched[s] >= cycle
                 || !self.rob.dep_ready(self.rob.deps[s][0], cycle)
                 || !self.rob.dep_ready(self.rob.deps[s][1], cycle)
@@ -549,6 +544,7 @@ impl CoreEngine {
                 }
                 OpKind::Barrier => 1,
             };
+            kept -= 1;
             let op_addr = self.rob.payload[s];
             let op_shared = self.rob.flags[s] & F_SHARED != 0;
             let op_seq = self.rob.seq[s];
@@ -576,11 +572,6 @@ impl CoreEngine {
                 _ => cycle + lat,
             };
             self.rob.done[s] = done;
-            self.unissued -= 1;
-            if self.rob.flags[s] & F_IN_IQ != 0 {
-                self.iq_occ -= 1;
-                self.rob.flags[s] &= !F_IN_IQ;
-            }
             self.stats.issued += 1;
             self.stats.rf_reads += self.rob.deps[s]
                 .iter()
@@ -605,6 +596,7 @@ impl CoreEngine {
             }
             issued += 1;
         }
+        self.iq.drain(kept..k);
         if issued > 0 {
             self.stats.active_cycles += 1;
             // Every issue broadcasts its tag to the IQ.
@@ -618,7 +610,7 @@ impl CoreEngine {
             if f.avail_cycle >= cycle {
                 break;
             }
-            if self.rob.len >= self.cfg.rob_entries || self.iq_occ >= self.cfg.iq_entries {
+            if self.rob.len >= self.cfg.rob_entries || self.iq.len() >= self.cfg.iq_entries {
                 break;
             }
             let op = f.op;
@@ -666,7 +658,6 @@ impl CoreEngine {
             self.rob.done[slot] = if is_barrier { cycle + 1 } else { NOT_ISSUED };
             self.rob.payload[slot] = if is_barrier { op.barrier_id } else { op.addr };
             self.rob.flags[slot] = (if f.mispredicted { F_MISPRED } else { 0 })
-                | (if is_barrier { 0 } else { F_IN_IQ })
                 | (if op.shared { F_SHARED } else { 0 })
                 | (if fp_dst { F_FP_DST } else { 0 });
             if let Some(d) = op.dst {
@@ -674,8 +665,7 @@ impl CoreEngine {
                 self.stats.rat_writes += 1;
             }
             if !is_barrier {
-                self.iq_occ += 1;
-                self.unissued += 1;
+                self.iq.push(slot as u32);
             }
             self.stats.dispatched += 1;
         }
@@ -757,16 +747,8 @@ impl CoreEngine {
                 consider(head_done);
             }
         }
-        let mut unissued_seen = 0;
-        for k in 0..self.rob.len {
-            if unissued_seen >= self.unissued {
-                break;
-            }
-            let s = self.rob.slot_at(k);
-            if self.rob.done[s] != NOT_ISSUED {
-                continue;
-            }
-            unissued_seen += 1;
+        for &s in &self.iq {
+            let s = s as usize;
             let kind = self.rob.kind[s];
             // A kind with no functional unit can never issue; without a
             // candidate the run loop jumps straight to its livelock cap,
@@ -834,7 +816,7 @@ impl CoreEngine {
         self.skipped_cycles += k;
         self.stats.occupancy_samples += k;
         self.stats.rob_occupancy_sum += self.rob.len as u64 * k;
-        self.stats.iq_occupancy_sum += self.iq_occ as u64 * k;
+        self.stats.iq_occupancy_sum += self.iq.len() as u64 * k;
         if self.rob.len == 0 {
             self.stats.stall_frontend_cycles += k;
             return;
@@ -973,10 +955,19 @@ impl Core {
     }
 }
 
+/// The random-machine generator of the `skip_equiv` property tests.
+#[cfg(test)]
+#[path = "../tests/support/mod.rs"]
+mod support;
+
 #[cfg(test)]
 mod tests {
+    use super::support::perturbed;
     use super::*;
+    use m3d_workloads::parallel::splash_parsec;
     use m3d_workloads::spec::{spec2006, spec_by_name};
+    use m3d_workloads::WorkloadProfile;
+    use proptest::prelude::*;
 
     fn run_app(name: &str, cfg: CoreConfig, n: u64) -> PerfResult {
         let p = spec_by_name(name).expect("profile");
@@ -1152,5 +1143,97 @@ mod tests {
         let mut off = Core::new(0, CoreConfig::base_2d().with_skip_ahead(false), gen);
         let _ = off.run(30_000);
         assert_eq!(off.skip_counters(), (0, 0), "disabled means no jumps");
+    }
+
+    /// Step `n_cores` engines over one memory system for `cycles` cycles,
+    /// checking after every step that each core's issue queue equals its
+    /// recomputation off the ROB (the slots holding unissued, non-barrier
+    /// entries, in ring order from `head`) and fits in `iq_entries`.
+    /// Returns the first violation, if any, and the barriers committed, so
+    /// callers can check that barrier µops really passed through the window.
+    fn first_iq_violation(
+        cfg: CoreConfig,
+        profile: &WorkloadProfile,
+        seed: u64,
+        n_cores: usize,
+        cycles: u64,
+    ) -> (Option<String>, u64) {
+        let mut mem = MemorySystem::new(cfg.clone(), n_cores);
+        let mut barriers = BarrierCtl::new(n_cores);
+        let mut cores: Vec<CoreEngine> = (0..n_cores)
+            .map(|c| {
+                let gen = TraceGenerator::new(profile, seed, c, n_cores);
+                CoreEngine::new(c, cfg.clone(), gen)
+            })
+            .collect();
+        for cycle in 0..cycles {
+            for e in &mut cores {
+                e.step(cycle, &mut mem, &mut barriers);
+                let expected: Vec<u32> = (0..e.rob.len)
+                    .map(|k| e.rob.slot_at(k))
+                    .filter(|&s| e.rob.done[s] == NOT_ISSUED && e.rob.kind[s] != OpKind::Barrier)
+                    .map(|s| s as u32)
+                    .collect();
+                if e.iq != expected || e.iq.len() > cfg.iq_entries {
+                    let msg = format!(
+                        "core {} cycle {cycle}: iq {:?}, expected {expected:?} (cap {})",
+                        e.core_id, e.iq, cfg.iq_entries
+                    );
+                    return (Some(msg), 0);
+                }
+            }
+        }
+        (None, cores.iter().map(|e| e.stats.barriers).sum())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn issue_queue_is_the_unissued_window_single_core(
+            app in 0usize..12,
+            three_d in any::<bool>(),
+            rob in 16usize..=192,
+            iq in 8usize..=64,
+            lq in 8usize..=48,
+            sq in 8usize..=48,
+            width in 1usize..=6,
+            freq_centi_ghz in 100u64..=400,
+            dram_tenth_ns in 200u64..=2000,
+            seed in any::<u64>(),
+            cycles in 500u64..=4_000,
+        ) {
+            let cfg = perturbed(three_d, rob, iq, lq, sq, width, freq_centi_ghz, dram_tenth_ns);
+            prop_assume!(cfg.validate().is_ok());
+            let apps = spec2006();
+            let (violation, _) = first_iq_violation(cfg, &apps[app % apps.len()], seed, 1, cycles);
+            prop_assert_eq!(violation, None);
+        }
+
+        #[test]
+        fn issue_queue_is_the_unissued_window_with_barriers(
+            app in 0usize..15,
+            n_cores in 2usize..=4,
+            three_d in any::<bool>(),
+            rob in 24usize..=128,
+            iq in 8usize..=64,
+            width in 1usize..=6,
+            dram_tenth_ns in 300u64..=1500,
+            barrier_interval in 10u64..=100,
+            seed in any::<u64>(),
+        ) {
+            let cfg = perturbed(three_d, rob, iq, 48, 48, width, 330, dram_tenth_ns);
+            prop_assume!(cfg.validate().is_ok());
+            let apps = splash_parsec();
+            // Barriers every few dozen µops, so that many of them pass
+            // through the window next to issue-queue entries.
+            let profile = WorkloadProfile {
+                barrier_interval,
+                ..apps[app % apps.len()].clone()
+            };
+            let (violation, barriers) = first_iq_violation(cfg, &profile, seed, n_cores, 10_000);
+            prop_assert_eq!(violation, None);
+            prop_assert!(barriers > 0, "no barrier committed");
+        }
     }
 }

@@ -16,7 +16,8 @@
 //!
 //! The cycle loop itself is built for sweep throughput: the ROB and cache
 //! line state are structure-of-arrays rings with generation-tagged slots
-//! (no per-issue hash lookups), and the run loops skip the clock over
+//! (no per-issue hash lookups), issue and wake-up walk only the
+//! age-ordered list of unissued µops, and the run loops skip the clock over
 //! fully quiescent stretches ([`config::CoreConfig::skip_ahead`], on by
 //! default) — bit-identical to plain stepping, just faster. See DESIGN.md
 //! § "Cycle loop".
