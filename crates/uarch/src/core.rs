@@ -11,15 +11,20 @@
 //!
 //! The reorder buffer is a structure-of-arrays ring (`RobSoa`): one flat
 //! array per field, indexed by slot, so the hot paths read a handful of
-//! dense `u64` arrays instead of chasing `VecDeque` entries. The issue
-//! queue is an age-ordered list of the ROB slots of the unissued entries:
-//! issue select and [`CoreEngine::next_wake`] walk only that list, never
-//! the already-issued entries that make up most of the window. Slots are
+//! dense `u64` arrays instead of chasing `VecDeque` entries. Slots are
 //! generation-tagged: a dependency is the packed pair `(generation, slot)`,
 //! and a tag whose generation no longer matches its slot refers to a
-//! retired producer, which is by definition complete. This removes the
-//! per-issue `HashMap` the previous implementation used to look up producer
-//! completion times. See DESIGN.md § "Cycle loop" for the field map and the
+//! retired producer, which is by definition complete.
+//!
+//! Wake-up is event-driven. At dispatch, each operand whose producer has
+//! not issued goes on that producer's intrusive consumer list; when the
+//! producer issues, its consumers learn its completion cycle. An entry
+//! whose producers have all issued waits in a `ready_at` calendar until
+//! its operands are available, then sits in a bitmask over ROB slots.
+//! Issue select scans that mask oldest-first from the ROB head, so it
+//! never visits an entry whose operands are not ready, and
+//! [`CoreEngine::next_wake`] reads the calendar instead of walking the
+//! queue. See DESIGN.md § "Cycle loop" for the field map and the
 //! equivalence argument.
 //!
 //! # Skip-ahead
@@ -41,7 +46,8 @@ use crate::config::CoreConfig;
 use crate::memory::MemorySystem;
 use crate::stats::{ActivityStats, PerfResult};
 use m3d_workloads::{MicroOp, OpKind, TraceGenerator};
-use std::collections::{HashMap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 
 #[derive(Debug, Clone)]
 struct FetchedOp {
@@ -58,6 +64,9 @@ const TAG_NONE: u64 = u64::MAX;
 
 /// `done` value of an entry that has not issued yet.
 const NOT_ISSUED: u64 = u64::MAX;
+
+/// End of a consumer list.
+const NO_CONS: u32 = u32::MAX;
 
 /// `dst` value of an entry without a destination register.
 const NO_DST: u8 = u8::MAX;
@@ -76,6 +85,10 @@ const F_FP_DST: u8 = 1 << 2;
 /// Slot reuse is disambiguated by `gen[s]`, bumped on every allocation:
 /// a dependency tag carries the generation it was created under, so a
 /// mismatch proves the producer has retired (and its result is available).
+///
+/// A consumer-list node is `(slot << 1) | operand`: operand `i` of the
+/// entry in `slot`. The list of producer `p` starts at `cons_head[p]` and
+/// continues through `cons_next[node slot][node operand]` to `NO_CONS`.
 #[derive(Debug, Clone)]
 struct RobSoa {
     cap: usize,
@@ -89,12 +102,19 @@ struct RobSoa {
     kind: Vec<OpKind>,
     /// Destination architectural register, or `NO_DST`.
     dst: Vec<u8>,
-    /// Producer tags for the two source operands (`TAG_NONE` = ready).
+    /// Producer tags for the two source operands (`TAG_NONE` = none).
     deps: Vec<[u64; 2]>,
-    /// Cycle the entry was dispatched.
-    dispatched: Vec<u64>,
     /// Completion cycle once issued; `NOT_ISSUED` before.
     done: Vec<u64>,
+    /// Earliest issue cycle: one past dispatch, raised to the `done` of
+    /// every producer as it becomes known.
+    ready_at: Vec<u64>,
+    /// Operands still waiting for their producer to issue.
+    pending: Vec<u8>,
+    /// First node of this entry's consumer list, or `NO_CONS`.
+    cons_head: Vec<u32>,
+    /// Next node after each of this entry's two operand nodes.
+    cons_next: Vec<[u32; 2]>,
     /// Kind-dependent payload: memory address, or barrier id.
     payload: Vec<u64>,
     /// `F_*` bit flags.
@@ -103,7 +123,10 @@ struct RobSoa {
 
 impl RobSoa {
     fn new(cap: usize) -> Self {
-        assert!(cap > 0 && cap < u32::MAX as usize, "ROB capacity {cap}");
+        assert!(
+            cap > 0 && cap < (NO_CONS >> 1) as usize,
+            "ROB capacity {cap}"
+        );
         Self {
             cap,
             head: 0,
@@ -113,8 +136,11 @@ impl RobSoa {
             kind: vec![OpKind::IntAlu; cap],
             dst: vec![NO_DST; cap],
             deps: vec![[TAG_NONE; 2]; cap],
-            dispatched: vec![0; cap],
             done: vec![0; cap],
+            ready_at: vec![0; cap],
+            pending: vec![0; cap],
+            cons_head: vec![NO_CONS; cap],
+            cons_next: vec![[NO_CONS; 2]; cap],
             payload: vec![0; cap],
             flags: vec![0; cap],
         }
@@ -124,7 +150,11 @@ impl RobSoa {
     #[inline]
     fn slot_at(&self, k: usize) -> usize {
         let s = self.head + k;
-        if s >= self.cap { s - self.cap } else { s }
+        if s >= self.cap {
+            s - self.cap
+        } else {
+            s
+        }
     }
 
     /// Packed producer tag for the entry currently in `slot`.
@@ -144,13 +174,10 @@ impl RobSoa {
         slot
     }
 
-    /// Free the head slot. `done` is zeroed so that a dependency tag still
-    /// carrying this generation reads as complete (`0 <= cycle`), which is
-    /// correct: the producer has retired.
+    /// Free the head slot.
     #[inline]
     fn free_head(&mut self) {
         debug_assert!(self.len > 0);
-        self.done[self.head] = 0;
         self.head += 1;
         if self.head == self.cap {
             self.head = 0;
@@ -158,18 +185,93 @@ impl RobSoa {
         self.len -= 1;
     }
 
-    /// Whether the producer named by `tag` has a result available at
-    /// `cycle`. Three cases: no producer; generation mismatch (the producer
-    /// retired and its slot was reused); or an in-window producer whose
-    /// completion cycle has been reached (freed slots keep `done = 0`).
+    /// Slot of the producer named by `tag`, unless there is none or it has
+    /// retired (its slot was reused). A retired producer that still holds
+    /// its slot keeps its past `done`, so it reads as complete.
     #[inline]
-    fn dep_ready(&self, tag: u64, cycle: u64) -> bool {
-        if tag == TAG_NONE {
-            return true;
-        }
+    fn producer(&self, tag: u64) -> Option<usize> {
         let slot = (tag & 0xFFFF_FFFF) as usize;
-        let gen = (tag >> 32) as u32;
-        self.gen[slot] != gen || self.done[slot] <= cycle
+        (tag != TAG_NONE && self.gen[slot] == (tag >> 32) as u32).then_some(slot)
+    }
+}
+
+/// One bit per ROB slot: the entries whose operands are ready.
+#[derive(Debug, Clone)]
+struct SlotMask {
+    words: Vec<u64>,
+}
+
+impl SlotMask {
+    fn new(cap: usize) -> Self {
+        Self {
+            words: vec![0; cap.div_ceil(64)],
+        }
+    }
+
+    #[inline]
+    fn set(&mut self, s: usize) {
+        self.words[s >> 6] |= 1 << (s & 63);
+    }
+
+    #[inline]
+    fn clear(&mut self, s: usize) {
+        self.words[s >> 6] &= !(1 << (s & 63));
+    }
+
+    /// Lowest set slot in `from..end`.
+    #[inline]
+    fn first_in(&self, from: usize, end: usize) -> Option<usize> {
+        if from >= end {
+            return None;
+        }
+        let mut w = from >> 6;
+        let mut bits = self.words[w] & (!0u64 << (from & 63));
+        loop {
+            if bits != 0 {
+                let s = (w << 6) + bits.trailing_zeros() as usize;
+                return (s < end).then_some(s);
+            }
+            w += 1;
+            if w << 6 >= end {
+                return None;
+            }
+            bits = self.words[w];
+        }
+    }
+}
+
+/// Oldest-first cursor over a [`SlotMask`] in ROB ring order: slots
+/// `head..cap`, then `0..head`. Each `next` reads the mask afresh, so a
+/// bit set ahead of the cursor during the scan (a consumer of a
+/// zero-latency producer that just issued) is still visited.
+#[derive(Debug, Clone, Copy)]
+struct RingScan {
+    pos: usize,
+    end: usize,
+    head: usize,
+}
+
+impl RingScan {
+    fn new(head: usize, cap: usize) -> Self {
+        Self {
+            pos: head,
+            end: cap,
+            head,
+        }
+    }
+
+    #[inline]
+    fn next(&mut self, mask: &SlotMask) -> Option<usize> {
+        loop {
+            if let Some(s) = mask.first_in(self.pos, self.end) {
+                self.pos = s + 1;
+                return Some(s);
+            }
+            if self.end == self.head {
+                return None;
+            }
+            (self.pos, self.end) = (0, self.head);
+        }
     }
 }
 
@@ -263,9 +365,13 @@ pub struct CoreEngine {
     /// Latest in-flight producer tag per architectural register
     /// (`TAG_NONE` = the committed register file holds the value).
     rat: [u64; 32],
-    /// The issue queue: ROB slots of the unissued, non-barrier entries,
-    /// oldest first. Its length is the IQ occupancy.
-    iq: Vec<u32>,
+    /// Issue-queue occupancy: the unissued, non-barrier entries.
+    iq_occ: usize,
+    /// Unissued entries whose operands are ready (`ready_at <= cycle`).
+    ready: SlotMask,
+    /// Unissued entries whose producers have all issued but whose
+    /// operands are not ready yet, keyed by `ready_at`.
+    calendar: BinaryHeap<Reverse<(u64, u32)>>,
     lq_occ: usize,
     sq_occ: usize,
     free_int: usize,
@@ -296,7 +402,7 @@ impl CoreEngine {
         let bpred = Tournament::new(cfg.bpred_entries);
         let btb = Btb::new(cfg.btb_entries, cfg.btb_ways);
         let rob = RobSoa::new(cfg.rob_entries);
-        let iq = Vec::with_capacity(cfg.iq_entries);
+        let ready = SlotMask::new(cfg.rob_entries);
         Self {
             core_id,
             free_int: cfg.int_regs,
@@ -306,7 +412,9 @@ impl CoreEngine {
             rob,
             next_seq: 0,
             rat: [TAG_NONE; 32],
-            iq,
+            iq_occ: 0,
+            ready,
+            calendar: BinaryHeap::new(),
             lq_occ: 0,
             sq_occ: 0,
             fetch_queue: VecDeque::new(),
@@ -328,9 +436,12 @@ impl CoreEngine {
     }
 
     /// Set the commit-count target at which this core's statistics are
-    /// snapshotted (for multicore runs).
+    /// snapshotted, forgetting the previous interval's snapshot (so a run
+    /// that misses its target reports its own counters, not stale ones).
     pub fn set_target(&mut self, n: u64) {
         self.target = n;
+        self.cycle_at_target = None;
+        self.stats_at_target = None;
     }
 
     /// Statistics as of reaching the target (or current if not yet reached).
@@ -382,7 +493,7 @@ impl CoreEngine {
     fn sample_occupancy(&mut self) {
         self.stats.occupancy_samples += 1;
         self.stats.rob_occupancy_sum += self.rob.len as u64;
-        self.stats.iq_occupancy_sum += self.iq.len() as u64;
+        self.stats.iq_occupancy_sum += self.iq_occ as u64;
     }
 
     /// Attribute a commit-less cycle to the structure holding it up.
@@ -462,6 +573,13 @@ impl CoreEngine {
     }
 
     fn issue(&mut self, cycle: u64, mem: &mut MemorySystem) {
+        while let Some(&Reverse((at, s))) = self.calendar.peek() {
+            if at > cycle {
+                break;
+            }
+            self.calendar.pop();
+            self.ready.set(s as usize);
+        }
         let mut issued = 0;
         let (mut alu, mut mul, mut lsu, mut fpu) = (
             self.cfg.fus.alus,
@@ -470,23 +588,13 @@ impl CoreEngine {
             self.cfg.fus.fpus,
         );
         let core = self.core_id;
-        // Oldest-first walk of the issue queue, up to the issue width. Each
-        // visited entry is first kept (compacted towards the front, in
-        // order) and un-kept if it issues; the `drain` after the loop drops
-        // the gap this leaves before the unvisited tail.
-        let mut kept = 0;
-        let mut k = 0;
-        while k < self.iq.len() && issued < self.cfg.issue_width {
-            let s = self.iq[k] as usize;
-            k += 1;
-            self.iq[kept] = s as u32;
-            kept += 1;
-            if self.rob.dispatched[s] >= cycle
-                || !self.rob.dep_ready(self.rob.deps[s][0], cycle)
-                || !self.rob.dep_ready(self.rob.deps[s][1], cycle)
-            {
-                continue;
-            }
+        // Oldest-first walk of the ready entries, up to the issue width. An
+        // entry blocked by a structural hazard stays ready for next cycle.
+        let mut scan = RingScan::new(self.rob.head, self.rob.cap);
+        while issued < self.cfg.issue_width {
+            let Some(s) = scan.next(&self.ready) else {
+                break;
+            };
             let kind = self.rob.kind[s];
             // Structural hazards.
             let lat = match kind {
@@ -544,7 +652,8 @@ impl CoreEngine {
                 }
                 OpKind::Barrier => 1,
             };
-            kept -= 1;
+            self.ready.clear(s);
+            self.iq_occ -= 1;
             let op_addr = self.rob.payload[s];
             let op_shared = self.rob.flags[s] & F_SHARED != 0;
             let op_seq = self.rob.seq[s];
@@ -572,11 +681,10 @@ impl CoreEngine {
                 _ => cycle + lat,
             };
             self.rob.done[s] = done;
+            self.wake_consumers(s, done, cycle);
             self.stats.issued += 1;
-            self.stats.rf_reads += self.rob.deps[s]
-                .iter()
-                .filter(|&&d| d != TAG_NONE)
-                .count() as u64;
+            self.stats.rf_reads +=
+                self.rob.deps[s].iter().filter(|&&d| d != TAG_NONE).count() as u64;
             match kind {
                 OpKind::IntAlu => self.stats.alu_ops += 1,
                 OpKind::IntMul | OpKind::IntDiv => self.stats.mul_ops += 1,
@@ -596,7 +704,6 @@ impl CoreEngine {
             }
             issued += 1;
         }
-        self.iq.drain(kept..k);
         if issued > 0 {
             self.stats.active_cycles += 1;
             // Every issue broadcasts its tag to the IQ.
@@ -604,13 +711,42 @@ impl CoreEngine {
         }
     }
 
+    /// Producer `p` issued with completion cycle `done`: each consumer
+    /// operand on its list stops waiting, and a consumer with no operand
+    /// left waiting becomes ready now or joins the calendar.
+    fn wake_consumers(&mut self, p: usize, done: u64, cycle: u64) {
+        let mut node = std::mem::replace(&mut self.rob.cons_head[p], NO_CONS);
+        while node != NO_CONS {
+            let c = (node >> 1) as usize;
+            node = self.rob.cons_next[c][(node & 1) as usize];
+            self.rob.ready_at[c] = self.rob.ready_at[c].max(done);
+            self.rob.pending[c] -= 1;
+            if self.rob.pending[c] == 0 {
+                self.schedule(c, cycle);
+            }
+        }
+    }
+
+    /// Entry `s` has no operand waiting on an unissued producer.
+    #[inline]
+    fn schedule(&mut self, s: usize, cycle: u64) {
+        let at = self.rob.ready_at[s];
+        if at <= cycle {
+            self.ready.set(s);
+        } else {
+            self.calendar.push(Reverse((at, s as u32)));
+        }
+    }
+
     fn dispatch(&mut self, cycle: u64) {
         for _ in 0..self.cfg.dispatch_width {
-            let Some(f) = self.fetch_queue.front() else { break };
+            let Some(f) = self.fetch_queue.front() else {
+                break;
+            };
             if f.avail_cycle >= cycle {
                 break;
             }
-            if self.rob.len >= self.cfg.rob_entries || self.iq.len() >= self.cfg.iq_entries {
+            if self.rob.len >= self.cfg.rob_entries || self.iq_occ >= self.cfg.iq_entries {
                 break;
             }
             let op = f.op;
@@ -653,7 +789,6 @@ impl CoreEngine {
             self.rob.kind[slot] = op.kind;
             self.rob.dst[slot] = op.dst.unwrap_or(NO_DST);
             self.rob.deps[slot] = deps;
-            self.rob.dispatched[slot] = cycle;
             // Barriers bypass the IQ: they only synchronise at commit.
             self.rob.done[slot] = if is_barrier { cycle + 1 } else { NOT_ISSUED };
             self.rob.payload[slot] = if is_barrier { op.barrier_id } else { op.addr };
@@ -665,7 +800,29 @@ impl CoreEngine {
                 self.stats.rat_writes += 1;
             }
             if !is_barrier {
-                self.iq.push(slot as u32);
+                // Wait on each producer that has not issued; take the
+                // completion cycle of each one that has.
+                debug_assert_eq!(self.rob.cons_head[slot], NO_CONS);
+                let mut ready_at = cycle + 1;
+                let mut pending = 0;
+                for (i, &dep) in deps.iter().enumerate() {
+                    let Some(p) = self.rob.producer(dep) else {
+                        continue;
+                    };
+                    if self.rob.done[p] == NOT_ISSUED {
+                        self.rob.cons_next[slot][i] = self.rob.cons_head[p];
+                        self.rob.cons_head[p] = ((slot << 1) | i) as u32;
+                        pending += 1;
+                    } else {
+                        ready_at = ready_at.max(self.rob.done[p]);
+                    }
+                }
+                self.rob.ready_at[slot] = ready_at;
+                self.rob.pending[slot] = pending;
+                if pending == 0 {
+                    self.schedule(slot, cycle);
+                }
+                self.iq_occ += 1;
             }
             self.stats.dispatched += 1;
         }
@@ -726,15 +883,17 @@ impl CoreEngine {
     /// waiting purely on remote cores). Only meaningful right after a
     /// [`CoreEngine::step`] at `cycle` returned `false`.
     ///
-    /// Candidates (see DESIGN.md for why this set is exhaustive):
-    /// the head entry's completion (commit), each unissued entry whose
-    /// operands are all complete or in flight with known completion times
-    /// (issue — entries waiting on an unissued producer are covered by the
-    /// producer's own candidate, and kinds with zero functional units can
-    /// never issue), the fetch queue's front becoming dispatchable, and the
+    /// Candidates (see DESIGN.md for why this set is exhaustive): the head
+    /// entry's completion (commit); the calendar's earliest `ready_at`
+    /// (issue of an entry whose producers have all issued — entries still
+    /// waiting on an unissued producer are covered by that producer's own
+    /// issue); each ready entry a structural hazard held back (kinds with
+    /// zero functional units can never issue, dividers wait for their
+    /// unit); the fetch queue's front becoming dispatchable; and the
     /// front-end restart cycle. Extra candidates are harmless (the step at
     /// a too-early wake is idle and skip-ahead resumes); a missing candidate
-    /// would be a correctness bug, caught by the `skip_equiv` property test.
+    /// would be a correctness bug, caught by the `skip_equiv` and
+    /// `oracle_equiv` property tests.
     pub fn next_wake(&self, cycle: u64) -> Option<u64> {
         let mut wake: Option<u64> = None;
         let mut consider = |w: u64| {
@@ -747,8 +906,11 @@ impl CoreEngine {
                 consider(head_done);
             }
         }
-        for &s in &self.iq {
-            let s = s as usize;
+        if let Some(&Reverse((at, _))) = self.calendar.peek() {
+            consider(at);
+        }
+        let mut scan = RingScan::new(0, self.rob.cap);
+        while let Some(s) = scan.next(&self.ready) {
             let kind = self.rob.kind[s];
             // A kind with no functional unit can never issue; without a
             // candidate the run loop jumps straight to its livelock cap,
@@ -760,38 +922,13 @@ impl CoreEngine {
                 OpKind::Load | OpKind::Store => self.cfg.fus.lsus > 0,
                 OpKind::Barrier => true,
             };
-            if !has_fu {
-                continue;
+            if has_fu {
+                consider(match kind {
+                    OpKind::IntDiv => self.next_div_free,
+                    OpKind::FpDiv => self.next_fpdiv_free,
+                    _ => cycle + 1,
+                });
             }
-            let mut ready_at = cycle + 1;
-            let mut blocked_on_unissued = false;
-            for &dep in &self.rob.deps[s] {
-                if dep == TAG_NONE {
-                    continue;
-                }
-                let slot = (dep & 0xFFFF_FFFF) as usize;
-                let gen = (dep >> 32) as u32;
-                if self.rob.gen[slot] != gen {
-                    continue; // producer retired
-                }
-                let d = self.rob.done[slot];
-                if d == NOT_ISSUED {
-                    // The producer's own issue is an earlier progress event;
-                    // it ends any skip before this entry matters.
-                    blocked_on_unissued = true;
-                    break;
-                }
-                ready_at = ready_at.max(d);
-            }
-            if blocked_on_unissued {
-                continue;
-            }
-            match kind {
-                OpKind::IntDiv => ready_at = ready_at.max(self.next_div_free),
-                OpKind::FpDiv => ready_at = ready_at.max(self.next_fpdiv_free),
-                _ => {}
-            }
-            consider(ready_at);
         }
         if let Some(f) = self.fetch_queue.front() {
             consider(f.avail_cycle + 1);
@@ -816,7 +953,7 @@ impl CoreEngine {
         self.skipped_cycles += k;
         self.stats.occupancy_samples += k;
         self.stats.rob_occupancy_sum += self.rob.len as u64 * k;
-        self.stats.iq_occupancy_sum += self.iq.len() as u64 * k;
+        self.stats.iq_occupancy_sum += self.iq_occ as u64 * k;
         if self.rob.len == 0 {
             self.stats.stall_frontend_cycles += k;
             return;
@@ -915,7 +1052,6 @@ impl Core {
     /// [`PerfResult::cap_exhausted`] is set.
     pub fn run(&mut self, n: u64) -> PerfResult {
         self.engine.set_target(self.engine.committed + n);
-        self.engine.cycle_at_target = None;
         let start_stats = self.engine.stats;
         let start_committed = self.engine.committed;
         let start_cycle = self.cycle;
@@ -955,7 +1091,8 @@ impl Core {
     }
 }
 
-/// The random-machine generator of the `skip_equiv` property tests.
+/// The random-machine generator of the `skip_equiv` and `oracle_equiv`
+/// property tests.
 #[cfg(test)]
 #[path = "../tests/support/mod.rs"]
 mod support;
@@ -1093,7 +1230,10 @@ mod tests {
             30_000,
         );
         let ratio = het.cycles as f64 / base.cycles as f64;
-        assert!(ratio >= 0.99, "complex decode cannot speed things up: {ratio}");
+        assert!(
+            ratio >= 0.99,
+            "complex decode cannot speed things up: {ratio}"
+        );
         assert!(ratio < 1.05, "penalty must be negligible: {ratio}");
     }
 
@@ -1145,13 +1285,204 @@ mod tests {
         assert_eq!(off.skip_counters(), (0, 0), "disabled means no jumps");
     }
 
+    /// Oldest-first visits of a [`RingScan`] from `head` over a mask of
+    /// `cap` slots with `initial` set; visiting the entry at ring position
+    /// `k` sets the slots at positions `spawn(k)` (all younger than `k`),
+    /// as a zero-latency producer readies its consumers mid-scan.
+    fn ring_scan_order(
+        cap: usize,
+        head: usize,
+        initial: &[usize],
+        spawn: impl Fn(usize) -> Vec<usize>,
+    ) -> Vec<usize> {
+        let mut mask = SlotMask::new(cap);
+        for &s in initial {
+            mask.set(s);
+        }
+        let mut scan = RingScan::new(head, cap);
+        let mut order = Vec::new();
+        while let Some(s) = scan.next(&mask) {
+            order.push(s);
+            for k in spawn((s + cap - head) % cap) {
+                mask.set((head + k) % cap);
+            }
+        }
+        order
+    }
+
+    #[test]
+    fn ring_scan_matches_an_oldest_first_slot_walk() {
+        let mut x = 0x9E37_79B9_7F4A_7C15_u64;
+        let mut rand = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for cap in [1, 63, 64, 65, 100, 192] {
+            for head in 0..cap {
+                for density in [0, 1, 8, 64] {
+                    let rob = RobSoa {
+                        head,
+                        len: cap,
+                        ..RobSoa::new(cap)
+                    };
+                    let initial: Vec<usize> = (0..cap).filter(|_| rand() % 64 < density).collect();
+                    let salt = rand();
+                    // Each visited position readies zero to two younger ones.
+                    let spawn = |k: usize| -> Vec<usize> {
+                        let h = (k as u64 ^ salt).wrapping_mul(0x2545_F491_4F6C_DD1D);
+                        [h % 3, (h >> 8) % 70]
+                            .iter()
+                            .map(|&d| k + 1 + d as usize)
+                            .filter(|&j| j < cap && h >> 62 != 0)
+                            .collect()
+                    };
+                    // The plain walk: every ring position, oldest first.
+                    let mut set = vec![false; cap];
+                    for &s in &initial {
+                        set[s] = true;
+                    }
+                    let mut expected = Vec::new();
+                    for k in 0..rob.len {
+                        let s = rob.slot_at(k);
+                        if set[s] {
+                            expected.push(s);
+                            for j in spawn(k) {
+                                set[rob.slot_at(j)] = true;
+                            }
+                        }
+                    }
+                    assert_eq!(
+                        ring_scan_order(cap, head, &initial, spawn),
+                        expected,
+                        "cap {cap}, head {head}, density {density}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// What a test can observe of each µop, recorded as it passes through
+    /// the window: its dispatch cycle, its producers and its completion.
+    #[derive(Default)]
+    struct Observed {
+        dispatched: HashMap<u64, u64>,
+        producers: HashMap<u64, Vec<u64>>,
+        done: HashMap<u64, u64>,
+    }
+
+    impl Observed {
+        /// Record what `step(cycle)` changed in `e`'s window.
+        fn record(&mut self, e: &CoreEngine, cycle: u64) {
+            for k in 0..e.rob.len {
+                let s = e.rob.slot_at(k);
+                let seq = e.rob.seq[s];
+                if let std::collections::hash_map::Entry::Vacant(v) = self.dispatched.entry(seq) {
+                    v.insert(cycle);
+                    let producers = e.rob.deps[s]
+                        .iter()
+                        .filter_map(|&d| e.rob.producer(d))
+                        .map(|p| e.rob.seq[p])
+                        .collect();
+                    self.producers.insert(seq, producers);
+                }
+                if e.rob.done[s] != NOT_ISSUED {
+                    self.done.entry(seq).or_insert(e.rob.done[s]);
+                }
+            }
+        }
+
+        /// Check `e`'s wake-up state after `step(cycle)` against the ROB:
+        /// each unissued non-barrier entry is in exactly one of the ready
+        /// mask, the calendar or its producers' consumer lists (once per
+        /// pending operand); `pending` and `ready_at` equal their
+        /// recomputation; the occupancy counts exactly those entries and
+        /// fits in `iq_entries`.
+        fn check(&self, e: &CoreEngine, cycle: u64) -> Result<(), String> {
+            let cap = e.rob.cap;
+            let in_mask: Vec<bool> = (0..cap)
+                .map(|s| e.ready.first_in(s, s + 1).is_some())
+                .collect();
+            let mut in_calendar = vec![0usize; cap];
+            let mut on_lists = vec![0usize; cap];
+            for &head in &e.rob.cons_head {
+                let mut node = head;
+                while node != NO_CONS {
+                    on_lists[(node >> 1) as usize] += 1;
+                    node = e.rob.cons_next[(node >> 1) as usize][(node & 1) as usize];
+                }
+            }
+            for &Reverse((at, s)) in &e.calendar {
+                let s = s as usize;
+                in_calendar[s] += 1;
+                if at != e.rob.ready_at[s] || at <= cycle {
+                    let ready_at = e.rob.ready_at[s];
+                    return Err(format!("slot {s}: calendar key {at}, ready_at {ready_at}"));
+                }
+            }
+            let mut occupancy = 0;
+            for k in 0..e.rob.len {
+                let s = e.rob.slot_at(k);
+                let seq = e.rob.seq[s];
+                let waiting = e.rob.done[s] == NOT_ISSUED && e.rob.kind[s] != OpKind::Barrier;
+                let places = (in_mask[s], in_calendar[s], on_lists[s]);
+                if !waiting {
+                    if places != (false, 0, 0) {
+                        return Err(format!(
+                            "issued or barrier slot {s} still queued: {places:?}"
+                        ));
+                    }
+                    continue;
+                }
+                occupancy += 1;
+                let producers = &self.producers[&seq];
+                let pending = producers
+                    .iter()
+                    .filter(|p| !self.done.contains_key(p))
+                    .count();
+                let ready_at = producers
+                    .iter()
+                    .filter_map(|p| self.done.get(p).copied())
+                    .fold(self.dispatched[&seq] + 1, u64::max);
+                if (e.rob.pending[s] as usize, e.rob.ready_at[s]) != (pending, ready_at) {
+                    return Err(format!(
+                        "slot {s}: pending {} ready_at {}, expected {pending} {ready_at}",
+                        e.rob.pending[s], e.rob.ready_at[s]
+                    ));
+                }
+                let expected = match (pending, ready_at <= cycle) {
+                    (0, true) => (true, 0, 0),
+                    (0, false) => (false, 1, 0),
+                    (n, _) => (false, 0, n),
+                };
+                if places != expected {
+                    return Err(format!("slot {s}: in {places:?}, expected {expected:?}"));
+                }
+            }
+            let stray = (0..cap).find(|&s| {
+                let live = (0..e.rob.len).any(|k| e.rob.slot_at(k) == s);
+                !live && (in_mask[s] || in_calendar[s] > 0 || on_lists[s] > 0)
+            });
+            if let Some(s) = stray {
+                return Err(format!("free slot {s} is queued"));
+            }
+            if e.iq_occ != occupancy || occupancy > e.cfg.iq_entries {
+                return Err(format!(
+                    "occupancy {}, expected {occupancy} (cap {})",
+                    e.iq_occ, e.cfg.iq_entries
+                ));
+            }
+            Ok(())
+        }
+    }
+
     /// Step `n_cores` engines over one memory system for `cycles` cycles,
-    /// checking after every step that each core's issue queue equals its
-    /// recomputation off the ROB (the slots holding unissued, non-barrier
-    /// entries, in ring order from `head`) and fits in `iq_entries`.
-    /// Returns the first violation, if any, and the barriers committed, so
-    /// callers can check that barrier µops really passed through the window.
-    fn first_iq_violation(
+    /// checking each core's wake-up state after every step (see
+    /// [`Observed::check`]). Returns the first violation, if any, and the
+    /// barriers committed, so callers can check that barrier µops really
+    /// passed through the window.
+    fn first_wakeup_violation(
         cfg: CoreConfig,
         profile: &WorkloadProfile,
         seed: u64,
@@ -1160,37 +1491,43 @@ mod tests {
     ) -> (Option<String>, u64) {
         let mut mem = MemorySystem::new(cfg.clone(), n_cores);
         let mut barriers = BarrierCtl::new(n_cores);
-        let mut cores: Vec<CoreEngine> = (0..n_cores)
+        let mut cores: Vec<(CoreEngine, Observed)> = (0..n_cores)
             .map(|c| {
                 let gen = TraceGenerator::new(profile, seed, c, n_cores);
-                CoreEngine::new(c, cfg.clone(), gen)
+                (CoreEngine::new(c, cfg.clone(), gen), Observed::default())
             })
             .collect();
         for cycle in 0..cycles {
-            for e in &mut cores {
+            for (e, seen) in &mut cores {
                 e.step(cycle, &mut mem, &mut barriers);
-                let expected: Vec<u32> = (0..e.rob.len)
-                    .map(|k| e.rob.slot_at(k))
-                    .filter(|&s| e.rob.done[s] == NOT_ISSUED && e.rob.kind[s] != OpKind::Barrier)
-                    .map(|s| s as u32)
-                    .collect();
-                if e.iq != expected || e.iq.len() > cfg.iq_entries {
-                    let msg = format!(
-                        "core {} cycle {cycle}: iq {:?}, expected {expected:?} (cap {})",
-                        e.core_id, e.iq, cfg.iq_entries
-                    );
-                    return (Some(msg), 0);
+                seen.record(e, cycle);
+                if let Err(msg) = seen.check(e, cycle) {
+                    return (Some(format!("core {} cycle {cycle}: {msg}", e.core_id)), 0);
                 }
             }
         }
-        (None, cores.iter().map(|e| e.stats.barriers).sum())
+        (None, cores.iter().map(|(e, _)| e.stats.barriers).sum())
+    }
+
+    /// `cfg` with every functional-unit latency set to zero, so that
+    /// consumers become ready during the issue scan of their producer.
+    fn zero_latency(mut cfg: CoreConfig) -> CoreConfig {
+        let f = &mut cfg.fus;
+        (
+            f.int_mul_lat,
+            f.int_div_lat,
+            f.fp_add_lat,
+            f.fp_mul_lat,
+            f.fp_div_lat,
+        ) = (0, 0, 0, 0, 0);
+        cfg
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
         #[test]
-        fn issue_queue_is_the_unissued_window_single_core(
+        fn wakeup_state_matches_the_rob_single_core(
             app in 0usize..12,
             three_d in any::<bool>(),
             rob in 16usize..=192,
@@ -1200,18 +1537,23 @@ mod tests {
             width in 1usize..=6,
             freq_centi_ghz in 100u64..=400,
             dram_tenth_ns in 200u64..=2000,
+            zero_lat in any::<bool>(),
             seed in any::<u64>(),
             cycles in 500u64..=4_000,
         ) {
-            let cfg = perturbed(three_d, rob, iq, lq, sq, width, freq_centi_ghz, dram_tenth_ns);
+            let mut cfg = perturbed(three_d, rob, iq, lq, sq, width, freq_centi_ghz, dram_tenth_ns);
+            if zero_lat {
+                cfg = zero_latency(cfg);
+            }
             prop_assume!(cfg.validate().is_ok());
             let apps = spec2006();
-            let (violation, _) = first_iq_violation(cfg, &apps[app % apps.len()], seed, 1, cycles);
+            let (violation, _) =
+                first_wakeup_violation(cfg, &apps[app % apps.len()], seed, 1, cycles);
             prop_assert_eq!(violation, None);
         }
 
         #[test]
-        fn issue_queue_is_the_unissued_window_with_barriers(
+        fn wakeup_state_matches_the_rob_with_barriers(
             app in 0usize..15,
             n_cores in 2usize..=4,
             three_d in any::<bool>(),
@@ -1220,9 +1562,13 @@ mod tests {
             width in 1usize..=6,
             dram_tenth_ns in 300u64..=1500,
             barrier_interval in 10u64..=100,
+            zero_lat in any::<bool>(),
             seed in any::<u64>(),
         ) {
-            let cfg = perturbed(three_d, rob, iq, 48, 48, width, 330, dram_tenth_ns);
+            let mut cfg = perturbed(three_d, rob, iq, 48, 48, width, 330, dram_tenth_ns);
+            if zero_lat {
+                cfg = zero_latency(cfg);
+            }
             prop_assume!(cfg.validate().is_ok());
             let apps = splash_parsec();
             // Barriers every few dozen µops, so that many of them pass
@@ -1231,7 +1577,8 @@ mod tests {
                 barrier_interval,
                 ..apps[app % apps.len()].clone()
             };
-            let (violation, barriers) = first_iq_violation(cfg, &profile, seed, n_cores, 10_000);
+            let (violation, barriers) =
+                first_wakeup_violation(cfg, &profile, seed, n_cores, 10_000);
             prop_assert_eq!(violation, None);
             prop_assert!(barriers > 0, "no barrier committed");
         }

@@ -16,11 +16,12 @@
 //!
 //! The cycle loop itself is built for sweep throughput: the ROB and cache
 //! line state are structure-of-arrays rings with generation-tagged slots
-//! (no per-issue hash lookups), issue and wake-up walk only the
-//! age-ordered list of unissued µops, and the run loops skip the clock over
-//! fully quiescent stretches ([`config::CoreConfig::skip_ahead`], on by
-//! default) — bit-identical to plain stepping, just faster. See DESIGN.md
-//! § "Cycle loop".
+//! (no per-issue hash lookups), wake-up is event-driven (a µop waits on
+//! its producers' consumer lists, then in a `ready_at` calendar, and issue
+//! scans a bitmask of ready ROB slots oldest-first), and the run loops
+//! skip the clock over fully quiescent stretches
+//! ([`config::CoreConfig::skip_ahead`], on by default) — bit-identical to
+//! plain stepping, just faster. See DESIGN.md § "Cycle loop".
 //!
 //! # Example
 //!

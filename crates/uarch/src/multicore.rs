@@ -109,7 +109,6 @@ impl Multicore {
         let start_stats: Vec<ActivityStats> = self.cores.iter().map(|c| c.stats).collect();
         for c in &mut self.cores {
             c.set_target(c.committed + n_per_core);
-            c.cycle_at_target = None;
         }
         let cap = start_cycle + n_per_core.saturating_mul(400).max(10_000);
         while self.cycle < cap && self.cores.iter().any(|c| c.cycle_at_target.is_none()) {

@@ -1,6 +1,8 @@
-//! Random-machine generator shared by the `skip_equiv` property tests and
-//! the issue-queue invariant test in `src/core.rs`. Both include this file
-//! as a module, so it names `CoreConfig` through the including scope.
+//! Random-machine generator shared by the `skip_equiv` and `oracle_equiv`
+//! property tests and the wake-up invariant tests in `src/core.rs`. All
+//! include this file as a module, so it names `CoreConfig` through the
+//! including scope. The reference core the `oracle_equiv` test compares
+//! against lives next to it, in `reference.rs`.
 
 use super::CoreConfig;
 
