@@ -213,21 +213,19 @@ done
 rm -f "$ROUTER_PORT_FILE" "$ROUTER_LOG"
 
 echo "== perf_baseline --check (counter-drift gate) =="
-# Deterministic integer counters (solver sweeps, warm-start hits, search
-# candidates, µops, batch-engine points/hits/reuses/cycles) must match the
-# committed baseline exactly; wall times are informational. The check also
-# re-runs the obs-overhead probe with every live record site (including
-# the serve telemetry windows) and fails if instrumentation costs more
-# than OBS_OVERHEAD_BUDGET_PCT (2%) on the probe solve. Refresh
-# intentional changes with:
+# Deterministic integers must match the committed baseline exactly: the
+# per-experiment counters (solver sweeps, warm-start hits, search
+# candidates, µops, batch-engine points/hits/reuses/cycles), the cycle
+# probe's cycle count and the search probe's four integers. The cycle
+# probe's throughput must stay above a generous fraction of the committed
+# value, and the obs-overhead probe (median of 200 paired off/on thermal
+# solves) must read under OBS_OVERHEAD_BUDGET_PCT (2%). Wall times per
+# layer are perfbench's job; the informational serve_probe block is
+# recorded by --write only. Refresh intentional changes with:
 #   ./target/release/perf_baseline --write BENCH_repro.json
 ./target/release/perf_baseline --check BENCH_repro.json
 grep -q '"uarch.batch.points"' BENCH_repro.json || {
   echo "ci.sh: BENCH_repro.json lacks the batch-engine gate counters" >&2
-  exit 1
-}
-grep -q '"batch_probe"' BENCH_repro.json || {
-  echo "ci.sh: BENCH_repro.json lacks the batch sharding probe" >&2
   exit 1
 }
 # --check above already fails on a cycles/sec regression beyond the budget
@@ -240,22 +238,6 @@ grep -q '"serve_probe"' BENCH_repro.json || {
   echo "ci.sh: BENCH_repro.json lacks the serve throughput probe" >&2
   exit 1
 }
-grep -q '"serve\.' BENCH_repro.json || {
-  echo "ci.sh: BENCH_repro.json lacks the serve.* request counters" >&2
-  exit 1
-}
-grep -q '"serve.requests.sim"' BENCH_repro.json || {
-  echo "ci.sh: BENCH_repro.json lacks the per-method serve request counters" >&2
-  exit 1
-}
-grep -q '"serve.write_errors"' BENCH_repro.json || {
-  echo "ci.sh: BENCH_repro.json lacks the serve.write_errors counter" >&2
-  exit 1
-}
-grep -q '"serve.plan_aborted"' BENCH_repro.json || {
-  echo "ci.sh: BENCH_repro.json lacks the serve.plan_aborted counter" >&2
-  exit 1
-}
 # The connections-≫-workers load tier: 128 closed-loop connections on a
 # 2-worker daemon, with throughput and tail latency recorded.
 grep -q '"conns": 128' BENCH_repro.json || {
@@ -264,16 +246,6 @@ grep -q '"conns": 128' BENCH_repro.json || {
 }
 grep -q '"p99_us"' BENCH_repro.json || {
   echo "ci.sh: BENCH_repro.json load tier lacks the p99 latency" >&2
-  exit 1
-}
-# The shard tier: the same closed loop through a 2-shard router, with the
-# router's serve.shard_* fan-out counters captured alongside.
-grep -q '"shards": 2' BENCH_repro.json || {
-  echo "ci.sh: BENCH_repro.json lacks the serve_probe shard tier" >&2
-  exit 1
-}
-grep -q '"serve.shard_' BENCH_repro.json || {
-  echo "ci.sh: BENCH_repro.json lacks the serve.shard_* counters" >&2
   exit 1
 }
 grep -q '"search_probe"' BENCH_repro.json || {

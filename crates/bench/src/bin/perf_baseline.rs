@@ -8,22 +8,26 @@
 //! ```
 //!
 //! The measurement runs the schedule-independent experiment subset at
-//! `--quick` scale with one worker and records, per experiment, the wall
-//! time plus the deterministic integer counters (solver sweeps, warm-start
-//! hits/misses, SRAM candidates evaluated/pruned, µops simulated). It also
-//! probes the instrumentation overhead of a serial thermal solve with
-//! collection off vs on.
+//! `--quick` scale with one worker and records, per experiment, the
+//! deterministic integer counters (solver sweeps, warm-start hits/misses,
+//! SRAM candidates evaluated/pruned, µops simulated). It also runs three
+//! probes: the cycle probe (simulated cycles per wall-second over a pinned
+//! point set), the design-space search probe, and the instrumentation
+//! overhead of a serial thermal solve (median of paired off/on solves).
+//! Per-layer wall times live in `perfbench/`, not here.
 //!
-//! `--check` compares only the integer counters against the committed
-//! file — a drift means the algorithms changed behaviour, not just speed —
-//! and exits `1` listing every drifted counter. Wall times and the
-//! overhead probe are informational and never gated, with one exception:
-//! the cycle probe (simulated cycles per wall-second over a pinned point
-//! set) gates its deterministic cycle count exactly and its throughput
-//! against a generous budget, so losing the cycle-loop speedup wholesale
-//! fails CI while machine noise cannot.
+//! `--check` compares the integer counters, the cycle probe's cycle count
+//! and the search probe's four integers exactly against the committed
+//! file — a drift means the algorithms changed behaviour, not just speed.
+//! It also fails when the cycle probe's throughput falls below a generous
+//! fraction of the committed value, or when the overhead probe reads over
+//! its 2 % budget. It exits `1` listing every drift.
+//!
+//! `--write` also runs the serve probe (cold `--oneshot` processes and a
+//! 128-connection load tier) and records it as the informational
+//! `serve_probe` block; `--check` neither runs nor reads it.
 
-use m3d_bench::baseline::{baseline_from_json, baseline_json, drift, measure};
+use m3d_bench::baseline::{baseline_from_json, baseline_json, drift, measure, OBS_PROBE_PAIRS};
 use m3d_bench::serve_probe::{measure_serve, serve_probe_json};
 use m3d_core::report::Json;
 use std::path::Path;
@@ -42,23 +46,10 @@ fn main() {
 
     eprintln!("[perf_baseline] measuring (quick scale, 1 worker)...");
     let current = measure();
-    for e in &current.experiments {
-        eprintln!("[perf_baseline]   {:<8} {:.3}s", e.name, e.wall_s);
-    }
     eprintln!(
-        "[perf_baseline] obs overhead on a serial thermal solve: \
-         {:.3} ms off, {:.3} ms on ({:+.2}%)",
-        current.solve_disabled_s * 1e3,
-        current.solve_enabled_s * 1e3,
-        current.overhead_pct()
-    );
-    eprintln!(
-        "[perf_baseline] batch sharding: {:.3}s on 1 lane, {:.3}s on {} \
-         ({:.2}x)",
-        current.batch_serial_s,
-        current.batch_sharded_s,
-        current.batch_lanes,
-        current.batch_speedup()
+        "[perf_baseline] obs overhead on a serial thermal solve: {:+.2}% \
+         (median of {OBS_PROBE_PAIRS} off/on pairs)",
+        current.overhead_pct
     );
     eprintln!(
         "[perf_baseline] cycle probe: {} cycles in {:.3}s ({:.0} cycles/s)",
@@ -68,44 +59,31 @@ fn main() {
     );
     eprintln!(
         "[perf_baseline] search probe: {} candidates, {} pruned before \
-         simulation, {} simulated, frontier {} in {:.3}s",
+         simulation, {} simulated, frontier {}",
         current.search_candidates,
         current.search_pruned,
         current.search_simulated,
-        current.search_frontier,
-        current.search_wall_s
+        current.search_frontier
     );
-
-    // The serve probe is informational (wall-clock, machine-dependent) and
-    // never gated; a missing serve binary skips it rather than failing.
-    let serve = match measure_serve() {
-        Ok(p) => {
-            eprintln!(
-                "[perf_baseline] serve probe: {:.1} rps warm daemon vs \
-                 {:.1} rps cold oneshot ({:.1}x); load {:.1} rps \
-                 p99 {} us; {} shards {:.1} rps p99 {} us",
-                p.warm_rps,
-                p.cold_rps,
-                p.speedup(),
-                p.load_rps,
-                p.load_p99_us,
-                m3d_bench::serve_probe::SHARD_COUNT,
-                p.shard_rps,
-                p.shard_p99_us
-            );
-            Some(p)
-        }
-        Err(e) => {
-            eprintln!("[perf_baseline] serve probe skipped: {e}");
-            None
-        }
-    };
 
     match mode {
         "--write" => {
             let mut doc = baseline_json(&current);
-            if let (Json::Obj(fields), Some(p)) = (&mut doc, &serve) {
-                fields.push(("serve_probe".to_owned(), serve_probe_json(p)));
+            // The serve probe is informational (wall-clock, machine-dependent)
+            // and never gated; a missing serve binary skips it rather than
+            // failing.
+            match measure_serve() {
+                Ok(p) => {
+                    eprintln!(
+                        "[perf_baseline] serve probe: {:.1} rps cold oneshot; \
+                         load {:.1} rps p99 {} us",
+                        p.cold_rps, p.load_rps, p.load_p99_us
+                    );
+                    if let Json::Obj(fields) = &mut doc {
+                        fields.push(("serve_probe".to_owned(), serve_probe_json(&p)));
+                    }
+                }
+                Err(e) => eprintln!("[perf_baseline] serve probe skipped: {e}"),
             }
             let body = doc.render() + "\n";
             if let Err(e) = std::fs::write(path, body) {

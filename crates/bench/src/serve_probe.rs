@@ -1,37 +1,26 @@
-//! The `perf_baseline` serve probe: warm-daemon vs cold-process `sim`
-//! throughput, plus a connections-≫-workers load tier.
+//! The `perf_baseline` serve probe: cold-process `sim` throughput, plus a
+//! connections-≫-workers load tier.
 //!
-//! The probe answers two questions. First: *what does keeping the daemon
-//! (and its memo cache) warm actually buy over spawning a fresh process
-//! per query?* It spawns the sibling `serve` binary twice:
-//!
-//! * **warm** — one daemon on an ephemeral port, one connection, a
-//!   closed-loop stream of single-point `sim` queries drawn from a small
-//!   fixed pool, so after the first pass every query is a memo-cache hit;
-//! * **cold** — `serve --oneshot` once per query (stdin/stdout, no TCP),
-//!   the honest "no daemon" baseline: every query pays process start-up,
-//!   engine construction and an uncached simulation.
+//! The probe answers two questions `perfbench/` does not yet cover. First:
+//! *what does one query cost without a daemon?* The **cold** phase runs
+//! `serve --oneshot` once per query (stdin/stdout, no TCP): every query
+//! pays process start-up, engine construction and an uncached simulation.
+//! perfbench's `serve-hit` workload is the warm-daemon side of that
+//! comparison.
 //!
 //! Second: *does the single-threaded event loop hold up when connections
 //! vastly outnumber workers?* The **load** phase points [`LOAD_CONNS`]
 //! concurrent closed-loop clients at a daemon restricted to
-//! [`LOAD_WORKERS`] workers, over the same warmed pool, and records
+//! [`LOAD_WORKERS`] workers, over a small warmed pool, and records
 //! aggregate throughput plus p50/p99 request latency. Since every request
 //! is a cache hit, those numbers isolate the connection plumbing —
 //! accept, line framing, mailbox handoff, write backlog — from
 //! simulation cost.
 //!
-//! Third: *what does the shard router cost over a single daemon?* The
-//! **shard** phase runs the same closed loop against `serve --shards
-//! `[`SHARD_COUNT`] — a router process fronting spawned shard daemons —
-//! and records throughput plus p50/p99 latency, along with the router's
-//! own `serve.*` counters (which include the `serve.shard_*` family:
-//! sub-requests fanned out, deaths, re-routes).
-//!
-//! All phases run `--quick --jobs 1`. The numbers are wall-clock and
+//! Both phases run `--quick --jobs 1`. The numbers are wall-clock and
 //! machine-dependent, so the resulting `serve_probe` block in
-//! `BENCH_repro.json` is informational and never gated — unlike the
-//! `serve.*` counters it also captures, which CI greps for presence.
+//! `BENCH_repro.json` is informational and never gated; `perf_baseline`
+//! records it on `--write` only.
 //!
 //! This module deliberately does **not** depend on `m3d-serve` (the
 //! workspace keeps `bench` below `serve` in the crate DAG); it speaks the
@@ -44,9 +33,6 @@ use std::net::TcpStream;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
-
-/// Requests timed in the warm (daemon) phase.
-pub const WARM_REQUESTS: usize = 60;
 
 /// Process spawns timed in the cold (oneshot) phase.
 pub const COLD_REQUESTS: usize = 5;
@@ -62,13 +48,7 @@ pub const LOAD_WORKERS: usize = 2;
 /// Closed-loop requests each load-phase connection issues.
 pub const LOAD_REQUESTS_PER_CONN: usize = 8;
 
-/// Shard daemons behind the router in the shard phase (`--shards N`).
-pub const SHARD_COUNT: usize = 2;
-
-/// Closed-loop requests timed in the shard phase.
-pub const SHARD_REQUESTS: usize = 60;
-
-/// The fixed point pool: small enough that the warm phase is cache-hit
+/// The fixed point pool: small enough that the load phase is cache-hit
 /// dominated after one pass, varied enough to exercise distinct warm keys.
 const POOL_APPS: [&str; 3] = ["Gcc", "Mcf", "Bzip2"];
 const POOL_SEEDS: [u64; 2] = [0, 1];
@@ -76,8 +56,6 @@ const POOL_SEEDS: [u64; 2] = [0, 1];
 /// One serve-probe measurement.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeProbe {
-    /// Closed-loop requests answered per second by the warm daemon.
-    pub warm_rps: f64,
     /// Queries per second when every query spawns a fresh `--oneshot`
     /// process.
     pub cold_rps: f64,
@@ -87,29 +65,6 @@ pub struct ServeProbe {
     pub load_p50_us: u64,
     /// 99th-percentile request latency in the load phase, microseconds.
     pub load_p99_us: u64,
-    /// Closed-loop requests per second through the [`SHARD_COUNT`]-shard
-    /// router.
-    pub shard_rps: f64,
-    /// Median request latency in the shard phase, microseconds.
-    pub shard_p50_us: u64,
-    /// 99th-percentile request latency in the shard phase, microseconds.
-    pub shard_p99_us: u64,
-    /// `serve.*` counters from the router's final `stats` answer
-    /// (includes the `serve.shard_*` family).
-    pub shard_counters: Vec<(String, u64)>,
-    /// `serve.*` counters from the warm daemon's final `stats` answer.
-    pub counters: Vec<(String, u64)>,
-}
-
-impl ServeProbe {
-    /// Warm-over-cold throughput ratio.
-    pub fn speedup(&self) -> f64 {
-        if self.cold_rps > 0.0 {
-            self.warm_rps / self.cold_rps
-        } else {
-            0.0
-        }
-    }
 }
 
 fn sim_line(id: usize, app: &str, seed: u64) -> String {
@@ -210,67 +165,6 @@ fn spawn_daemon(serve: &PathBuf, label: &str, extra: &[&str]) -> Result<(ChildGu
     };
     let _ = std::fs::remove_file(&port_file);
     Ok((child, addr))
-}
-
-/// Pull every `serve.*` counter out of a `stats` reply.
-fn serve_counters(stats: &Json) -> Vec<(String, u64)> {
-    let mut counters: Vec<(String, u64)> = Vec::new();
-    if let Some(Json::Obj(cs)) = stats
-        .get("result")
-        .and_then(|r| r.get("metrics"))
-        .and_then(|m| m.get("counters"))
-    {
-        for (name, v) in cs {
-            if let (true, Json::Int(i)) = (name.starts_with("serve."), v) {
-                counters.push((name.clone(), (*i).max(0) as u64));
-            }
-        }
-    }
-    counters
-}
-
-fn warm_phase(serve: &PathBuf) -> Result<(f64, Vec<(String, u64)>), String> {
-    let (child, addr) = spawn_daemon(serve, "warm", &[])?;
-    let stream = TcpStream::connect(&addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    stream.set_nodelay(true).ok();
-    let mut writer = stream.try_clone().map_err(|e| format!("clone stream: {e}"))?;
-    let mut reader = BufReader::new(stream);
-    let mut call = |line: &str| -> Result<String, String> {
-        writer
-            .write_all(line.as_bytes())
-            .and_then(|()| writer.write_all(b"\n"))
-            .map_err(|e| format!("write: {e}"))?;
-        let mut reply = String::new();
-        match reader.read_line(&mut reply) {
-            Ok(0) => Err("serve closed the connection".to_owned()),
-            Ok(_) => Ok(reply.trim_end().to_owned()),
-            Err(e) => Err(format!("read: {e}")),
-        }
-    };
-
-    // First pass over the pool populates the memo cache, untimed.
-    for k in 0..POOL_APPS.len() * POOL_SEEDS.len() {
-        let (app, seed) = pool_point(k);
-        expect_ok(&call(&sim_line(k, app, seed))?)?;
-    }
-    let t0 = Instant::now();
-    for k in 0..WARM_REQUESTS {
-        let (app, seed) = pool_point(k);
-        expect_ok(&call(&sim_line(100 + k, app, seed))?)?;
-    }
-    let warm_s = t0.elapsed().as_secs_f64();
-
-    let stats = expect_ok(&call(r#"{"id":999,"method":"stats"}"#)?)?;
-    let counters = serve_counters(&stats);
-    if counters.is_empty() {
-        return Err("stats answer carried no serve.* counters".to_owned());
-    }
-
-    drop(child); // SIGKILL is fine here; graceful shutdown is ci.sh's job.
-    if warm_s <= 0.0 {
-        return Err("warm phase measured zero wall time".to_owned());
-    }
-    Ok((WARM_REQUESTS as f64 / warm_s, counters))
 }
 
 fn cold_phase(serve: &PathBuf) -> Result<f64, String> {
@@ -386,121 +280,26 @@ fn load_phase(serve: &PathBuf) -> Result<(f64, u64, u64), String> {
     Ok((lat_us.len() as f64 / load_s, quantile(0.50), quantile(0.99)))
 }
 
-/// What the shard phase measures: throughput, latency quantiles, and
-/// the router's own `serve.*` counters (including `serve.shard_*`).
-struct ShardTier {
-    rps: f64,
-    p50_us: u64,
-    p99_us: u64,
-    counters: Vec<(String, u64)>,
-}
-
-/// The shard phase: the warm-phase closed loop, but against `serve
-/// --shards `[`SHARD_COUNT`] — a router process fronting spawned shard
-/// daemons, every request fanned to the shard owning its point's key
-/// slice.
-fn shard_phase(serve: &PathBuf) -> Result<ShardTier, String> {
-    let shards = SHARD_COUNT.to_string();
-    let (mut child, addr) = spawn_daemon(serve, "shard", &["--shards", &shards])?;
-    let stream = TcpStream::connect(&addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    stream.set_nodelay(true).ok();
-    let mut writer = stream.try_clone().map_err(|e| format!("clone stream: {e}"))?;
-    let mut reader = BufReader::new(stream);
-    let mut call = |line: &str| -> Result<String, String> {
-        writer
-            .write_all(line.as_bytes())
-            .and_then(|()| writer.write_all(b"\n"))
-            .map_err(|e| format!("write: {e}"))?;
-        let mut reply = String::new();
-        match reader.read_line(&mut reply) {
-            Ok(0) => Err("router closed the connection".to_owned()),
-            Ok(_) => Ok(reply.trim_end().to_owned()),
-            Err(e) => Err(format!("read: {e}")),
-        }
-    };
-
-    // First pass warms every shard's memo cache, untimed.
-    for k in 0..POOL_APPS.len() * POOL_SEEDS.len() {
-        let (app, seed) = pool_point(k);
-        expect_ok(&call(&sim_line(k, app, seed))?)?;
-    }
-    let mut lat_us = Vec::with_capacity(SHARD_REQUESTS);
-    let t0 = Instant::now();
-    for k in 0..SHARD_REQUESTS {
-        let (app, seed) = pool_point(k);
-        let sent = Instant::now();
-        expect_ok(&call(&sim_line(100 + k, app, seed))?)?;
-        lat_us.push(sent.elapsed().as_micros() as u64);
-    }
-    let shard_s = t0.elapsed().as_secs_f64();
-
-    let stats = expect_ok(&call(r#"{"id":999,"method":"stats"}"#)?)?;
-    let counters = serve_counters(&stats);
-    if !counters.iter().any(|(n, _)| n.starts_with("serve.shard_")) {
-        return Err("router stats carried no serve.shard_* counters".to_owned());
-    }
-
-    // Graceful stop: SIGKILL (the guard's fallback) would orphan the
-    // router's spawned shard children; SIGTERM lets it drain and reap
-    // them.
-    let pid = child.0.id().to_string();
-    let _ = Command::new("kill").arg(&pid).status();
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        match child.0.try_wait() {
-            Ok(Some(_)) => break,
-            Ok(None) if Instant::now() < deadline => {
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            _ => break, // the guard's kill+wait cleans up on the way out
-        }
-    }
-    drop(child);
-
-    if shard_s <= 0.0 || lat_us.is_empty() {
-        return Err("shard phase measured zero wall time".to_owned());
-    }
-    lat_us.sort_unstable();
-    let quantile = |q: f64| lat_us[((lat_us.len() - 1) as f64 * q).round() as usize];
-    Ok(ShardTier {
-        rps: SHARD_REQUESTS as f64 / shard_s,
-        p50_us: quantile(0.50),
-        p99_us: quantile(0.99),
-        counters,
-    })
-}
-
-/// Run all four phases against the sibling `serve` binary. Returns an
-/// error (and the caller skips the block) when the binary is missing —
-/// e.g. a `cargo run -p m3d-bench` without a prior workspace build.
+/// Run both phases against the sibling `serve` binary. Returns an error
+/// (and the caller skips the block) when the binary is missing — e.g. a
+/// `cargo run -p m3d-bench` without a prior workspace build.
 pub fn measure_serve() -> Result<ServeProbe, String> {
     let serve = serve_binary()?;
-    let (warm_rps, counters) = warm_phase(&serve)?;
     let cold_rps = cold_phase(&serve)?;
     let (load_rps, load_p50_us, load_p99_us) = load_phase(&serve)?;
-    let shard = shard_phase(&serve)?;
     Ok(ServeProbe {
-        warm_rps,
         cold_rps,
         load_rps,
         load_p50_us,
         load_p99_us,
-        shard_rps: shard.rps,
-        shard_p50_us: shard.p50_us,
-        shard_p99_us: shard.p99_us,
-        shard_counters: shard.counters,
-        counters,
     })
 }
 
 /// The informational `serve_probe` block for `BENCH_repro.json`.
 pub fn serve_probe_json(p: &ServeProbe) -> Json {
     Json::obj([
-        ("warm_requests", Json::from(WARM_REQUESTS)),
-        ("warm_rps", Json::from(p.warm_rps)),
         ("cold_requests", Json::from(COLD_REQUESTS)),
         ("cold_rps", Json::from(p.cold_rps)),
-        ("speedup", Json::from(p.speedup())),
         (
             "load",
             Json::obj([
@@ -511,34 +310,6 @@ pub fn serve_probe_json(p: &ServeProbe) -> Json {
                 ("p50_us", Json::from(p.load_p50_us)),
                 ("p99_us", Json::from(p.load_p99_us)),
             ]),
-        ),
-        (
-            "shard",
-            Json::obj([
-                ("shards", Json::from(SHARD_COUNT)),
-                ("requests", Json::from(SHARD_REQUESTS)),
-                ("rps", Json::from(p.shard_rps)),
-                ("p50_us", Json::from(p.shard_p50_us)),
-                ("p99_us", Json::from(p.shard_p99_us)),
-                (
-                    "counters",
-                    Json::Obj(
-                        p.shard_counters
-                            .iter()
-                            .map(|(n, v)| (n.clone(), Json::from(*v)))
-                            .collect(),
-                    ),
-                ),
-            ]),
-        ),
-        (
-            "counters",
-            Json::Obj(
-                p.counters
-                    .iter()
-                    .map(|(n, v)| (n.clone(), Json::from(*v)))
-                    .collect(),
-            ),
         ),
     ])
 }
@@ -552,8 +323,9 @@ mod tests {
         let unique: std::collections::BTreeSet<_> =
             (0..POOL_APPS.len() * POOL_SEEDS.len()).map(pool_point).collect();
         assert_eq!(unique.len(), POOL_APPS.len() * POOL_SEEDS.len());
-        // The timed loop only revisits pool points (cache-hit dominated).
-        for k in 0..WARM_REQUESTS {
+        // The timed load loop only revisits pool points (cache-hit
+        // dominated).
+        for k in 0..LOAD_CONNS + LOAD_REQUESTS_PER_CONN {
             assert!(unique.contains(&pool_point(k)));
         }
     }
@@ -561,38 +333,27 @@ mod tests {
     #[test]
     fn probe_json_shape_is_stable() {
         let p = ServeProbe {
-            warm_rps: 500.0,
-            cold_rps: 16.0,
+            cold_rps: 16.5,
             load_rps: 900.0,
             load_p50_us: 1_800,
             load_p99_us: 12_000,
-            shard_rps: 420.0,
-            shard_p50_us: 2_100,
-            shard_p99_us: 15_000,
-            shard_counters: vec![("serve.shard_subrequests".to_owned(), 66)],
-            counters: vec![("serve.requests".to_owned(), 66)],
         };
-        assert!((p.speedup() - 31.25).abs() < 1e-9);
         let j = serve_probe_json(&p);
         let parsed = Json::parse(&j.render()).expect("valid JSON");
-        assert_eq!(parsed.get("speedup"), Some(&Json::Num(31.25)));
         assert_eq!(
-            parsed.get("counters").and_then(|c| c.get("serve.requests")),
-            Some(&Json::Int(66))
+            parsed.get("cold_requests"),
+            Some(&Json::Int(COLD_REQUESTS as i64))
         );
+        assert_eq!(parsed.get("cold_rps"), Some(&Json::Num(16.5)));
         let load = parsed.get("load").expect("load sub-block");
         assert_eq!(load.get("conns"), Some(&Json::Int(LOAD_CONNS as i64)));
         assert_eq!(load.get("workers"), Some(&Json::Int(LOAD_WORKERS as i64)));
         assert_eq!(load.get("p99_us"), Some(&Json::Int(12_000)));
-        let shard = parsed.get("shard").expect("shard sub-block");
-        assert_eq!(shard.get("shards"), Some(&Json::Int(SHARD_COUNT as i64)));
-        assert_eq!(shard.get("p99_us"), Some(&Json::Int(15_000)));
-        assert_eq!(
-            shard
-                .get("counters")
-                .and_then(|c| c.get("serve.shard_subrequests")),
-            Some(&Json::Int(66))
-        );
+        // perfbench times the warm daemon and the router (`serve-hit`,
+        // `router-fanout`), so the block carries neither.
+        for gone in ["warm_rps", "speedup", "shard", "counters"] {
+            assert_eq!(parsed.get(gone), None, "{gone}");
+        }
     }
 
     #[test]

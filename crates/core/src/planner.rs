@@ -230,14 +230,6 @@ impl DesignSpace {
             .expect("all structures planned")
     }
 
-    /// The hetero-layer planning row for one structure.
-    pub fn het_of(&self, id: StructureId) -> &PlannedHetero {
-        self.het_best
-            .iter()
-            .find(|p| p.structure == id)
-            .expect("all structures planned")
-    }
-
     /// Estimate whether each design point stays under [`TJMAX_C`] at its
     /// derived frequency, assuming nominal Base power scaled linearly with
     /// frequency (dynamic-dominated cores) and the fig8 folding assumptions

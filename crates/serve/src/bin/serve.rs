@@ -29,8 +29,9 @@
 //! * `--workers N` — queue-draining worker threads (default 2). This
 //!   bounds *compute* concurrency only: connections are multiplexed on
 //!   one epoll event loop, so hundreds of clients on 2 workers is a
-//!   supported (and benchmarked — see the `serve_probe` load tier in
-//!   `BENCH_repro.json`) configuration, not an overload.
+//!   supported configuration, not an overload: the load tier of the
+//!   `serve_probe` block in `BENCH_repro.json` records 128 connections
+//!   on 2 workers.
 //! * `--slow-ms N` — slow-request log threshold in milliseconds
 //!   (default 500; 0 disables). Requests at or over it land in the
 //!   `telemetry` method's slow log with a queue/handle span tree.
@@ -42,8 +43,9 @@
 //!   the wire protocol are exactly as in single-daemon mode.
 //! * `--oneshot` — no TCP at all: read request lines from stdin, write
 //!   response lines to stdout, exit at EOF. One process per query is the
-//!   honest "cold" baseline the `perf_baseline` serve probe compares the
-//!   warm daemon against.
+//!   honest "cold" baseline: the `perf_baseline` serve probe's cold tier
+//!   times it, and perfbench's `serve-hit` workload times the warm
+//!   daemon it is compared against.
 
 use m3d_serve::server::{install_signal_handlers, Server, ServerConfig};
 use m3d_serve::{Engine, Router, RouterConfig};

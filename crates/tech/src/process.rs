@@ -44,17 +44,6 @@ impl ProcessCorner {
         }
     }
 
-    /// A pessimistic top layer using the worst measured device degradation
-    /// (27.8%, PMOS-limited).
-    pub fn top_layer_pessimistic() -> Self {
-        Self {
-            delay_factor: 1.278,
-            dynamic_factor: 1.0,
-            leakage_factor: 0.9,
-            name: "top-LT-pess",
-        }
-    }
-
     /// FDSOI low-power process: slower but much lower leakage and somewhat
     /// lower dynamic energy (Section 5 / Section 7.1.2 of the paper).
     pub fn fdsoi_lp() -> Self {
@@ -106,14 +95,6 @@ impl LayerProcesses {
         Self {
             bottom: ProcessCorner::bulk_hp(),
             top: ProcessCorner::top_layer_degraded(),
-        }
-    }
-
-    /// HP bottom + LP FDSOI top for maximum energy efficiency (Section 5).
-    pub fn hp_plus_lp() -> Self {
-        Self {
-            bottom: ProcessCorner::bulk_hp(),
-            top: ProcessCorner::fdsoi_lp(),
         }
     }
 

@@ -121,11 +121,6 @@ impl Floorplan {
         }
     }
 
-    /// Find the block covering a point.
-    pub fn block_at(&self, x: f64, y: f64) -> Option<&Block> {
-        self.blocks.iter().find(|b| b.contains(x, y))
-    }
-
     /// Index of a block by name.
     pub fn block_index(&self, name: &str) -> Option<usize> {
         self.blocks.iter().position(|b| b.name == name)

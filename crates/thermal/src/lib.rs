@@ -61,7 +61,6 @@
 pub mod floorplan;
 pub mod model;
 pub mod solver;
-pub mod transient;
 
 pub use floorplan::{Block, Floorplan};
 pub use model::{
@@ -69,4 +68,3 @@ pub use model::{
     ThermalModel,
 };
 pub use solver::{solve, solve_with_stats, LayerPower, Solution, ThermalConfig};
-pub use transient::TransientSim;

@@ -182,16 +182,16 @@ impl std::fmt::Display for SolveStatsSummary {
 
 /// Rasterised floorplan of one powered device layer.
 #[derive(Debug, Clone)]
-pub(crate) struct LayerMap {
+struct LayerMap {
     /// Index of the stack layer this floorplan powers.
-    pub(crate) stack_layer: usize,
+    stack_layer: usize,
     /// Per grid cell: index into the floorplan's blocks, or `usize::MAX`.
-    pub(crate) cell_block: Vec<usize>,
+    cell_block: Vec<usize>,
     /// `1 / cells` per block (0.0 for blocks covering no cell), so each
     /// block's wattage is conserved when spread over its cells.
-    pub(crate) inv_cells: Vec<f64>,
+    inv_cells: Vec<f64>,
     /// Block names, aligned with the floorplan.
-    pub(crate) block_names: Vec<String>,
+    block_names: Vec<String>,
 }
 
 /// A chip design's assembled thermal grid; see the module docs.
@@ -200,20 +200,18 @@ pub struct ThermalModel {
     nx: usize,
     ny: usize,
     nl: usize,
-    width_m: f64,
-    height_m: f64,
     ambient_c: f64,
     sor_omega: f64,
     tolerance_k: f64,
     max_iters: usize,
-    pub(crate) lat_gx: Vec<f64>,
-    pub(crate) lat_gy: Vec<f64>,
-    pub(crate) vert_g: Vec<f64>,
-    pub(crate) g_amb: f64,
+    lat_gx: Vec<f64>,
+    lat_gy: Vec<f64>,
+    vert_g: Vec<f64>,
+    g_amb: f64,
     /// Per-cell reciprocal of the conductance sum (power-independent).
     inv_den: Vec<f64>,
-    pub(crate) dev: Vec<usize>,
-    pub(crate) layer_maps: Vec<LayerMap>,
+    dev: Vec<usize>,
+    layer_maps: Vec<LayerMap>,
 }
 
 /// Minimum grid cells before the sweep spawns worker threads: below this,
@@ -343,8 +341,6 @@ impl ThermalModel {
             nx,
             ny,
             nl,
-            width_m: width,
-            height_m: height,
             ambient_c: cfg.ambient_c,
             sor_omega: cfg.sor_omega,
             tolerance_k: cfg.tolerance_k,
@@ -359,43 +355,13 @@ impl ThermalModel {
         })
     }
 
-    /// Grid cells along x.
-    pub fn nx(&self) -> usize {
-        self.nx
-    }
-
-    /// Grid cells along y.
-    pub fn ny(&self) -> usize {
-        self.ny
-    }
-
-    /// Stack layers in the grid.
-    pub fn n_layers(&self) -> usize {
-        self.nl
-    }
-
-    /// Chip footprint (width, height), metres.
-    pub fn footprint_m(&self) -> (f64, f64) {
-        (self.width_m, self.height_m)
-    }
-
-    /// Ambient temperature the model was assembled with, °C.
-    pub fn ambient_c(&self) -> f64 {
-        self.ambient_c
-    }
-
-    /// Number of powered device layers this model accepts.
-    pub fn n_powered_layers(&self) -> usize {
-        self.layer_maps.len()
-    }
-
     fn n_cells(&self) -> usize {
         self.nx * self.ny
     }
 
     /// Spread per-block watts over the grid (power conserved per block).
     /// Returns a flat `n_layers × nx × ny` vector, layer-major.
-    pub(crate) fn assemble_power(&self, block_powers: &[Vec<f64>]) -> Result<Vec<f64>, ThermalError> {
+    fn assemble_power(&self, block_powers: &[Vec<f64>]) -> Result<Vec<f64>, ThermalError> {
         if block_powers.is_empty() {
             return Err(ThermalError::NoPoweredLayers);
         }
@@ -804,8 +770,7 @@ impl ModelCache {
     }
 }
 
-/// The process-wide cache used by [`crate::solver::solve`] and
-/// [`crate::transient::TransientSim`].
+/// The process-wide cache used by [`crate::solver::solve`].
 pub fn shared_cache() -> &'static ModelCache {
     static CACHE: OnceLock<ModelCache> = OnceLock::new();
     CACHE.get_or_init(ModelCache::new)

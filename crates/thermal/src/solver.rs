@@ -178,14 +178,6 @@ pub struct Solution {
 }
 
 impl Solution {
-    /// Peak temperature of a named block, if present.
-    pub fn block_peak_c(&self, name: &str) -> Option<f64> {
-        self.block_peaks_c
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, t)| *t)
-    }
-
     /// The hottest block.
     pub fn hottest_block(&self) -> Option<(&str, f64)> {
         self.block_peaks_c
