@@ -196,6 +196,43 @@ echo "$ROUTER_STATS" | grep -q '"topology"' || {
   kill -9 "$ROUTER_PID" 2>/dev/null || true
   exit 1
 }
+# Failure paths. A router that fails must exit non-zero within 10 s and
+# leave no shard daemon behind (its shards' port files carry its pid):
+# once when a second router asks for the address the first still holds,
+# and once when a router cannot write its port file after it has bound.
+expect_router_failure() {
+  local what=$1 pid rc=0
+  shift
+  ./target/release/router "$@" 2>/dev/null &
+  pid=$!
+  for _ in $(seq 1 100); do
+    kill -0 "$pid" 2>/dev/null || break
+    sleep 0.1
+  done
+  if kill -0 "$pid" 2>/dev/null; then
+    echo "ci.sh: router $what still running after 10 s" >&2
+    kill -9 "$pid" 2>/dev/null || true
+    pkill -9 -f "m3d-shard-$pid-" || true
+    return 1
+  fi
+  wait "$pid" || rc=$?
+  [ "$rc" -ne 0 ] || {
+    echo "ci.sh: router $what exited 0" >&2
+    return 1
+  }
+  if pgrep -f "m3d-shard-$pid-" >/dev/null; then
+    echo "ci.sh: router $what left shard daemons running:" >&2
+    pgrep -af "m3d-shard-$pid-" >&2
+    pkill -9 -f "m3d-shard-$pid-" || true
+    return 1
+  fi
+}
+expect_router_failure "on a busy address" --quick --shards 2 --addr "$ROUTER_ADDR" &&
+  expect_router_failure "with an unwritable port file" --quick --shards 2 \
+    --port-file target/no-such-dir/router.port || {
+  kill -9 "$ROUTER_PID" 2>/dev/null || true
+  exit 1
+}
 kill -TERM "$ROUTER_PID"
 ROUTER_RC=0
 wait "$ROUTER_PID" || ROUTER_RC=$?

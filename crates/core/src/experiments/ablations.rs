@@ -183,11 +183,6 @@ pub fn uarch_ablation_text(rows: &[UarchAblationRow], stats: &BatchStats) -> Str
     )
 }
 
-/// Render all analytical ablations.
-pub fn ablations_text() -> String {
-    ablations_text_from(&strategy_ablation(), &hetero_rf_sweep(), &tsv_diameter_sweep())
-}
-
 /// Render the ablations from precomputed sweeps.
 pub fn ablations_text_from(
     strategy: &[(StructureId, f64, f64, f64)],
@@ -351,7 +346,9 @@ mod tests {
 
     #[test]
     fn renders() {
-        assert!(ablations_text().contains("Ablations"));
+        let text =
+            ablations_text_from(&strategy_ablation(), &hetero_rf_sweep(), &tsv_diameter_sweep());
+        assert!(text.contains("Ablations"));
     }
 
     #[test]

@@ -24,9 +24,8 @@ use m3d_thermal::floorplan::Floorplan;
 use m3d_thermal::model::{shared_cache, SolveStatsSummary, ThermalModel};
 use m3d_thermal::solver::{Solution, ThermalConfig};
 use m3d_tech::layers::LayerStack;
-use m3d_uarch::core::Core;
+use m3d_uarch::Multicore;
 use m3d_workloads::spec::spec2006;
-use m3d_workloads::TraceGenerator;
 use std::sync::Arc;
 
 /// 2D core area at 22 nm, m² (Ryzen-class core scaled).
@@ -131,8 +130,7 @@ pub fn run_with_stats(
         WarmFields::default,
         |warm, _, app| {
             let powers_for = |d: DesignPoint| {
-                let gen = TraceGenerator::new(app, 0xF16, 0, 1);
-                let mut core = Core::new(0, d.core_config(), gen);
+                let mut core = Multicore::new(d.core_config(), app, 0xF16, 1);
                 let _ = core.run(scale.warmup);
                 let r = core.run(scale.measure);
                 model.block_powers(&r, &d.power_config(space))

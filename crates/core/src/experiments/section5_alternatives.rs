@@ -95,11 +95,6 @@ pub fn enlarged_structures() -> Vec<EnlargedStructure> {
         .collect()
 }
 
-/// Render the enlarged-structure study.
-pub fn enlarged_text() -> String {
-    enlarged_text_from(&enlarged_structures())
-}
-
 /// Render the enlarged-structure study from precomputed rows.
 pub fn enlarged_text_from(rows: &[EnlargedStructure]) -> String {
     let mut t = Table::new(["Enlargement", "Strategy", "Budget", "M3D access", "Fits?"]);
@@ -168,11 +163,6 @@ pub fn lp_top_energy_reductions() -> Vec<(StructureId, f64, f64)> {
             )
         })
         .collect()
-}
-
-/// Render the LP-top study.
-pub fn lp_top_text() -> String {
-    lp_top_text_from(&lp_top_energy_reductions())
 }
 
 /// Render the LP-top study from precomputed rows.
@@ -257,12 +247,6 @@ pub fn thermal_headroom() -> (Vec<HeadroomRow>, SolveStatsSummary) {
         })
         .collect();
     (rows, stats)
-}
-
-/// Render the thermal-headroom sweep.
-pub fn headroom_text() -> String {
-    let (rows, stats) = thermal_headroom();
-    headroom_text_from(&rows, &stats)
 }
 
 /// Render the thermal-headroom sweep from precomputed rows and stats.
@@ -386,9 +370,10 @@ mod tests {
 
     #[test]
     fn renders() {
-        assert!(enlarged_text().contains("Section 5"));
-        assert!(lp_top_text().contains("LP"));
-        assert!(headroom_text().contains("headroom"));
+        assert!(enlarged_text_from(&enlarged_structures()).contains("Section 5"));
+        assert!(lp_top_text_from(&lp_top_energy_reductions()).contains("LP"));
+        let (rows, stats) = thermal_headroom();
+        assert!(headroom_text_from(&rows, &stats).contains("headroom"));
     }
 
     #[test]

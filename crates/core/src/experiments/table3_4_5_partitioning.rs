@@ -92,29 +92,14 @@ fn render(title: &str, rows: &[PartitionRow]) -> String {
     format!("{title}\n{}", t.render())
 }
 
-/// Render Table 3.
-pub fn table3_text() -> String {
-    table3_text_from(&table3())
-}
-
 /// Render Table 3 from precomputed rows.
 pub fn table3_text_from(rows: &[PartitionRow]) -> String {
     render("Table 3: reductions through bit partitioning", rows)
 }
 
-/// Render Table 4.
-pub fn table4_text() -> String {
-    table4_text_from(&table4())
-}
-
 /// Render Table 4 from precomputed rows.
 pub fn table4_text_from(rows: &[PartitionRow]) -> String {
     render("Table 4: reductions through word partitioning", rows)
-}
-
-/// Render Table 5.
-pub fn table5_text() -> String {
-    table5_text_from(&table5())
 }
 
 /// Render Table 5 from precomputed rows.
@@ -228,8 +213,8 @@ mod tests {
 
     #[test]
     fn texts_render() {
-        assert!(table3_text().contains("Table 3"));
-        assert!(table4_text().contains("BPT"));
-        assert!(table5_text().contains("-"));
+        assert!(table3_text_from(&table3()).contains("Table 3"));
+        assert!(table4_text_from(&table4()).contains("BPT"));
+        assert!(table5_text_from(&table5()).contains("-"));
     }
 }

@@ -278,14 +278,12 @@ impl Default for CorePowerModel {
 mod tests {
     use super::*;
     use m3d_uarch::config::CoreConfig;
-    use m3d_uarch::core::Core;
+    use m3d_uarch::Multicore;
     use m3d_workloads::spec::spec_by_name;
-    use m3d_workloads::TraceGenerator;
 
     fn run_base(name: &str) -> PerfResult {
         let p = spec_by_name(name).expect("profile");
-        let gen = TraceGenerator::new(&p, 21, 0, 1);
-        let mut core = Core::new(0, CoreConfig::base_2d(), gen);
+        let mut core = Multicore::new(CoreConfig::base_2d(), &p, 21, 1);
         let _ = core.run(30_000);
         core.run(60_000)
     }

@@ -116,12 +116,14 @@ fn main() {
         Ok(a) => a,
         Err(e) => {
             eprintln!("[router] no local address: {e}");
+            router.abort();
             std::process::exit(1);
         }
     };
     if let Some(path) = port_file {
         if let Err(e) = std::fs::write(&path, format!("{addr}\n")) {
             eprintln!("[router] cannot write port file {path}: {e}");
+            router.abort();
             std::process::exit(1);
         }
     }

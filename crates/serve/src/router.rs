@@ -87,6 +87,7 @@ use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -388,8 +389,14 @@ fn entry_mut(
 }
 
 /// Spawn one shard daemon and wait for its bound address via a port file.
+/// The file name carries a process-wide spawn sequence number, so routers
+/// bound concurrently in one process never share (or delete) each other's
+/// port files.
 fn spawn_shard(bin: &PathBuf, cfg: &RouterConfig, i: usize) -> std::io::Result<(Child, String)> {
-    let port_file = std::env::temp_dir().join(format!("m3d-shard-{}-{i}.port", std::process::id()));
+    static SPAWN_SEQ: AtomicU64 = AtomicU64::new(0);
+    let seq = SPAWN_SEQ.fetch_add(1, Ordering::Relaxed);
+    let port_file =
+        std::env::temp_dir().join(format!("m3d-shard-{}-{seq}.port", std::process::id()));
     let _ = std::fs::remove_file(&port_file);
     let mut cmd = Command::new(bin);
     cmd.args(["--addr", "127.0.0.1:0", "--port-file"])
@@ -450,6 +457,49 @@ fn connect_shard(addr: &str) -> std::io::Result<TcpStream> {
     }
 }
 
+/// Spawn `cfg.shards` daemons (finding the `serve` binary next to the
+/// current executable unless `cfg.serve_binary` overrides it), or take the
+/// `cfg.connect` addresses instead, pushing each onto `shards` as soon as
+/// it exists; then connect to every shard. On error, `shards` holds every
+/// child spawned so far, for the caller to reap.
+fn bring_up_shards(cfg: &RouterConfig, shards: &mut Vec<Shard>) -> std::io::Result<Vec<TcpStream>> {
+    let shard = |addr: String, child: Option<Child>| Shard {
+        addr,
+        pid: child.as_ref().map(Child::id),
+        child,
+        token: 0,
+        live: true,
+    };
+    if cfg.connect.is_empty() {
+        let bin = match &cfg.serve_binary {
+            Some(p) => p.clone(),
+            None => {
+                let exe = std::env::current_exe()?;
+                let dir = exe.parent().ok_or_else(|| {
+                    std::io::Error::other("current executable has no parent directory")
+                })?;
+                dir.join("serve")
+            }
+        };
+        for i in 0..cfg.shards.max(1) {
+            let (child, addr) = spawn_shard(&bin, cfg, i)?;
+            eprintln!("[router] spawned shard {i} pid {} on {addr}", child.id());
+            shards.push(shard(addr, Some(child)));
+        }
+    } else {
+        shards.extend(cfg.connect.iter().map(|a| shard(a.clone(), None)));
+    }
+    shards.iter().map(|s| connect_shard(&s.addr)).collect()
+}
+
+/// SIGKILL and reap every spawned shard, without a drain.
+fn kill_shards(shards: &mut [Shard]) {
+    for child in shards.iter_mut().filter_map(|s| s.child.as_mut()) {
+        let _ = child.kill();
+        let _ = child.wait();
+    }
+}
+
 /// One shard: its address, the child process when spawned, and its
 /// upstream connection's token on the event loop.
 struct Shard {
@@ -474,51 +524,31 @@ pub struct Router {
 }
 
 impl Router {
-    /// Bind the client-facing listener and bring up every shard: spawn
+    /// Bind the client-facing listener, then bring up every shard: spawn
     /// `cfg.shards` daemons (finding the `serve` binary next to the
     /// current executable unless `cfg.serve_binary` overrides it), or
-    /// connect to `cfg.connect` addresses instead. Enables `m3d-obs` and
-    /// zeroes the serve counter set, like the daemon.
+    /// connect to `cfg.connect` addresses instead. If any step fails,
+    /// every shard spawned so far is killed and reaped before the error
+    /// returns. Enables `m3d-obs` and zeroes the serve counter set, like
+    /// the daemon.
     pub fn bind(cfg: RouterConfig) -> std::io::Result<Router> {
         m3d_obs::enable();
         for c in SERVE_COUNTERS {
             m3d_obs::add(c, 0);
         }
-        let mut targets = Vec::new();
-        if cfg.connect.is_empty() {
-            let bin = match &cfg.serve_binary {
-                Some(p) => p.clone(),
-                None => {
-                    let exe = std::env::current_exe()?;
-                    let dir = exe.parent().ok_or_else(|| {
-                        std::io::Error::other("current executable has no parent directory")
-                    })?;
-                    dir.join("serve")
-                }
-            };
-            for i in 0..cfg.shards.max(1) {
-                let (child, addr) = spawn_shard(&bin, &cfg, i)?;
-                eprintln!("[router] spawned shard {i} pid {} on {addr}", child.id());
-                targets.push((addr, Some(child)));
-            }
-        } else {
-            targets.extend(cfg.connect.iter().map(|a| (a.clone(), None)));
-        }
-        let mut shards = Vec::new();
-        let mut streams = Vec::new();
-        for (addr, child) in targets {
-            streams.push(connect_shard(&addr)?);
-            let pid = child.as_ref().map(Child::id);
-            shards.push(Shard {
-                addr,
-                child,
-                pid,
-                token: 0,
-                live: true,
-            });
-        }
+        // Everything that can fail without a shard runs first, so a busy
+        // address costs no process spawns.
         let listener = TcpListener::bind(&cfg.addr)?;
         listener.set_nonblocking(true)?;
+        let waker = Waker::new()?;
+        let mut shards = Vec::new();
+        let streams = match bring_up_shards(&cfg, &mut shards) {
+            Ok(streams) => streams,
+            Err(e) => {
+                kill_shards(&mut shards);
+                return Err(e);
+            }
+        };
         let telemetry = ServeTelemetry::new();
         telemetry.set_slow_ms(cfg.slow_ms);
         Ok(Router {
@@ -526,9 +556,16 @@ impl Router {
             shards,
             streams,
             telemetry,
-            waker: Waker::new()?,
+            waker,
             start: Instant::now(),
         })
+    }
+
+    /// Kill and reap every spawned shard, for a bound router that will
+    /// never run (its caller failed after [`Router::bind`]): the shard
+    /// daemons would otherwise outlive the process.
+    pub fn abort(mut self) {
+        kill_shards(&mut self.shards);
     }
 
     /// The bound client-facing address (resolves ephemeral ports).

@@ -365,3 +365,66 @@ fn router_answers_deeply_nested_json_and_keeps_serving() {
     drop(c);
     handle.shutdown();
 }
+
+#[test]
+fn concurrent_spawn_mode_binds_get_disjoint_shards() {
+    // Three routers bind at once in one process; each must spawn and
+    // reach its own two shards, never another router's.
+    let start = std::sync::Barrier::new(3);
+    let binds: Vec<std::io::Result<Router>> = std::thread::scope(|s| {
+        let threads: Vec<_> = (0..3)
+            .map(|_| {
+                s.spawn(|| {
+                    start.wait();
+                    Router::bind(RouterConfig {
+                        shards: 2,
+                        serve_binary: Some(PathBuf::from(env!("CARGO_BIN_EXE_serve"))),
+                        quick: true,
+                        ..RouterConfig::default()
+                    })
+                })
+            })
+            .collect();
+        threads
+            .into_iter()
+            .map(|t| t.join().expect("bind thread"))
+            .collect()
+    });
+    // Query every router that did bind, then shut each down (reaping its
+    // shards) before judging the outcome.
+    let mut shard_addrs = Vec::new();
+    let mut failures = Vec::new();
+    for bind in binds {
+        let router = match bind {
+            Ok(r) => r,
+            Err(e) => {
+                failures.push(e.to_string());
+                continue;
+            }
+        };
+        let addr = router.local_addr().expect("router addr").to_string();
+        let handle = router.spawn();
+        let mut c = Client::connect(&addr).expect("connect");
+        let stats = c.stats(1);
+        drop(c);
+        handle.shutdown();
+        let resp = stats.expect("stats");
+        let result = resp.result().expect("stats result");
+        let slices = match result.get("topology").and_then(|t| t.get("slices")) {
+            Some(Json::Arr(s)) => s.clone(),
+            other => panic!("topology.slices missing: {other:?}"),
+        };
+        assert_eq!(slices.len(), 2);
+        for slice in &slices {
+            match slice.get("addr") {
+                Some(Json::Str(a)) => shard_addrs.push(a.clone()),
+                other => panic!("slice without an address: {other:?}"),
+            }
+        }
+    }
+    assert!(failures.is_empty(), "concurrent binds failed: {failures:?}");
+    let mut unique = shard_addrs.clone();
+    unique.sort();
+    unique.dedup();
+    assert_eq!(unique.len(), 6, "shard addresses overlap: {shard_addrs:?}");
+}

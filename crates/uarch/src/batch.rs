@@ -26,21 +26,12 @@
 //! The process-wide memo cache can only ever substitute a value that an
 //! identical computation produced, so cached and uncached runs return the
 //! same results.
-//!
-//! # Engine selection
-//!
-//! `n_cores == 1` runs the single-core [`Core`] wrapper (private memory
-//! system, livelock cap `200·n`); `n_cores > 1` runs [`Multicore`]
-//! (shared memory + barriers, cap `400·n`). This mirrors what the fig6/7
-//! and fig9/10 drivers historically did, which keeps their artifacts
-//! byte-identical.
 
 use crate::config::CoreConfig;
-use crate::core::Core;
 use crate::error::SimError;
 use crate::multicore::Multicore;
 use crate::stats::PerfResult;
-use m3d_workloads::{TraceGenerator, WorkloadProfile};
+use m3d_workloads::WorkloadProfile;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -66,7 +57,8 @@ pub struct SimPoint {
     pub profile: WorkloadProfile,
     /// Trace seed.
     pub seed: u64,
-    /// Core count (1 → [`Core`], >1 → [`Multicore`]).
+    /// Core count of the simulated [`Multicore`] (1 is the single-core
+    /// machine).
     pub n_cores: usize,
     /// Warm-up/measure window.
     pub interval: SimInterval,
@@ -171,10 +163,6 @@ impl SimPoint {
         h.u64(c.btb_ways as u64);
         h.u64(c.ras_entries as u64);
         h.u64(c.complex_decode_extra);
-        // `c.skip_ahead` is deliberately NOT hashed: it is a simulator-speed
-        // knob with no effect on results (see the `skip_equiv` property
-        // test), so points differing only in it memoize to the same entry —
-        // which is exactly what the determinism contract requires.
 
         let p = &self.profile;
         h.bytes(p.name.as_bytes());
@@ -315,40 +303,6 @@ pub struct BatchStats {
     pub cycles: u64,
     /// Results whose measured interval hit the livelock cap.
     pub cap_exhausted: u64,
-}
-
-/// The full machine state of one point — what a warm-up checkpoint clones.
-#[derive(Debug, Clone)]
-enum Machine {
-    Single(Box<Core>),
-    Multi(Box<Multicore>),
-}
-
-impl Machine {
-    fn build(p: &SimPoint) -> Result<Self, SimError> {
-        if p.n_cores == 1 {
-            let gen = TraceGenerator::new(&p.profile, p.seed, 0, 1);
-            Ok(Machine::Single(Box::new(Core::try_new(
-                0,
-                p.config.clone(),
-                gen,
-            )?)))
-        } else {
-            Ok(Machine::Multi(Box::new(Multicore::try_new(
-                p.config.clone(),
-                &p.profile,
-                p.seed,
-                p.n_cores,
-            )?)))
-        }
-    }
-
-    fn run(&mut self, n: u64) -> PerfResult {
-        match self {
-            Machine::Single(c) => c.run(n),
-            Machine::Multi(m) => m.run(n),
-        }
-    }
 }
 
 /// Process-wide memo cache of completed results, keyed by the full point
@@ -635,7 +589,13 @@ fn simulate_group(
     capped: &std::sync::atomic::AtomicU64,
 ) -> Vec<Result<PerfResult, SimError>> {
     let first = &points[primaries[g.members[0]]];
-    let mut machine = match Machine::build(first) {
+    let built = Multicore::try_new(
+        first.config.clone(),
+        &first.profile,
+        first.seed,
+        first.n_cores,
+    );
+    let mut machine = match built {
         Ok(m) => Some(m),
         Err(e) => return vec![Err(e); g.members.len()],
     };
@@ -768,8 +728,7 @@ mod tests {
         let seed = 0xBA7C_0002;
         let pt = single("Hmmer", seed, CoreConfig::base_2d(), 10_000, 8_000);
         let got = SimBatch::new(2).without_cache().run(std::slice::from_ref(&pt));
-        let gen = TraceGenerator::new(&pt.profile, seed, 0, 1);
-        let mut core = Core::new(0, pt.config.clone(), gen);
+        let mut core = Multicore::new(pt.config.clone(), &pt.profile, seed, 1);
         let _ = core.run(10_000);
         let want = core.run(8_000);
         assert_eq!(got[0].as_ref().expect("ok"), &want);
@@ -794,8 +753,7 @@ mod tests {
         let (rs, stats) = SimBatch::new(2).without_cache().run_with_stats(&pts);
         assert_eq!(stats.checkpoint_reuses, 1);
         for pt in &pts {
-            let gen = TraceGenerator::new(&pt.profile, seed, 0, 1);
-            let mut core = Core::new(0, pt.config.clone(), gen);
+            let mut core = Multicore::new(pt.config.clone(), &pt.profile, seed, 1);
             let _ = core.run(pt.interval.warmup);
             let want = core.run(pt.interval.measure);
             let got = rs[pts
@@ -932,29 +890,5 @@ mod tests {
         let mut other = base.clone();
         other.interval.warmup = 999;
         assert_ne!(base.warm_key(), other.warm_key());
-    }
-
-    #[test]
-    fn skip_ahead_flag_never_enters_the_memo_key() {
-        // skip_ahead is a speed knob with identical results, so two points
-        // differing only in it must share one memo entry — and earn it:
-        // their simulations must really agree.
-        let on = single("Mcf", 0x5A1D, CoreConfig::base_2d(), 4_000, 4_000);
-        let mut off = on.clone();
-        off.config = off.config.clone().with_skip_ahead(false);
-        assert_eq!(on.key(), off.key());
-        assert_eq!(on.warm_key(), off.warm_key());
-
-        let r_on = SimBatch::new(1)
-            .without_cache()
-            .run(std::slice::from_ref(&on))
-            .remove(0)
-            .expect("sim ok");
-        let r_off = SimBatch::new(1)
-            .without_cache()
-            .run(std::slice::from_ref(&off))
-            .remove(0)
-            .expect("sim ok");
-        assert_eq!(r_on, r_off, "skip-ahead changed a batch result");
     }
 }

@@ -119,13 +119,6 @@ pub struct CoreConfig {
     /// Zero in 2D; one in the hetero-layer M3D designs, which move the
     /// complex decoder and µcode ROM to the top layer (Section 4.1.2).
     pub complex_decode_extra: u64,
-    /// Simulator (not hardware) knob: let the run loops jump the clock over
-    /// fully quiescent stretches instead of ticking idle cycles. Results
-    /// are cycle-for-cycle identical either way — the flag exists so the
-    /// equivalence can be tested and so slowdowns can be bisected — which
-    /// is also why the batch memo cache deliberately ignores it. On by
-    /// default.
-    pub skip_ahead: bool,
 }
 
 impl CoreConfig {
@@ -178,7 +171,6 @@ impl CoreConfig {
             btb_ways: 4,
             ras_entries: 32,
             complex_decode_extra: 0,
-            skip_ahead: true,
         }
     }
 
@@ -219,14 +211,6 @@ impl CoreConfig {
         self
     }
 
-    /// Enable or disable quiescence skip-ahead in the run loops (on by
-    /// default). Purely a simulator-speed knob: results are identical
-    /// either way (see the `skip_equiv` property test).
-    pub fn with_skip_ahead(mut self, enabled: bool) -> Self {
-        self.skip_ahead = enabled;
-        self
-    }
-
     /// Enable shared-L2 core pairing and the shorter ring (Figure 4).
     pub fn with_shared_l2(mut self) -> Self {
         self.shared_l2_pairs = true;
@@ -237,7 +221,7 @@ impl CoreConfig {
     /// Check every invariant the simulator's internal structures assert on,
     /// so a bad configuration surfaces as a typed [`SimError`] instead of a
     /// panic deep inside cache or predictor construction. Called by
-    /// [`crate::Core::try_new`] and [`crate::Multicore::try_new`].
+    /// [`crate::Multicore::try_new`].
     pub fn validate(&self) -> Result<(), SimError> {
         fn positive_f64(v: f64, what: &'static str) -> Result<(), SimError> {
             if !v.is_finite() {
@@ -359,12 +343,6 @@ mod tests {
     }
 
     #[test]
-    fn skip_ahead_defaults_on() {
-        assert!(CoreConfig::base_2d().skip_ahead);
-        assert!(!CoreConfig::base_2d().with_skip_ahead(false).skip_ahead);
-    }
-
-    #[test]
     #[should_panic(expected = "frequency must be positive")]
     fn rejects_bad_frequency() {
         let _ = CoreConfig::base_2d().with_frequency(0.0);
@@ -379,7 +357,6 @@ mod tests {
             CoreConfig::base_2d().with_issue_width(8),
             CoreConfig::base_2d().with_complex_decoder_in_top(),
             CoreConfig::base_2d().with_frequency(4.34).with_vdd(0.9),
-            CoreConfig::base_2d().with_skip_ahead(false),
         ] {
             assert_eq!(cfg.validate(), Ok(()));
         }

@@ -33,18 +33,18 @@
 //! issued, dispatched or fetched anything, or newly announced a barrier).
 //! When a cycle makes no progress, every in-flight µop is draining an event
 //! whose completion cycle is already known (a DRAM miss, a long FU op, an
-//! I-cache refill), so the run loops in [`Core::run`] and
-//! [`crate::Multicore::run`] ask [`CoreEngine::next_wake`] for the earliest
-//! cycle at which anything can change and jump the clock there, applying
-//! the per-cycle idle statistics in bulk via [`CoreEngine::skip_idle`].
-//! Results are cycle-for-cycle identical to stepping; the safety argument
-//! is spelled out in DESIGN.md and enforced by the `skip_equiv` property
-//! test.
+//! I-cache refill), so the run loop in [`crate::Multicore::run`] asks
+//! [`CoreEngine::next_wake`] for the earliest cycle at which anything can
+//! change and jumps the clock there, applying the per-cycle idle
+//! statistics in bulk via [`CoreEngine::skip_idle`]. Results are
+//! cycle-for-cycle identical to stepping; the safety argument is spelled
+//! out in DESIGN.md and enforced by the `oracle_equiv` property test
+//! against a reference core that steps every cycle.
 
 use crate::bpred::{Btb, Tournament};
 use crate::config::CoreConfig;
 use crate::memory::MemorySystem;
-use crate::stats::{ActivityStats, PerfResult};
+use crate::stats::ActivityStats;
 use m3d_workloads::{MicroOp, OpKind, TraceGenerator};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
@@ -450,9 +450,9 @@ impl CoreEngine {
     }
 
     /// `(jumps, cycles)` the skip-ahead fast path has taken on this core.
-    /// Diagnostic only: deliberately not part of [`ActivityStats`] or
-    /// [`PerfResult`], so enabling/disabling skip-ahead cannot perturb
-    /// experiment artifacts.
+    /// Diagnostic only: deliberately kept out of [`ActivityStats`] and
+    /// [`crate::PerfResult`], which must read exactly as if every cycle
+    /// were stepped.
     pub fn skip_counters(&self) -> (u64, u64) {
         (self.skip_jumps, self.skipped_cycles)
     }
@@ -892,8 +892,8 @@ impl CoreEngine {
     /// unit); the fetch queue's front becoming dispatchable; and the
     /// front-end restart cycle. Extra candidates are harmless (the step at
     /// a too-early wake is idle and skip-ahead resumes); a missing candidate
-    /// would be a correctness bug, caught by the `skip_equiv` and
-    /// `oracle_equiv` property tests.
+    /// would be a correctness bug, caught by the `oracle_equiv` property
+    /// test.
     pub fn next_wake(&self, cycle: u64) -> Option<u64> {
         let mut wake: Option<u64> = None;
         let mut consider = |w: u64| {
@@ -982,117 +982,7 @@ impl CoreEngine {
     }
 }
 
-/// A convenience wrapper owning one core plus its private memory system.
-///
-/// `Clone` snapshots the whole machine (pipeline, caches, trace position);
-/// the batch engine clones a warmed-up `Core` to share warm-up across
-/// measurement intervals.
-#[derive(Debug, Clone)]
-pub struct Core {
-    engine: CoreEngine,
-    mem: MemorySystem,
-    barriers: BarrierCtl,
-    freq_ghz: f64,
-    skip_ahead: bool,
-    cycle: u64,
-}
-
-impl Core {
-    /// Build a single-core simulator.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is invalid (see [`Core::try_new`]).
-    pub fn new(core_id: usize, cfg: CoreConfig, gen: TraceGenerator) -> Self {
-        match Self::try_new(core_id, cfg, gen) {
-            Ok(c) => c,
-            Err(e) => panic!("invalid core configuration: {e}"),
-        }
-    }
-
-    /// Fallible constructor: validates the configuration before building
-    /// any cache or predictor state (whose own constructors would panic on
-    /// bad geometry).
-    pub fn try_new(
-        core_id: usize,
-        cfg: CoreConfig,
-        gen: TraceGenerator,
-    ) -> Result<Self, crate::error::SimError> {
-        cfg.validate()?;
-        let freq = cfg.freq_ghz;
-        let skip_ahead = cfg.skip_ahead;
-        Ok(Self {
-            engine: CoreEngine::new(core_id, cfg.clone(), gen),
-            mem: MemorySystem::new(cfg, 1),
-            barriers: BarrierCtl::new(1),
-            freq_ghz: freq,
-            skip_ahead,
-            cycle: 0,
-        })
-    }
-
-    /// `(jumps, cycles)` skipped by the quiescence fast path so far.
-    pub fn skip_counters(&self) -> (u64, u64) {
-        self.engine.skip_counters()
-    }
-
-    /// Run until `n` more µops commit (with a safety cycle cap) and report
-    /// the cycles spent in this interval. Consecutive runs continue the same
-    /// machine state, so a first short run serves as warm-up.
-    ///
-    /// When [`CoreConfig::skip_ahead`] is enabled (the default), cycles in
-    /// which the pipeline is fully quiescent are skipped in bulk; the
-    /// result is cycle-for-cycle identical to plain stepping (enforced by
-    /// the `skip_equiv` property test).
-    ///
-    /// The cap is `n * 200` cycles (at least 10k). If the core does not
-    /// reach its commit target by then — possible with extreme memory
-    /// latencies — the result covers the truncated interval only:
-    /// `instructions` reports the µops actually committed and
-    /// [`PerfResult::cap_exhausted`] is set.
-    pub fn run(&mut self, n: u64) -> PerfResult {
-        self.engine.set_target(self.engine.committed + n);
-        let start_stats = self.engine.stats;
-        let start_committed = self.engine.committed;
-        let start_cycle = self.cycle;
-        let cap = start_cycle + n.saturating_mul(200).max(10_000);
-        while self.engine.cycle_at_target.is_none() && self.cycle < cap {
-            let progressed = self
-                .engine
-                .step(self.cycle, &mut self.mem, &mut self.barriers);
-            self.cycle += 1;
-            if !progressed && self.skip_ahead && self.cycle < cap {
-                // No local event known → idle until the livelock cap.
-                let wake = self.engine.next_wake(self.cycle - 1).unwrap_or(cap);
-                let k = wake.clamp(self.cycle, cap) - self.cycle;
-                if k > 0 {
-                    self.engine.skip_idle(k);
-                    self.cycle += k;
-                }
-            }
-        }
-        let cap_exhausted = self.engine.cycle_at_target.is_none();
-        let end = self.engine.cycle_at_target.unwrap_or(self.cycle);
-        let mut activity = self.engine.stats_at_target();
-        activity.subtract(&start_stats);
-        PerfResult {
-            cycles: end - start_cycle,
-            instructions: if cap_exhausted {
-                self.engine.committed - start_committed
-            } else {
-                n
-            },
-            freq_ghz: self.freq_ghz,
-            activity,
-            cache_levels: self.mem.level_counters(),
-            mem: self.mem.stats,
-            cap_exhausted,
-        }
-    }
-}
-
-/// The random-machine generator of the `skip_equiv` and `oracle_equiv`
-/// property tests.
+/// The random-machine generator of the `oracle_equiv` property test.
 #[cfg(test)]
 #[path = "../tests/support/mod.rs"]
 mod support;
@@ -1101,6 +991,8 @@ mod support;
 mod tests {
     use super::support::perturbed;
     use super::*;
+    use crate::multicore::Multicore;
+    use crate::stats::PerfResult;
     use m3d_workloads::parallel::splash_parsec;
     use m3d_workloads::spec::{spec2006, spec_by_name};
     use m3d_workloads::WorkloadProfile;
@@ -1108,8 +1000,7 @@ mod tests {
 
     fn run_app(name: &str, cfg: CoreConfig, n: u64) -> PerfResult {
         let p = spec_by_name(name).expect("profile");
-        let gen = TraceGenerator::new(&p, 11, 0, 1);
-        let mut core = Core::new(0, cfg, gen);
+        let mut core = Multicore::new(cfg, &p, 11, 1);
         // Warm the caches and predictors, then measure.
         let _ = core.run(30_000);
         core.run(n)
@@ -1118,8 +1009,7 @@ mod tests {
     #[test]
     fn ipc_is_sane_across_suite() {
         for p in spec2006().iter().step_by(5) {
-            let gen = TraceGenerator::new(p, 3, 0, 1);
-            let mut core = Core::new(0, CoreConfig::base_2d(), gen);
+            let mut core = Multicore::new(CoreConfig::base_2d(), p, 3, 1);
             let _ = core.run(20_000);
             let r = core.run(30_000);
             assert!(
@@ -1255,34 +1145,6 @@ mod tests {
         // Idempotent announcements are not "new".
         assert!(!b.announce(2, 1));
         assert!(b.released(1));
-    }
-
-    #[test]
-    fn skip_ahead_matches_stepping_exactly() {
-        // The full property test lives in tests/skip_equiv.rs; this is the
-        // cheap always-on smoke check over one memory-bound and one
-        // compute-bound app.
-        for name in ["Mcf", "Hmmer"] {
-            let on = run_app(name, CoreConfig::base_2d(), 25_000);
-            let off = run_app(name, CoreConfig::base_2d().with_skip_ahead(false), 25_000);
-            assert_eq!(on, off, "{name}: skip-ahead changed the result");
-        }
-    }
-
-    #[test]
-    fn skip_ahead_actually_skips_on_memory_bound_runs() {
-        let p = spec_by_name("Mcf").expect("profile");
-        let gen = TraceGenerator::new(&p, 11, 0, 1);
-        let mut core = Core::new(0, CoreConfig::base_2d(), gen);
-        let _ = core.run(30_000);
-        let (jumps, cycles) = core.skip_counters();
-        assert!(jumps > 0, "mcf must trigger skip-ahead");
-        assert!(cycles >= jumps, "each jump skips at least one cycle");
-
-        let gen = TraceGenerator::new(&p, 11, 0, 1);
-        let mut off = Core::new(0, CoreConfig::base_2d().with_skip_ahead(false), gen);
-        let _ = off.run(30_000);
-        assert_eq!(off.skip_counters(), (0, 0), "disabled means no jumps");
     }
 
     /// Oldest-first visits of a [`RingScan`] from `head` over a mask of

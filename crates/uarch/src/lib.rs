@@ -18,21 +18,22 @@
 //! line state are structure-of-arrays rings with generation-tagged slots
 //! (no per-issue hash lookups), wake-up is event-driven (a µop waits on
 //! its producers' consumer lists, then in a `ready_at` calendar, and issue
-//! scans a bitmask of ready ROB slots oldest-first), and the run loops
-//! skip the clock over fully quiescent stretches
-//! ([`config::CoreConfig::skip_ahead`], on by default) — bit-identical to
+//! scans a bitmask of ready ROB slots oldest-first), and the run loop
+//! skips the clock over fully quiescent stretches — bit-identical to
 //! plain stepping, just faster. See DESIGN.md § "Cycle loop".
+//!
+//! One machine type, [`Multicore`], runs every study: one core for the
+//! single-core figures, several for the multicore ones.
 //!
 //! # Example
 //!
 //! ```
 //! use m3d_uarch::config::CoreConfig;
-//! use m3d_uarch::core::Core;
-//! use m3d_workloads::{spec::spec2006, TraceGenerator};
+//! use m3d_uarch::Multicore;
+//! use m3d_workloads::spec::spec2006;
 //!
 //! let cfg = CoreConfig::base_2d();
-//! let gen = TraceGenerator::new(&spec2006()[10], 1, 0, 1);
-//! let mut core = Core::new(0, cfg, gen);
+//! let mut core = Multicore::new(cfg, &spec2006()[10], 1, 1);
 //! let warmup = core.run(20_000); // cold caches: low IPC
 //! let result = core.run(20_000);
 //! assert!(result.ipc() > warmup.ipc());
@@ -58,7 +59,6 @@ pub const MAX_CORES: usize = 32;
 
 pub use batch::{BatchStats, SimBatch, SimInterval, SimPoint};
 pub use config::CoreConfig;
-pub use core::Core;
 pub use error::SimError;
 pub use multicore::Multicore;
 pub use stats::{ActivityStats, PerfResult};

@@ -1,5 +1,6 @@
-//! Multicore simulation: N cores over a shared memory system with barrier
-//! coordination (paper Section 7.2).
+//! The simulated machine: N ≥ 1 cores over a shared memory system with
+//! barrier coordination. One core is the single-core study of paper
+//! Section 7.1; more cores are the multicore study of Section 7.2.
 
 use crate::config::CoreConfig;
 use crate::core::{BarrierCtl, CoreEngine};
@@ -8,7 +9,8 @@ use crate::memory::MemorySystem;
 use crate::stats::{ActivityStats, PerfResult};
 use m3d_workloads::{TraceGenerator, WorkloadProfile};
 
-/// An `n`-core chip multiprocessor running one parallel workload.
+/// An `n`-core chip multiprocessor running one workload (`n = 1` is the
+/// single-core machine).
 ///
 /// `Clone` captures the complete machine state (pipeline, caches, directory,
 /// barrier control and per-core trace generators), which is what the batch
@@ -19,7 +21,6 @@ pub struct Multicore {
     mem: MemorySystem,
     barriers: BarrierCtl,
     freq_ghz: f64,
-    skip_ahead: bool,
     cycle: u64,
 }
 
@@ -67,7 +68,6 @@ impl Multicore {
             mem: MemorySystem::new(cfg.clone(), n_cores),
             barriers: BarrierCtl::new(n_cores),
             freq_ghz: cfg.freq_ghz,
-            skip_ahead: cfg.skip_ahead,
             cycle: 0,
         })
     }
@@ -92,25 +92,27 @@ impl Multicore {
     /// (parallel completion time). Consecutive runs continue the same
     /// machine state, so a first short run serves as warm-up.
     ///
-    /// When [`CoreConfig::skip_ahead`] is enabled (the default), cycles in
-    /// which no core makes any progress are skipped in bulk; results are
-    /// cycle-for-cycle identical to plain stepping (enforced by the
-    /// `skip_equiv` property test).
+    /// Cycles in which no core makes any progress are skipped in bulk;
+    /// results are cycle-for-cycle identical to plain stepping (enforced
+    /// against the every-cycle reference core by the `oracle_equiv`
+    /// property test).
     ///
-    /// The loop carries a livelock cap of `n_per_core * 400` cycles (at
-    /// least 10k). If any core fails to reach its commit target before the
-    /// cap, the result covers only the truncated interval actually
-    /// simulated: `instructions` is the number of µops that really
-    /// committed (not the nominal `n_per_core * n_cores`) and
-    /// [`PerfResult::cap_exhausted`] is set so callers can refuse to treat
-    /// the numbers as a full-interval measurement.
+    /// The loop carries a livelock cap of `n_per_core * 200` cycles with
+    /// one core and `n_per_core * 400` with more (at least 10k either
+    /// way). If any core fails to reach its commit target before the cap,
+    /// the result covers only the truncated interval actually simulated:
+    /// `instructions` is the number of µops that really committed (not
+    /// the nominal `n_per_core * n_cores`) and [`PerfResult::cap_exhausted`]
+    /// is set so callers can refuse to treat the numbers as a
+    /// full-interval measurement.
     pub fn run(&mut self, n_per_core: u64) -> PerfResult {
         let start_cycle = self.cycle;
         let start_stats: Vec<ActivityStats> = self.cores.iter().map(|c| c.stats).collect();
         for c in &mut self.cores {
             c.set_target(c.committed + n_per_core);
         }
-        let cap = start_cycle + n_per_core.saturating_mul(400).max(10_000);
+        let per_uop = if self.cores.len() == 1 { 200 } else { 400 };
+        let cap = start_cycle + n_per_core.saturating_mul(per_uop).max(10_000);
         while self.cycle < cap && self.cores.iter().any(|c| c.cycle_at_target.is_none()) {
             let mut progressed = false;
             for c in &mut self.cores {
@@ -118,7 +120,7 @@ impl Multicore {
                 progressed |= c.step(self.cycle, &mut self.mem, &mut self.barriers);
             }
             self.cycle += 1;
-            if !progressed && self.skip_ahead && self.cycle < cap {
+            if !progressed && self.cycle < cap {
                 // The whole chip is quiescent: jump to the earliest wake
                 // event across cores. Skip only under *global* quiescence —
                 // any single core's progress (including a new barrier
@@ -174,6 +176,7 @@ impl Multicore {
 mod tests {
     use super::*;
     use m3d_workloads::parallel::parallel_by_name;
+    use m3d_workloads::spec::spec_by_name;
 
     fn run(name: &str, cfg: CoreConfig, n_cores: usize, n: u64) -> PerfResult {
         let p = parallel_by_name(name).expect("profile");
@@ -263,14 +266,13 @@ mod tests {
     }
 
     #[test]
-    fn skip_ahead_matches_stepping_exactly() {
-        // The full property test lives in tests/skip_equiv.rs; this smoke
-        // check covers a barrier-heavy and a sharing-heavy app.
-        for name in ["Ocean", "Canneal"] {
-            let on = run(name, CoreConfig::base_2d(), 4, 20_000);
-            let off = run(name, CoreConfig::base_2d().with_skip_ahead(false), 4, 20_000);
-            assert_eq!(on, off, "{name}: skip-ahead changed the result");
-        }
+    fn skip_ahead_actually_skips_on_memory_bound_runs() {
+        let p = spec_by_name("Mcf").expect("profile");
+        let mut core = Multicore::new(CoreConfig::base_2d(), &p, 11, 1);
+        let _ = core.run(30_000);
+        let (jumps, cycles) = core.skip_counters();
+        assert!(jumps > 0, "mcf must trigger skip-ahead");
+        assert!(cycles >= jumps, "each jump skips at least one cycle");
     }
 
     #[test]

@@ -1,22 +1,22 @@
 //! Differential property test: the production cycle loop against the
 //! reference core in `support/reference.rs`.
 //!
-//! `skip_equiv` compares skip-ahead on with skip-ahead off, but both sides
-//! share the production issue, wake-up and commit code, and
 //! `pinned_results` covers only five runs. Here the other side is an
 //! independent engine (a whole-ROB issue scan over a `HashMap` of producer
-//! completion times, every core stepped every cycle), and every field of
-//! every [`PerfResult`] must match over randomly drawn machines, workloads
-//! and seeds. The draws include zero-latency functional units and machines
-//! with no multiply or no FP units, whose µops of that kind never issue.
-//! Cases come from the vendored proptest shim, seeded per test name, so a
-//! failure reproduces exactly.
+//! completion times, every core stepped every cycle, no skip-ahead), and
+//! every field of every [`PerfResult`] must match over randomly drawn
+//! machines, workloads and seeds. This is the check that skip-ahead
+//! stepping gives the same results as stepping every cycle. The draws
+//! include zero-latency functional units and machines with no multiply or
+//! no FP units, whose µops of that kind never issue. Cases come from the
+//! vendored proptest shim, seeded per test name, so a failure reproduces
+//! exactly.
 
 use m3d_uarch::config::FuConfig;
-use m3d_uarch::{Core, CoreConfig, Multicore};
+use m3d_uarch::{CoreConfig, Multicore};
 use m3d_workloads::parallel::splash_parsec;
 use m3d_workloads::spec::spec2006;
-use m3d_workloads::{TraceGenerator, WorkloadProfile};
+use m3d_workloads::WorkloadProfile;
 use proptest::prelude::*;
 use reference::RefMachine;
 use support::perturbed;
@@ -88,7 +88,7 @@ proptest! {
         let profile = &apps[app % apps.len()];
         let (warmup, measure) = (interval(&cfg.fus, warmup), interval(&cfg.fus, measure));
 
-        let mut core = Core::new(0, cfg.clone(), TraceGenerator::new(profile, seed, 0, 1));
+        let mut core = Multicore::new(cfg.clone(), profile, seed, 1);
         let mut oracle = RefMachine::single(cfg, profile, seed);
         prop_assert_eq!(core.run(warmup), oracle.run(warmup));
         prop_assert_eq!(core.run(measure), oracle.run(measure));
@@ -104,6 +104,7 @@ proptest! {
         width in 1usize..=6,
         dram_tenth_ns in 300u64..=1500,
         barrier_interval in 10u64..=100,
+        own_barriers in any::<bool>(),
         units in (1usize..=4, 1usize..=2, 1usize..=2, 1usize..=2),
         no_pool in 0usize..6,
         lat in (0u64..=3, 0u64..=6, 0u64..=3, 0u64..=4, 0u64..=24),
@@ -117,16 +118,23 @@ proptest! {
         cfg.fus = drawn_fus(units, lat, no_pool);
         prop_assume!(cfg.validate().is_ok());
         let apps = splash_parsec();
-        // Barriers every few dozen µops, so many of them pass through the
-        // window and the cores wait on each other often.
+        let app = &apps[app % apps.len()];
+        // Either the profile's own barrier spacing, or barriers every few
+        // dozen µops, so many of them pass through the window and the
+        // cores wait on each other often.
         let profile = WorkloadProfile {
-            barrier_interval,
-            ..apps[app % apps.len()].clone()
+            barrier_interval: if own_barriers { app.barrier_interval } else { barrier_interval },
+            ..app.clone()
         };
         let measure = interval(&cfg.fus, measure);
 
         let mut mc = Multicore::new(cfg.clone(), &profile, seed, n_cores);
-        let mut oracle = RefMachine::multi(cfg, &profile, seed, n_cores);
+        // One core carries the single-core livelock cap.
+        let mut oracle = if n_cores == 1 {
+            RefMachine::single(cfg, &profile, seed)
+        } else {
+            RefMachine::multi(cfg, &profile, seed, n_cores)
+        };
         prop_assert_eq!(mc.run(500), oracle.run(500));
         prop_assert_eq!(mc.run(measure), oracle.run(measure));
     }

@@ -1,24 +1,23 @@
 //! Exact cycle-level results pinned as literals.
 //!
-//! `skip_equiv` proves skip-ahead stepping equals plain stepping, but both
-//! sides of that comparison share the same issue, dispatch and commit
-//! logic, so a change to that logic that moves every result alike passes
-//! it. These literals were recorded before the issue-queue list replaced
-//! the full-ROB issue and wake scans; every field of each [`PerfResult`]
-//! (cycles, every activity counter, cache levels, memory statistics) must
-//! stay identical across any refactor of the cycle loop. Re-record them
+//! `oracle_equiv` checks the production cycle loop against a reference
+//! core that shares its memory system, predictors and trace generator, so
+//! a change there that moves both sides alike passes it. These literals
+//! were recorded before the issue-queue list replaced the full-ROB issue
+//! and wake scans; every field of each [`PerfResult`] (cycles, every
+//! activity counter, cache levels, memory statistics) must stay identical
+//! across any refactor of the cycle loop. Re-record them
 //! only for a deliberate modelling change, and say so in the change log.
 
 use m3d_uarch::memory::MemStats;
-use m3d_uarch::{ActivityStats, Core, CoreConfig, Multicore, PerfResult};
+use m3d_uarch::{ActivityStats, CoreConfig, Multicore, PerfResult};
 use m3d_workloads::parallel::parallel_by_name;
 use m3d_workloads::spec::spec_by_name;
-use m3d_workloads::TraceGenerator;
 
 /// Warm one core for 10k µops, then measure 20k.
 fn single(app: &str, cfg: CoreConfig) -> PerfResult {
     let profile = spec_by_name(app).expect("SPEC profile");
-    let mut core = Core::new(0, cfg, TraceGenerator::new(&profile, 17, 0, 1));
+    let mut core = Multicore::new(cfg, &profile, 17, 1);
     let _ = core.run(10_000);
     core.run(20_000)
 }

@@ -6,8 +6,8 @@
 //! generator. Every cycle it scans the whole ROB for issue candidates, looks
 //! producer completion times up in a `seq`-keyed `HashMap`, and steps every
 //! core on every cycle (no skip-ahead). It is slow and obviously correct;
-//! `oracle_equiv` asserts that the production `Core` and `Multicore`, with
-//! all their fast paths on, produce exactly its `PerfResult`s.
+//! `oracle_equiv` asserts that the production `Multicore`, with all its
+//! fast paths on, produces exactly its `PerfResult`s.
 
 use m3d_uarch::bpred::{Btb, Tournament};
 use m3d_uarch::core::BarrierCtl;
@@ -458,8 +458,8 @@ impl RefEngine {
 }
 
 /// `n` reference cores over one memory system, every core stepped on every
-/// cycle. With one core and `cap_per_uop = 200` it is the reference for
-/// `Core`; with `cap_per_uop = 400` for `Multicore`.
+/// cycle. With one core and `cap_per_uop = 200` it is the reference for a
+/// one-core `Multicore`; with `cap_per_uop = 400` for one with more cores.
 #[derive(Debug, Clone)]
 pub struct RefMachine {
     cores: Vec<RefEngine>,
@@ -471,12 +471,13 @@ pub struct RefMachine {
 }
 
 impl RefMachine {
-    /// The reference for `Core::new(0, cfg, TraceGenerator::new(profile, seed, 0, 1))`.
+    /// The reference for `Multicore::new(cfg, profile, seed, 1)`.
     pub fn single(cfg: CoreConfig, profile: &WorkloadProfile, seed: u64) -> Self {
         Self::build(cfg, profile, seed, 1, 200)
     }
 
-    /// The reference for `Multicore::new(cfg, profile, seed, n_cores)`.
+    /// The reference for `Multicore::new(cfg, profile, seed, n_cores)` with
+    /// `n_cores >= 2`.
     pub fn multi(cfg: CoreConfig, profile: &WorkloadProfile, seed: u64, n_cores: usize) -> Self {
         Self::build(cfg, profile, seed, n_cores, 400)
     }

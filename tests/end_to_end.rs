@@ -10,11 +10,9 @@ use m3d_sram::structures::StructureId;
 use m3d_tech::layers::LayerStack;
 use m3d_thermal::floorplan::Floorplan;
 use m3d_thermal::solver::{solve, LayerPower, ThermalConfig};
-use m3d_uarch::core::Core;
 use m3d_uarch::multicore::Multicore;
 use m3d_workloads::parallel::parallel_by_name;
 use m3d_workloads::spec::spec_by_name;
-use m3d_workloads::TraceGenerator;
 use std::sync::OnceLock;
 
 fn space() -> &'static DesignSpace {
@@ -37,8 +35,7 @@ fn planner_to_frequency_to_simulation_to_energy() {
     let mut results = Vec::new();
     for d in [DesignPoint::Base, DesignPoint::M3dHet] {
         let p = spec_by_name("Gobmk").expect("profile");
-        let gen = TraceGenerator::new(&p, 5, 0, 1);
-        let mut core = Core::new(0, d.core_config(), gen);
+        let mut core = Multicore::new(d.core_config(), &p, 5, 1);
         let _ = core.run(40_000);
         let r = core.run(60_000);
         let e = model.energy(&r, &d.power_config(s));
@@ -68,8 +65,7 @@ fn simulation_to_thermal() {
     let p = spec_by_name("Gamess").expect("profile");
 
     let blocks_for = |d: DesignPoint| {
-        let gen = TraceGenerator::new(&p, 5, 0, 1);
-        let mut core = Core::new(0, d.core_config(), gen);
+        let mut core = Multicore::new(d.core_config(), &p, 5, 1);
         let _ = core.run(40_000);
         let r = core.run(40_000);
         model.block_powers(&r, &d.power_config(s))
@@ -163,8 +159,7 @@ fn logic_and_storage_planning_compose() {
 fn deterministic_results_across_runs() {
     let p = spec_by_name("Bzip2").expect("profile");
     let run = || {
-        let gen = TraceGenerator::new(&p, 123, 0, 1);
-        let mut core = Core::new(0, DesignPoint::Base.core_config(), gen);
+        let mut core = Multicore::new(DesignPoint::Base.core_config(), &p, 123, 1);
         let _ = core.run(10_000);
         core.run(20_000)
     };
