@@ -125,7 +125,9 @@ pub fn manifest_json(info: &RunInfo, outcomes: &[Outcome], total_wall_s: f64) ->
     let mut aggregated: Option<m3d_obs::MetricsSnapshot> = None;
     for o in outcomes {
         if let Some(m) = &o.metrics {
-            aggregated.get_or_insert_with(Default::default).merge_from(m);
+            aggregated
+                .get_or_insert_with(Default::default)
+                .merge_from(m);
         }
     }
     Json::obj([
@@ -288,10 +290,9 @@ mod tests {
         let j = experiment_json(&o);
         assert_eq!(j.get("schema_version"), Some(&Json::Int(2)));
         let parsed = Json::parse(&j.render()).expect("artifact parses");
-        let back = m3d_core::report::metrics_from_json(
-            parsed.get("metrics").expect("metrics block"),
-        )
-        .expect("decodes");
+        let back =
+            m3d_core::report::metrics_from_json(parsed.get("metrics").expect("metrics block"))
+                .expect("decodes");
         assert_eq!(back, snap);
 
         // The manifest aggregates two outcomes' snapshots.
@@ -304,10 +305,13 @@ mod tests {
             wanted: Vec::new(),
         };
         let m = manifest_json(&info, &[o, o2], 1.0);
-        let agg = m3d_core::report::metrics_from_json(m.get("metrics").expect("agg"))
-            .expect("decodes");
+        let agg =
+            m3d_core::report::metrics_from_json(m.get("metrics").expect("agg")).expect("decodes");
         assert_eq!(agg.counter("thermal.iterations"), Some(642));
-        assert_eq!(agg.histogram("thermal.residual_k").map(|h| h.count), Some(4));
+        assert_eq!(
+            agg.histogram("thermal.residual_k").map(|h| h.count),
+            Some(4)
+        );
     }
 
     #[test]

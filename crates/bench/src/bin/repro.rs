@@ -174,8 +174,7 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let want =
-        |name: &str| wanted.is_empty() || wanted.iter().any(|w| *w == name || *w == "all");
+    let want = |name: &str| wanted.is_empty() || wanted.iter().any(|w| *w == name || *w == "all");
 
     // Any observability consumer turns collection on; without one, every
     // instrumentation site is a single relaxed atomic load.

@@ -129,7 +129,11 @@ fn expect_ok(line: &str) -> Result<Json, String> {
 /// Spawn the daemon on an ephemeral port and wait for its port file.
 /// `label` keeps concurrent phases' port files distinct; `extra` is
 /// appended after the common `--quick --jobs 1 --addr 127.0.0.1:0`.
-fn spawn_daemon(serve: &PathBuf, label: &str, extra: &[&str]) -> Result<(ChildGuard, String), String> {
+fn spawn_daemon(
+    serve: &PathBuf,
+    label: &str,
+    extra: &[&str],
+) -> Result<(ChildGuard, String), String> {
     let port_file = std::env::temp_dir().join(format!(
         "m3d_serve_probe_{}_{label}.port",
         std::process::id()
@@ -209,14 +213,20 @@ fn cold_phase(serve: &PathBuf) -> Result<f64, String> {
 /// `(rps, p50_us, p99_us)`.
 fn load_phase(serve: &PathBuf) -> Result<(f64, u64, u64), String> {
     let workers = LOAD_WORKERS.to_string();
-    let (child, addr) = spawn_daemon(serve, "load", &["--workers", &workers, "--queue-cap", "256"])?;
+    let (child, addr) = spawn_daemon(
+        serve,
+        "load",
+        &["--workers", &workers, "--queue-cap", "256"],
+    )?;
 
     // Warm the pool on a single connection so the timed section is
     // cache-hit dominated for every client.
     {
         let stream = TcpStream::connect(&addr).map_err(|e| format!("connect {addr}: {e}"))?;
         stream.set_nodelay(true).ok();
-        let mut writer = stream.try_clone().map_err(|e| format!("clone stream: {e}"))?;
+        let mut writer = stream
+            .try_clone()
+            .map_err(|e| format!("clone stream: {e}"))?;
         let mut reader = BufReader::new(stream);
         for k in 0..POOL_APPS.len() * POOL_SEEDS.len() {
             let (app, seed) = pool_point(k);
@@ -241,8 +251,9 @@ fn load_phase(serve: &PathBuf) -> Result<(f64, u64, u64), String> {
                 let stream =
                     TcpStream::connect(&addr).map_err(|e| format!("conn {conn} connect: {e}"))?;
                 stream.set_nodelay(true).ok();
-                let mut writer =
-                    stream.try_clone().map_err(|e| format!("conn {conn} clone: {e}"))?;
+                let mut writer = stream
+                    .try_clone()
+                    .map_err(|e| format!("conn {conn} clone: {e}"))?;
                 let mut reader = BufReader::new(stream);
                 let mut lat_us = Vec::with_capacity(LOAD_REQUESTS_PER_CONN);
                 for r in 0..LOAD_REQUESTS_PER_CONN {
@@ -320,8 +331,9 @@ mod tests {
 
     #[test]
     fn pool_cycles_through_apps_and_seeds() {
-        let unique: std::collections::BTreeSet<_> =
-            (0..POOL_APPS.len() * POOL_SEEDS.len()).map(pool_point).collect();
+        let unique: std::collections::BTreeSet<_> = (0..POOL_APPS.len() * POOL_SEEDS.len())
+            .map(pool_point)
+            .collect();
         assert_eq!(unique.len(), POOL_APPS.len() * POOL_SEEDS.len());
         // The timed load loop only revisits pool points (cache-hit
         // dominated).

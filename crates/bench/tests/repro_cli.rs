@@ -50,7 +50,10 @@ fn bad_jobs_value_is_a_usage_error() {
             .args(["--quick", "--jobs", ok, "table1"])
             .output()
             .expect("repro runs");
-        assert!(out.status.success(), "--jobs {ok} must be accepted: {out:?}");
+        assert!(
+            out.status.success(),
+            "--jobs {ok} must be accepted: {out:?}"
+        );
     }
 }
 
@@ -65,8 +68,7 @@ fn out_dir_receives_artifacts_and_manifest() {
     assert!(out.status.success(), "{:?}", out);
     assert!(dir.join("fig5.json").exists());
     assert!(dir.join("table7.json").exists());
-    let manifest =
-        std::fs::read_to_string(dir.join("manifest.json")).expect("manifest written");
+    let manifest = std::fs::read_to_string(dir.join("manifest.json")).expect("manifest written");
     assert!(manifest.contains("\"errors\": 0"), "{manifest}");
     assert!(manifest.contains("\"tool\": \"repro\""));
     let fig5 = std::fs::read_to_string(dir.join("fig5.json")).expect("artifact written");
@@ -135,7 +137,10 @@ fn metrics_flag_prints_table_on_stderr_and_leaves_stdout_identical() {
     assert!(err.contains("metrics over the whole run"), "{err}");
     assert!(err.contains("sram.organizations.evaluated"), "{err}");
     let base_err = String::from_utf8_lossy(&base.stderr);
-    assert!(!base_err.contains("metrics over the whole run"), "{base_err}");
+    assert!(
+        !base_err.contains("metrics over the whole run"),
+        "{base_err}"
+    );
 }
 
 #[test]
@@ -147,17 +152,15 @@ fn artifacts_carry_solver_and_warm_start_counters() {
         .output()
         .expect("repro runs");
     assert!(out.status.success(), "{:?}", out);
-    let text =
-        std::fs::read_to_string(dir.join("section5.json")).expect("artifact written");
+    let text = std::fs::read_to_string(dir.join("section5.json")).expect("artifact written");
     let parsed = m3d_core::report::Json::parse(&text).expect("artifact is valid JSON");
     assert_eq!(
         parsed.get("schema_version"),
         Some(&m3d_core::report::Json::Int(2))
     );
-    let metrics = m3d_core::report::metrics_from_json(
-        parsed.get("metrics").expect("metrics block"),
-    )
-    .expect("metrics decode");
+    let metrics =
+        m3d_core::report::metrics_from_json(parsed.get("metrics").expect("metrics block"))
+            .expect("metrics decode");
     assert!(
         metrics.counter("thermal.iterations").is_some_and(|v| v > 0),
         "no solver iterations in {:?}",
@@ -165,19 +168,21 @@ fn artifacts_carry_solver_and_warm_start_counters() {
     );
     let warm = metrics.counter("thermal.warm_start.hits").unwrap_or(0)
         + metrics.counter("thermal.warm_start.misses").unwrap_or(0);
-    assert!(warm > 0, "no warm-start accounting in {:?}", metrics.counters);
+    assert!(
+        warm > 0,
+        "no warm-start accounting in {:?}",
+        metrics.counters
+    );
     assert!(
         metrics.histogram("thermal.residual_k").is_some(),
         "no residual histogram"
     );
     // The manifest aggregates the same counters across experiments.
-    let manifest =
-        std::fs::read_to_string(dir.join("manifest.json")).expect("manifest written");
+    let manifest = std::fs::read_to_string(dir.join("manifest.json")).expect("manifest written");
     let parsed = m3d_core::report::Json::parse(&manifest).expect("manifest is valid JSON");
-    let agg = m3d_core::report::metrics_from_json(
-        parsed.get("metrics").expect("aggregated metrics"),
-    )
-    .expect("metrics decode");
+    let agg =
+        m3d_core::report::metrics_from_json(parsed.get("metrics").expect("aggregated metrics"))
+            .expect("metrics decode");
     assert!(agg.counter("thermal.iterations").is_some_and(|v| v > 0));
     std::fs::remove_dir_all(&dir).ok();
 }

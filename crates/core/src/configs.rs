@@ -207,9 +207,7 @@ impl MulticoreDesign {
     pub fn core_config(self) -> CoreConfig {
         match self {
             MulticoreDesign::Base4 => CoreConfig::base_2d(),
-            MulticoreDesign::Tsv3d4 => {
-                CoreConfig::base_2d().with_3d_paths().with_shared_l2()
-            }
+            MulticoreDesign::Tsv3d4 => CoreConfig::base_2d().with_3d_paths().with_shared_l2(),
             MulticoreDesign::M3dHet4 => CoreConfig::base_2d()
                 .with_frequency(DesignPoint::M3dHet.paper_frequency_ghz())
                 .with_3d_paths()

@@ -11,14 +11,14 @@ use crate::configs::MulticoreDesign;
 use crate::experiments::registry::{Ctx, ExperimentError, ExperimentReport, Section};
 use crate::experiments::RunScale;
 use crate::report::{pct, Json, Table};
-use m3d_uarch::{BatchStats, SimBatch, SimError, SimInterval, SimPoint};
-use m3d_workloads::parallel::splash_parsec;
 use m3d_sram::model2d::{analyze_2d, analyze_with_org};
 use m3d_sram::partition3d::{partition, partition_with_via, port_partition_plans, Strategy};
 use m3d_sram::structures::StructureId;
 use m3d_tech::process::{LayerProcesses, ProcessCorner};
 use m3d_tech::via::Via;
 use m3d_tech::{TechnologyNode, ViaKind};
+use m3d_uarch::{BatchStats, SimBatch, SimError, SimInterval, SimPoint};
+use m3d_workloads::parallel::splash_parsec;
 
 /// Ablation 1: strategy forced per multiported structure (latency reduction
 /// % for PP, BP, WP).
@@ -35,7 +35,12 @@ pub fn strategy_ablation() -> Vec<(StructureId, f64, f64, f64)> {
                     .reduction_vs(&base.metrics)
                     .latency_pct
             };
-            (id, lat(Strategy::Port), lat(Strategy::Bit), lat(Strategy::Word))
+            (
+                id,
+                lat(Strategy::Port),
+                lat(Strategy::Bit),
+                lat(Strategy::Word),
+            )
         })
         .collect()
 }
@@ -51,8 +56,7 @@ pub fn hetero_rf_sweep() -> Vec<(usize, f64, f64)> {
     let mut out = Vec::new();
     for p_b in 9..=13 {
         for &u in &[1.0, 1.5, 2.0, 3.0] {
-            let (bottom, top, _) =
-                port_partition_plans(&rf, &node, procs, &via, p_b, 18 - p_b, u);
+            let (bottom, top, _) = port_partition_plans(&rf, &node, procs, &via, p_b, 18 - p_b, u);
             let ab = analyze_with_org(&node, &bottom, org);
             let at = analyze_with_org(&node, &top, org);
             out.push((p_b, u, ab.metrics.access_s.max(at.metrics.access_s)));
@@ -202,9 +206,12 @@ pub fn ablations_text_from(
     let mut t = Table::new(["b\\u", "1.0x", "1.5x", "2.0x", "3.0x"]);
     for p_b in 9..=13 {
         let row: Vec<String> = std::iter::once(p_b.to_string())
-            .chain(sweep.iter().filter(|(b, _, _)| *b == p_b).map(|(_, _, a)| {
-                format!("{:.0}", a * 1e12)
-            }))
+            .chain(
+                sweep
+                    .iter()
+                    .filter(|(b, _, _)| *b == p_b)
+                    .map(|(_, _, a)| format!("{:.0}", a * 1e12)),
+            )
             .collect();
         t.row(row);
     }
@@ -231,8 +238,7 @@ pub fn report(ctx: &Ctx) -> Result<ExperimentReport, ExperimentError> {
     let tsv = tsv_diameter_sweep();
     let t_tsv = t2.elapsed().as_secs_f64();
     let t3 = std::time::Instant::now();
-    let (uarch, batch) =
-        uarch_ablation(ctx.scale(), ctx.jobs())?;
+    let (uarch, batch) = uarch_ablation(ctx.scale(), ctx.jobs())?;
     let t_uarch = t3.elapsed().as_secs_f64();
     let scale = ctx.scale();
     // Per app: two warm-ups actually run (paired group + unpaired) and
@@ -292,7 +298,10 @@ pub fn report(ctx: &Ctx) -> Result<ExperimentReport, ExperimentError> {
             ("node_nm", Json::from(22i64)),
             ("batch_points", Json::from(batch.points)),
             ("batch_cache_hits", Json::from(batch.cache_hits)),
-            ("batch_checkpoint_reuses", Json::from(batch.checkpoint_reuses)),
+            (
+                "batch_checkpoint_reuses",
+                Json::from(batch.checkpoint_reuses),
+            ),
         ]),
         phases: vec![
             ("forced_strategy", t_strategy),
@@ -346,8 +355,11 @@ mod tests {
 
     #[test]
     fn renders() {
-        let text =
-            ablations_text_from(&strategy_ablation(), &hetero_rf_sweep(), &tsv_diameter_sweep());
+        let text = ablations_text_from(
+            &strategy_ablation(),
+            &hetero_rf_sweep(),
+            &tsv_diameter_sweep(),
+        );
         assert!(text.contains("Ablations"));
     }
 

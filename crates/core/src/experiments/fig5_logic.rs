@@ -112,7 +112,10 @@ pub fn report(_ctx: &Ctx) -> Result<ExperimentReport, ExperimentError> {
             ),
             ("footprint_reduction", Json::from(r.footprint_reduction)),
         ]),
-        meta: Json::obj([("adder_bits", Json::from(64i64)), ("node_nm", Json::from(45i64))]),
+        meta: Json::obj([
+            ("adder_bits", Json::from(64i64)),
+            ("node_nm", Json::from(45i64)),
+        ]),
         phases: vec![("compute", t0.elapsed().as_secs_f64())],
         ..Default::default()
     })

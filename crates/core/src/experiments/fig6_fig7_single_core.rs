@@ -143,7 +143,12 @@ pub fn run_sharded(
     })
 }
 
-fn render(study: &SingleCoreStudy, values: impl Fn(&AppRow) -> &Vec<f64>, avg: Vec<f64>, title: &str) -> String {
+fn render(
+    study: &SingleCoreStudy,
+    values: impl Fn(&AppRow) -> &Vec<f64>,
+    avg: Vec<f64>,
+    title: &str,
+) -> String {
     let mut header = vec!["App".to_owned()];
     header.extend(DesignPoint::ALL.iter().map(|d| d.label().to_owned()));
     let mut t = Table::new(header);
@@ -188,8 +193,7 @@ pub fn report(ctx: &Ctx) -> Result<ExperimentReport, ExperimentError> {
     let study = run_sharded(space, ctx.scale(), ctx.jobs())?;
     let t_sim = t1.elapsed().as_secs_f64();
     let scale = ctx.scale();
-    let uops = (study.rows.len() * DesignPoint::ALL.len()) as u64
-        * (scale.warmup + scale.measure);
+    let uops = (study.rows.len() * DesignPoint::ALL.len()) as u64 * (scale.warmup + scale.measure);
     if study.cap_exhausted > 0 {
         eprintln!(
             "[repro] WARNING: {} single-core simulation(s) hit the livelock \
@@ -225,7 +229,10 @@ pub fn report(ctx: &Ctx) -> Result<ExperimentReport, ExperimentError> {
         rows: Json::arr(study.rows.iter().map(|r| {
             Json::obj([
                 ("app", Json::from(r.app.clone())),
-                ("speedup", Json::arr(r.speedup.iter().map(|&v| Json::from(v)))),
+                (
+                    "speedup",
+                    Json::arr(r.speedup.iter().map(|&v| Json::from(v))),
+                ),
                 ("energy", Json::arr(r.energy.iter().map(|&v| Json::from(v)))),
                 ("base_power_w", Json::from(r.base_power_w)),
             ])
@@ -249,7 +256,10 @@ mod tests {
     }
 
     fn idx(d: DesignPoint) -> usize {
-        DesignPoint::ALL.iter().position(|&x| x == d).expect("known")
+        DesignPoint::ALL
+            .iter()
+            .position(|&x| x == d)
+            .expect("known")
     }
 
     #[test]

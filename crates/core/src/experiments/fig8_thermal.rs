@@ -20,10 +20,10 @@ use crate::experiments::{par_map_with, RunScale};
 use crate::planner::DesignSpace;
 use crate::report::{thermal_stats_text, Json, Table};
 use m3d_power::model::CorePowerModel;
+use m3d_tech::layers::LayerStack;
 use m3d_thermal::floorplan::Floorplan;
 use m3d_thermal::model::{shared_cache, SolveStatsSummary, ThermalModel};
 use m3d_thermal::solver::{Solution, ThermalConfig};
-use m3d_tech::layers::LayerStack;
 use m3d_uarch::Multicore;
 use m3d_workloads::spec::spec2006;
 use std::sync::Arc;
@@ -156,8 +156,16 @@ pub fn run_with_stats(
                 vec![designs.fp_2d.power_from_named(&base_blocks)],
                 &mut warm.base,
             );
-            let tsv = run_one(&designs.tsv, designs.folded_powers(&tsv_blocks), &mut warm.tsv);
-            let het = run_one(&designs.het, designs.folded_powers(&het_blocks), &mut warm.het);
+            let tsv = run_one(
+                &designs.tsv,
+                designs.folded_powers(&tsv_blocks),
+                &mut warm.tsv,
+            );
+            let het = run_one(
+                &designs.het,
+                designs.folded_powers(&het_blocks),
+                &mut warm.het,
+            );
 
             let row = ThermalRow {
                 app: app.name.clone(),
@@ -286,7 +294,12 @@ mod tests {
     #[test]
     fn temperatures_plausible() {
         for r in rows() {
-            assert!(r.base_c > 45.0 && r.base_c < 105.0, "{}: {}", r.app, r.base_c);
+            assert!(
+                r.base_c > 45.0 && r.base_c < 105.0,
+                "{}: {}",
+                r.app,
+                r.base_c
+            );
         }
     }
 

@@ -184,10 +184,9 @@ pub fn run_sharded_with_stats(
                 .map(|((&d, b), prev)| {
                     let core_w = b.average_power_w() / d.n_cores() as f64;
                     let ((m, cached), powers) = match d {
-                        MulticoreDesign::Base4 => (
-                            &designs.base,
-                            vec![designs.fp_2d.uniform_power(core_w)],
-                        ),
+                        MulticoreDesign::Base4 => {
+                            (&designs.base, vec![designs.fp_2d.uniform_power(core_w)])
+                        }
                         MulticoreDesign::Tsv3d4 => (
                             &designs.tsv,
                             vec![
@@ -354,9 +353,15 @@ pub fn report(ctx: &Ctx) -> Result<ExperimentReport, ExperimentError> {
         rows: Json::arr(study.rows.iter().map(|r| {
             Json::obj([
                 ("app", Json::from(r.app.clone())),
-                ("speedup", Json::arr(r.speedup.iter().map(|&v| Json::from(v)))),
+                (
+                    "speedup",
+                    Json::arr(r.speedup.iter().map(|&v| Json::from(v))),
+                ),
                 ("energy", Json::arr(r.energy.iter().map(|&v| Json::from(v)))),
-                ("power_w", Json::arr(r.power_w.iter().map(|&v| Json::from(v)))),
+                (
+                    "power_w",
+                    Json::arr(r.power_w.iter().map(|&v| Json::from(v))),
+                ),
                 ("peak_c", Json::arr(r.peak_c.iter().map(|&v| Json::from(v)))),
             ])
         })),

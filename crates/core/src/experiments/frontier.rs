@@ -35,7 +35,14 @@ pub fn default_space(scale: crate::experiments::RunScale) -> SearchSpace {
 /// Render the frontier table plus the pruning summary.
 pub fn frontier_text(out: &SearchOutcome) -> String {
     let mut t = Table::new([
-        "Design", "App", "Vdd", "f (GHz)", "IPC", "time (µs)", "energy (µJ)", "peak (°C)",
+        "Design",
+        "App",
+        "Vdd",
+        "f (GHz)",
+        "IPC",
+        "time (µs)",
+        "energy (µJ)",
+        "peak (°C)",
     ]);
     for p in &out.frontier {
         t.row([

@@ -15,13 +15,13 @@ pub mod fig8_thermal;
 pub mod fig9_fig10_multicore;
 pub mod frontier;
 pub mod registry;
+pub mod section5_alternatives;
+pub mod table11_configs;
 pub mod table1_table2_fig2_vias;
 pub mod table3_4_5_partitioning;
 pub mod table6_best;
-pub mod section5_alternatives;
 pub mod table7_techniques;
 pub mod table8_hetero;
-pub mod table11_configs;
 
 /// Simulation window sizes shared by the performance experiments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,10 +99,8 @@ where
                 scope.spawn(move || {
                     let _task = task.as_ref().map(|t| t.enter());
                     let mut state = init();
-                    let chunk: Vec<R> = range
-                        .clone()
-                        .map(|i| f(&mut state, i, &items[i]))
-                        .collect();
+                    let chunk: Vec<R> =
+                        range.clone().map(|i| f(&mut state, i, &items[i])).collect();
                     (range.start, chunk)
                 })
             })

@@ -14,9 +14,9 @@
 //! differ).
 
 use crate::experiments::{
-    ablations, fig5_logic, fig6_fig7_single_core, fig8_thermal, fig9_fig10_multicore,
-    frontier, section5_alternatives, table11_configs, table1_table2_fig2_vias,
-    table3_4_5_partitioning, table6_best, table7_techniques, table8_hetero, RunScale,
+    ablations, fig5_logic, fig6_fig7_single_core, fig8_thermal, fig9_fig10_multicore, frontier,
+    section5_alternatives, table11_configs, table1_table2_fig2_vias, table3_4_5_partitioning,
+    table6_best, table7_techniques, table8_hetero, RunScale,
 };
 use crate::planner::DesignSpace;
 use crate::report::Json;
@@ -104,10 +104,9 @@ pub enum CtxError {
 impl std::fmt::Display for CtxError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            CtxError::JobsOutOfRange { jobs } => write!(
-                f,
-                "jobs must be between 1 and {MAX_JOBS}, got {jobs}"
-            ),
+            CtxError::JobsOutOfRange { jobs } => {
+                write!(f, "jobs must be between 1 and {MAX_JOBS}, got {jobs}")
+            }
         }
     }
 }

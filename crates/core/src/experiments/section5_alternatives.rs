@@ -12,8 +12,6 @@ use crate::experiments::fig8_thermal::DesignModels;
 use crate::experiments::registry::{Ctx, ExperimentError, ExperimentReport, Section};
 use crate::report::{Json, Table};
 use m3d_sram::hetero::partition_hetero_with;
-use m3d_thermal::model::SolveStatsSummary;
-use m3d_thermal::solver::{Solution, ThermalConfig};
 use m3d_sram::model2d::analyze_2d;
 use m3d_sram::partition3d::{best_partition, Strategy};
 use m3d_sram::spec::ArraySpec;
@@ -21,6 +19,8 @@ use m3d_sram::structures::StructureId;
 use m3d_tech::process::ProcessCorner;
 use m3d_tech::via::ViaKind;
 use m3d_tech::TechnologyNode;
+use m3d_thermal::model::SolveStatsSummary;
+use m3d_thermal::solver::{Solution, ThermalConfig};
 
 /// One enlarged-structure design point.
 #[derive(Debug, Clone, PartialEq)]
@@ -138,11 +138,10 @@ pub fn lp_top_energy_reductions() -> Vec<(StructureId, f64, f64)> {
                             // The LP top layer's dynamic energy scales by the
                             // FDSOI process factor for the top-layer share of
                             // the access energy.
-                            let top_share = h.top_share as f64
-                                / (h.top_share + h.bottom_share).max(1) as f64;
+                            let top_share =
+                                h.top_share as f64 / (h.top_share + h.bottom_share).max(1) as f64;
                             let lp_dyn = ProcessCorner::fdsoi_lp().dynamic_factor;
-                            h.metrics.energy_j *=
-                                1.0 - top_share * (1.0 - lp_dyn);
+                            h.metrics.energy_j *= 1.0 - top_share * (1.0 - lp_dyn);
                         }
                         h
                     })
@@ -214,18 +213,19 @@ pub fn thermal_headroom() -> (Vec<HeadroomRow>, SolveStatsSummary) {
     let rows = (0..10)
         .map(|step| {
             let power_w = 3.0 + step as f64;
-            let mut run_one = |(m, cached): &(std::sync::Arc<m3d_thermal::model::ThermalModel>, bool),
-                               powers: Vec<Vec<f64>>,
-                               prev: &mut Option<Solution>| {
-                let (sol, mut s) = m
-                    .solve_from(&powers, prev.as_ref())
-                    .expect("uniform powers match the model floorplans");
-                s.assembly_cache_hit = *cached || prev.is_some();
-                stats.absorb(&s);
-                let peak = sol.peak_c;
-                *prev = Some(sol);
-                peak
-            };
+            let mut run_one =
+                |(m, cached): &(std::sync::Arc<m3d_thermal::model::ThermalModel>, bool),
+                 powers: Vec<Vec<f64>>,
+                 prev: &mut Option<Solution>| {
+                    let (sol, mut s) = m
+                        .solve_from(&powers, prev.as_ref())
+                        .expect("uniform powers match the model floorplans");
+                    s.assembly_cache_hit = *cached || prev.is_some();
+                    stats.absorb(&s);
+                    let peak = sol.peak_c;
+                    *prev = Some(sol);
+                    peak
+                };
             let base_c = run_one(
                 &designs.base,
                 vec![designs.fp_2d.uniform_power(power_w)],
@@ -338,7 +338,11 @@ mod tests {
         // bottleneck structures at the same frequency.
         let rows = enlarged_structures();
         let fitting = rows.iter().filter(|e| e.fits_budget()).count();
-        assert!(fitting >= 3, "only {fitting}/{} enlargements fit", rows.len());
+        assert!(
+            fitting >= 3,
+            "only {fitting}/{} enlargements fit",
+            rows.len()
+        );
     }
 
     #[test]
@@ -363,8 +367,7 @@ mod tests {
         // Paper: ~9 percentage points over M3D-Het on total energy; the
         // array-level deltas should average a few points.
         let rows = lp_top_energy_reductions();
-        let avg: f64 =
-            rows.iter().map(|(_, h, l)| l - h).sum::<f64>() / rows.len() as f64;
+        let avg: f64 = rows.iter().map(|(_, h, l)| l - h).sum::<f64>() / rows.len() as f64;
         assert!(avg > 1.0 && avg < 15.0, "average extra points {avg}");
     }
 

@@ -100,13 +100,33 @@ pub fn table2_text() -> String {
         [f(&vias[0].via), f(&vias[1].via), f(&vias[2].via)]
     };
     let d = cell(&|v| format!("{:.2} um", v.diameter_um));
-    t.row(["Diameter".to_owned(), d[0].clone(), d[1].clone(), d[2].clone()]);
+    t.row([
+        "Diameter".to_owned(),
+        d[0].clone(),
+        d[1].clone(),
+        d[2].clone(),
+    ]);
     let h = cell(&|v| format!("{:.2} um", v.height_um));
-    t.row(["Via Height".to_owned(), h[0].clone(), h[1].clone(), h[2].clone()]);
+    t.row([
+        "Via Height".to_owned(),
+        h[0].clone(),
+        h[1].clone(),
+        h[2].clone(),
+    ]);
     let c = cell(&|v| format!("{:.1} fF", v.capacitance_f * 1e15));
-    t.row(["Capacitance".to_owned(), c[0].clone(), c[1].clone(), c[2].clone()]);
+    t.row([
+        "Capacitance".to_owned(),
+        c[0].clone(),
+        c[1].clone(),
+        c[2].clone(),
+    ]);
     let r = cell(&|v| format!("{:.3} ohm", v.resistance_ohm));
-    t.row(["Resistance".to_owned(), r[0].clone(), r[1].clone(), r[2].clone()]);
+    t.row([
+        "Resistance".to_owned(),
+        r[0].clone(),
+        r[1].clone(),
+        r[2].clone(),
+    ]);
     t.render()
 }
 
@@ -158,10 +178,7 @@ pub fn fig2() -> Vec<Fig2Bar> {
         },
         Fig2Bar {
             name: "TSV(1.3um)",
-            relative_area: relative_to_inverter(
-                Via::tsv_aggressive().drawn_area_um2(),
-                &node,
-            ),
+            relative_area: relative_to_inverter(Via::tsv_aggressive().drawn_area_um2(), &node),
         },
     ]
 }

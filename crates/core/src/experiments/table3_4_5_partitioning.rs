@@ -68,9 +68,7 @@ pub fn table5() -> Vec<PartitionRow> {
 }
 
 fn render(title: &str, rows: &[PartitionRow]) -> String {
-    let mut t = Table::new([
-        "Tech", "Structure", "Latency", "Energy", "Footprint",
-    ]);
+    let mut t = Table::new(["Tech", "Structure", "Latency", "Energy", "Footprint"]);
     for r in rows {
         match &r.reduction {
             Some(red) => t.row([
@@ -120,7 +118,12 @@ fn rows_json(rows: &[PartitionRow]) -> Json {
     }))
 }
 
-fn report_for(strategy: Strategy, rows: Vec<PartitionRow>, text: String, wall_s: f64) -> ExperimentReport {
+fn report_for(
+    strategy: Strategy,
+    rows: Vec<PartitionRow>,
+    text: String,
+    wall_s: f64,
+) -> ExperimentReport {
     ExperimentReport {
         sections: vec![Section::always(text)],
         rows: rows_json(&rows),
@@ -138,7 +141,12 @@ pub fn report_table3(_ctx: &Ctx) -> Result<ExperimentReport, ExperimentError> {
     let t0 = std::time::Instant::now();
     let rows = table3();
     let text = table3_text_from(&rows);
-    Ok(report_for(Strategy::Bit, rows, text, t0.elapsed().as_secs_f64()))
+    Ok(report_for(
+        Strategy::Bit,
+        rows,
+        text,
+        t0.elapsed().as_secs_f64(),
+    ))
 }
 
 /// Registry entry point for Table 4.
@@ -146,7 +154,12 @@ pub fn report_table4(_ctx: &Ctx) -> Result<ExperimentReport, ExperimentError> {
     let t0 = std::time::Instant::now();
     let rows = table4();
     let text = table4_text_from(&rows);
-    Ok(report_for(Strategy::Word, rows, text, t0.elapsed().as_secs_f64()))
+    Ok(report_for(
+        Strategy::Word,
+        rows,
+        text,
+        t0.elapsed().as_secs_f64(),
+    ))
 }
 
 /// Registry entry point for Table 5.
@@ -154,7 +167,12 @@ pub fn report_table5(_ctx: &Ctx) -> Result<ExperimentReport, ExperimentError> {
     let t0 = std::time::Instant::now();
     let rows = table5();
     let text = table5_text_from(&rows);
-    Ok(report_for(Strategy::Port, rows, text, t0.elapsed().as_secs_f64()))
+    Ok(report_for(
+        Strategy::Port,
+        rows,
+        text,
+        t0.elapsed().as_secs_f64(),
+    ))
 }
 
 #[cfg(test)]
@@ -183,7 +201,9 @@ mod tests {
         // Section 3.2.1: the multi-ported RF benefits more than the BPT.
         let rows = table3();
         let rf = of(&rows, ViaKind::Miv, "RF").reduction.expect("applicable");
-        let bpt = of(&rows, ViaKind::Miv, "BPT").reduction.expect("applicable");
+        let bpt = of(&rows, ViaKind::Miv, "BPT")
+            .reduction
+            .expect("applicable");
         assert!(rf.latency_pct > bpt.latency_pct);
     }
 

@@ -8,7 +8,13 @@ use crate::report::{pct, Json, Table};
 /// Render Table 8 from a computed design space.
 pub fn table8_text(space: &DesignSpace) -> String {
     let mut t = Table::new([
-        "Structure", "Strategy", "Split(b/t)", "Upsize", "Latency", "Energy", "Area",
+        "Structure",
+        "Strategy",
+        "Split(b/t)",
+        "Upsize",
+        "Latency",
+        "Energy",
+        "Area",
     ]);
     for p in &space.het_best {
         t.row([

@@ -248,8 +248,7 @@ impl DesignSpace {
         let rows = DesignPoint::ALL
             .iter()
             .map(|&d| {
-                let core_w =
-                    NOMINAL_CORE_W * d.derived_frequency_ghz(self) / BASE_FREQ_GHZ;
+                let core_w = NOMINAL_CORE_W * d.derived_frequency_ghz(self) / BASE_FREQ_GHZ;
                 let slot = d.stack_slot();
                 let ((model, cached), powers) = match slot {
                     0 => (&designs.base, vec![designs.fp_2d.uniform_power(core_w)]),
@@ -324,7 +323,10 @@ pub fn stack_thermal() -> &'static StackThermal {
             sol.peak_c
         };
         let peaks = [
-            peak(&designs.base.0, &[designs.fp_2d.uniform_power(NOMINAL_CORE_W)]),
+            peak(
+                &designs.base.0,
+                &[designs.fp_2d.uniform_power(NOMINAL_CORE_W)],
+            ),
             peak(&designs.tsv.0, &folded),
             peak(&designs.het.0, &folded),
         ];
@@ -468,7 +470,10 @@ mod tests {
             assert!(r.peak_c > 45.0 && r.peak_c < 130.0, "{:?}", r);
         }
         assert!(
-            rows.iter().find(|r| r.design == DesignPoint::Base).expect("base").feasible
+            rows.iter()
+                .find(|r| r.design == DesignPoint::Base)
+                .expect("base")
+                .feasible
         );
         assert!(peak_of(DesignPoint::Tsv3d) > peak_of(DesignPoint::M3dHet));
         assert_eq!(stats.solves, DesignPoint::ALL.len());

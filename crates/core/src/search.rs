@@ -152,7 +152,10 @@ impl SearchSpaceBuilder {
             DesignPoint::ALL.to_vec()
         } else {
             if self.designs.len() > MAX_AXIS {
-                return fail(format!("at most {MAX_AXIS} designs, got {}", self.designs.len()));
+                return fail(format!(
+                    "at most {MAX_AXIS} designs, got {}",
+                    self.designs.len()
+                ));
             }
             self.designs
                 .iter()
@@ -210,7 +213,10 @@ impl SearchSpaceBuilder {
             return fail("`vdds` must not be empty".to_owned());
         }
         if self.vdds.len() > MAX_AXIS {
-            return fail(format!("at most {MAX_AXIS} voltages, got {}", self.vdds.len()));
+            return fail(format!(
+                "at most {MAX_AXIS} voltages, got {}",
+                self.vdds.len()
+            ));
         }
         let mut vdds = self.vdds;
         vdds.sort_by(|a, b| a.partial_cmp(b).expect("voltages are finite"));
@@ -253,9 +259,8 @@ impl SearchSpaceBuilder {
             ));
         }
 
-        let total = designs.len() * issue_widths.len() * core_counts.len()
-            * self.apps.len()
-            * vdds.len();
+        let total =
+            designs.len() * issue_widths.len() * core_counts.len() * self.apps.len() * vdds.len();
         if total > MAX_CANDIDATES {
             return fail(format!(
                 "spec enumerates {total} candidates, above the {MAX_CANDIDATES} cap"
@@ -323,8 +328,15 @@ impl SearchSpace {
             return Err(SearchError::Spec("spec must be an object".to_owned()));
         };
         const KNOWN: [&str; 9] = [
-            "designs", "apps", "vdds", "core_counts", "issue_widths", "seed", "warmup",
-            "measure", "chunk",
+            "designs",
+            "apps",
+            "vdds",
+            "core_counts",
+            "issue_widths",
+            "seed",
+            "warmup",
+            "measure",
+            "chunk",
         ];
         for (k, _) in fields {
             if !KNOWN.contains(&k.as_str()) {
@@ -338,7 +350,9 @@ impl SearchSpace {
                     .iter()
                     .map(|j| match j {
                         Json::Str(s) => Ok(s.clone()),
-                        _ => Err(SearchError::Spec(format!("`{key}` entries must be strings"))),
+                        _ => Err(SearchError::Spec(format!(
+                            "`{key}` entries must be strings"
+                        ))),
                     })
                     .collect(),
                 Some(_) => Err(SearchError::Spec(format!("`{key}` must be an array"))),
@@ -352,7 +366,9 @@ impl SearchSpace {
                     .map(|j| match j {
                         Json::Num(v) => Ok(*v),
                         Json::Int(i) => Ok(*i as f64),
-                        _ => Err(SearchError::Spec(format!("`{key}` entries must be numbers"))),
+                        _ => Err(SearchError::Spec(format!(
+                            "`{key}` entries must be numbers"
+                        ))),
                     })
                     .collect(),
                 Some(_) => Err(SearchError::Spec(format!("`{key}` must be an array"))),
@@ -405,7 +421,10 @@ impl SearchSpace {
                 "designs",
                 Json::arr(self.designs.iter().map(|d| Json::from(d.label()))),
             ),
-            ("apps", Json::arr(self.apps.iter().map(|a| Json::from(a.as_str())))),
+            (
+                "apps",
+                Json::arr(self.apps.iter().map(|a| Json::from(a.as_str()))),
+            ),
             ("vdds", Json::arr(self.vdds.iter().map(|&v| Json::from(v)))),
             (
                 "core_counts",
@@ -604,7 +623,10 @@ pub fn chunk_json(u: &ChunkUpdate<'_>) -> Json {
         ("done", Json::from(u.done)),
         ("total", Json::from(u.total)),
         ("frontier_size", Json::from(u.frontier.len())),
-        ("frontier", Json::arr(u.frontier.iter().map(FrontierPoint::to_json))),
+        (
+            "frontier",
+            Json::arr(u.frontier.iter().map(FrontierPoint::to_json)),
+        ),
     ])
 }
 
@@ -634,7 +656,10 @@ pub fn outcome_json(o: &SearchOutcome) -> Json {
         ("simulated", Json::from(o.stats.simulated)),
         ("capped", Json::from(o.stats.capped)),
         ("frontier_size", Json::from(o.frontier.len())),
-        ("frontier", Json::arr(o.frontier.iter().map(FrontierPoint::to_json))),
+        (
+            "frontier",
+            Json::arr(o.frontier.iter().map(FrontierPoint::to_json)),
+        ),
     ])
 }
 
@@ -680,8 +705,10 @@ pub fn run_search(
     let total = cands.len();
     let mut stats = SearchStats {
         candidates: total as u64,
-        pruned_dominated: cands.iter().filter(|c| c.prune == Some(Prune::EqualFreq)).count()
-            as u64,
+        pruned_dominated: cands
+            .iter()
+            .filter(|c| c.prune == Some(Prune::EqualFreq))
+            .count() as u64,
         ..SearchStats::default()
     };
 
@@ -776,17 +803,13 @@ fn enumerate(space: &DesignSpace, spec: &SearchSpace, prune: bool) -> Vec<Cand> 
                     let mut kept: Option<(f64, f64)> = None; // (freq, vdd)
                     for &vdd in &spec.vdds {
                         let freq_ghz = dvfs_frequency_ghz(design, vdd);
-                        let dominated = kept.is_some_and(|(f, v)| {
-                            f == freq_ghz && v2_scale(v) < v2_scale(vdd)
-                        });
+                        let dominated =
+                            kept.is_some_and(|(f, v)| f == freq_ghz && v2_scale(v) < v2_scale(vdd));
                         if !dominated {
                             kept = Some((freq_ghz, vdd));
                         }
                         let power = {
-                            let mut p = design
-                                .power_config(space)
-                                .with_vdd(vdd)
-                                .with_cores(n);
+                            let mut p = design.power_config(space).with_vdd(vdd).with_cores(n);
                             p.freq_ghz = freq_ghz;
                             p
                         };
@@ -825,8 +848,8 @@ fn v2_scale(vdd: f64) -> f64 {
 /// measure/commit_width. Full derivation and safety argument in SEARCH.md;
 /// the `BOUND_SLACK` factor absorbs floating-point rounding.
 fn floor_bounds(c: &Cand, measure: u64, thermal: &crate::planner::StackThermal) -> [f64; 3] {
-    let t_floor = measure as f64 / (c.config.commit_width as f64 * c.power.freq_ghz * 1e9)
-        * BOUND_SLACK;
+    let t_floor =
+        measure as f64 / (c.config.commit_width as f64 * c.power.freq_ghz * 1e9) * BOUND_SLACK;
     // Activity-independent per-core power: clock tree + leakage.
     let clock_w = CLOCK_TREE_W_NOMINAL
         * c.power.clock_scale
@@ -849,8 +872,7 @@ fn score(
 ) -> FrontierPoint {
     let energy = model.energy(r, &c.power);
     let per_core_w = energy.average_power_w() / c.meta.n_cores as f64;
-    let peak_c =
-        thermal.ambient_c + thermal.k_c_per_w[c.meta.design.stack_slot()] * per_core_w;
+    let peak_c = thermal.ambient_c + thermal.k_c_per_w[c.meta.design.stack_slot()] * per_core_w;
     FrontierPoint {
         candidate: c.meta.clone(),
         time_s: r.time_s(),
@@ -1167,10 +1189,7 @@ mod tests {
         let spec = small_builder().build().expect("valid");
         let before: u64 = counter("search.candidates");
         let out = run(&spec, &SearchOptions::default());
-        assert_eq!(
-            counter("search.candidates") - before,
-            out.stats.candidates
-        );
+        assert_eq!(counter("search.candidates") - before, out.stats.candidates);
         assert!(counter("search.frontier") > 0);
     }
 

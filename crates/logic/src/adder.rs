@@ -103,7 +103,11 @@ mod tests {
     fn builds_64_bit_adder() {
         let nl = carry_skip_adder(64, 4);
         // 64 bits x (p, g, c, s0, s1, cc0, cc1, sum) + blocks x (P, skip) + cout.
-        assert!(nl.logic_gate_count() > 400, "{} gates", nl.logic_gate_count());
+        assert!(
+            nl.logic_gate_count() > 400,
+            "{} gates",
+            nl.logic_gate_count()
+        );
     }
 
     #[test]

@@ -164,11 +164,7 @@ impl Netlist {
         let mut arrival = vec![0.0f64; n];
         let mut fanout_count = vec![0usize; n];
         for (id, g) in self.iter() {
-            let in_arr = g
-                .fanin
-                .iter()
-                .map(|&f| arrival[f])
-                .fold(0.0f64, f64::max);
+            let in_arr = g.fanin.iter().map(|&f| arrival[f]).fold(0.0f64, f64::max);
             arrival[id] = in_arr + g.kind.delay_fo4() * penalty(id);
             for &f in &g.fanin {
                 fanout_count[f] += 1;

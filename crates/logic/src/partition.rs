@@ -38,11 +38,7 @@ pub struct LogicPartition {
 impl LogicPartition {
     /// Fraction of logic gates placed in the top layer.
     pub fn top_fraction(&self) -> f64 {
-        let top = self
-            .assignment
-            .iter()
-            .filter(|&&l| l == Layer::Top)
-            .count();
+        let top = self.assignment.iter().filter(|&&l| l == Layer::Top).count();
         top as f64 / self.logic_gates.max(1) as f64
     }
 

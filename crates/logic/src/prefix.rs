@@ -17,7 +17,10 @@ use crate::netlist::{GateId, GateKind, Netlist};
 ///
 /// Panics unless `n` is a power of two ≥ 2.
 pub fn kogge_stone_adder(n: usize) -> Netlist {
-    assert!(n >= 2 && n.is_power_of_two(), "width must be a power of two");
+    assert!(
+        n >= 2 && n.is_power_of_two(),
+        "width must be a power of two"
+    );
     let mut nl = Netlist::new();
     let a: Vec<GateId> = (0..n).map(|i| nl.input(format!("a[{i}]"))).collect();
     let b: Vec<GateId> = (0..n).map(|i| nl.input(format!("b[{i}]"))).collect();
@@ -111,11 +114,7 @@ mod tests {
         let nl = kogge_stone_adder(64);
         let p = partition_hetero(&nl, 0.17);
         assert!(p.delay_ratio() <= 1.0 + 1e-9);
-        assert!(
-            p.top_fraction() > 0.10,
-            "top fraction {}",
-            p.top_fraction()
-        );
+        assert!(p.top_fraction() > 0.10, "top fraction {}", p.top_fraction());
     }
 
     #[test]

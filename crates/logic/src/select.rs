@@ -45,11 +45,7 @@ pub fn select_tree(entries: usize, arity: usize) -> Netlist {
     for (li, lvl) in levels.iter().enumerate().rev().skip(1) {
         let mut next_grants = Vec::new();
         for (j, &node) in lvl.iter().enumerate() {
-            let local = nl.gate(
-                GateKind::And4,
-                vec![node],
-                format!("local[{li}][{j}]"),
-            );
+            let local = nl.gate(GateKind::And4, vec![node], format!("local[{li}][{j}]"));
             let arb = nl.gate(
                 GateKind::Nand2,
                 vec![local, grant_in],
@@ -95,7 +91,11 @@ mod tests {
         // Section 4.4.1: "the select stage has the same latency as in the
         // partition for same-performance layers".
         let p = partition_select(84, 4, 0.17);
-        assert!((p.delay_ratio() - 1.0).abs() < 1e-9, "ratio {}", p.delay_ratio());
+        assert!(
+            (p.delay_ratio() - 1.0).abs() < 1e-9,
+            "ratio {}",
+            p.delay_ratio()
+        );
     }
 
     #[test]

@@ -118,7 +118,13 @@ impl FlightRecorder {
         let mut all: Vec<FlightRecord> = self
             .shards
             .iter()
-            .flat_map(|s| s.lock().expect("flight shard").iter().cloned().collect::<Vec<_>>())
+            .flat_map(|s| {
+                s.lock()
+                    .expect("flight shard")
+                    .iter()
+                    .cloned()
+                    .collect::<Vec<_>>()
+            })
             .collect();
         all.sort_by_key(|r| std::cmp::Reverse(r.seq));
         all.truncate(n);

@@ -58,11 +58,11 @@ pub use metrics::{
     add, current_task, record, snapshot, HistogramSnapshot, MetricsSnapshot, TaskGuard,
     TaskMetrics, EXACT_QUANTILE_CAP,
 };
-pub use window::WindowedHistogram;
 pub use trace::{
-    chrome_trace_json, label_thread, span, span_named, take_trace, write_chrome_trace,
-    SpanGuard, TraceEvent, TracePhase,
+    chrome_trace_json, label_thread, span, span_named, take_trace, write_chrome_trace, SpanGuard,
+    TraceEvent, TracePhase,
 };
+pub use window::WindowedHistogram;
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;

@@ -562,7 +562,10 @@ mod tests {
         }
         add("test.task.n", 1000); // no task entered: global only
         assert_eq!(a.snapshot().counter("test.task.n"), Some(11));
-        assert_eq!(a.snapshot().histogram("test.task.h").map(|h| h.count), Some(1));
+        assert_eq!(
+            a.snapshot().histogram("test.task.h").map(|h| h.count),
+            Some(1)
+        );
         assert_eq!(b.snapshot().counter("test.task.n"), Some(100));
         assert!(b.snapshot().histogram("test.task.h").is_none());
         assert_eq!(snapshot().counter("test.task.n"), Some(1111));

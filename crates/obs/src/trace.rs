@@ -151,9 +151,10 @@ pub fn take_trace() -> Vec<TraceEvent> {
         out.append(&mut shard.lock().expect("obs trace shard"));
     }
     out.sort_by(|a, b| {
-        let meta_first =
-            (a.ph != TracePhase::Metadata).cmp(&(b.ph != TracePhase::Metadata));
-        meta_first.then(a.ts_us.total_cmp(&b.ts_us)).then(a.tid.cmp(&b.tid))
+        let meta_first = (a.ph != TracePhase::Metadata).cmp(&(b.ph != TracePhase::Metadata));
+        meta_first
+            .then(a.ts_us.total_cmp(&b.ts_us))
+            .then(a.tid.cmp(&b.tid))
     });
     out
 }

@@ -51,7 +51,10 @@ impl StructureEnergies {
             .map(|&id| {
                 let spec = id.spec();
                 let a = analyze_2d(&spec, node, ProcessCorner::bulk_hp());
-                (id, a.metrics.energy_j * array_overhead(spec.capacity_bits()))
+                (
+                    id,
+                    a.metrics.energy_j * array_overhead(spec.capacity_bits()),
+                )
             })
             .collect();
         Self { values }

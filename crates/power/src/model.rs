@@ -180,10 +180,8 @@ impl CorePowerModel {
             * v2;
         let clock = clock_w * time;
 
-        let leak_w = LEAKAGE_W_NOMINAL
-            * cfg.n_cores as f64
-            * cfg.leakage_scale
-            * (cfg.vdd / VDD_NOMINAL);
+        let leak_w =
+            LEAKAGE_W_NOMINAL * cfg.n_cores as f64 * cfg.leakage_scale * (cfg.vdd / VDD_NOMINAL);
         let leakage = leak_w * time;
 
         let uncore = r.mem.noc_hops as f64 * NOC_HOP_J * v2;
@@ -227,10 +225,8 @@ impl CorePowerModel {
         let il1_p = il1.0 as f64 / 2.0 * e.of(StructureId::Il1) * v2 / t;
         let rename = (a.rat_reads + a.rat_writes) as f64 * e.of(StructureId::Rat) * v2 / t;
         let l2_p = l2.0 as f64 * e.of(StructureId::L2) * v2 / t;
-        let alu = (a.alu_ops as f64 * ALU_OP_J + a.mul_ops as f64 * MUL_OP_J)
-            * cfg.logic_scale
-            * v2
-            / t;
+        let alu =
+            (a.alu_ops as f64 * ALU_OP_J + a.mul_ops as f64 * MUL_OP_J) * cfg.logic_scale * v2 / t;
         let fpu = a.fp_ops as f64 * FPU_OP_J * cfg.logic_scale * v2 / t;
 
         // The pipeline-overhead logic, clock tree and leakage spread over the

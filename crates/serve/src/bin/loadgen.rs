@@ -126,7 +126,10 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
 fn sim_params(rng: &mut StdRng, args: &Args) -> Json {
     Json::obj([
         ("app", Json::from(APPS[rng.gen_range(0..APPS.len())])),
-        ("design", Json::from(DESIGNS[rng.gen_range(0..DESIGNS.len())])),
+        (
+            "design",
+            Json::from(DESIGNS[rng.gen_range(0..DESIGNS.len())]),
+        ),
         ("seed", Json::from(rng.gen_range(0..args.seeds))),
         ("warmup", Json::from(args.warmup)),
         ("measure", Json::from(args.measure)),
@@ -378,7 +381,10 @@ fn main() {
         match server_sim_percentiles(&args) {
             Ok(server) => {
                 eprintln!("[loadgen] latency, client-side vs server-side (sim, 60s window):");
-                eprintln!("[loadgen]   {:>6}  {:>12}  {:>12}", "pct", "client_us", "server_us");
+                eprintln!(
+                    "[loadgen]   {:>6}  {:>12}  {:>12}",
+                    "pct", "client_us", "server_us"
+                );
                 for (label, p, s) in [
                     ("p50", percentile(&lat_us, 0.50), server[0]),
                     ("p95", percentile(&lat_us, 0.95), server[1]),

@@ -197,7 +197,10 @@ fn main() {
                 std::process::exit(1);
             }
         }
-        eprintln!("[serve] router listening on {addr} ({} shards)", args.shards);
+        eprintln!(
+            "[serve] router listening on {addr} ({} shards)",
+            args.shards
+        );
         router.run();
         eprintln!("[serve] drained, bye");
         return;

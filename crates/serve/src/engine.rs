@@ -5,14 +5,12 @@
 //! paths run the same code over the same point list.
 
 use crate::protocol::{
-    ok_line, parse_request, partial_line, ErrorKind, Method, Request, WireError,
-    MAX_INTERVAL_UOPS, MAX_POINTS,
+    ok_line, parse_request, partial_line, ErrorKind, Method, Request, WireError, MAX_INTERVAL_UOPS,
+    MAX_POINTS,
 };
 use crate::telemetry::{RequestObservation, ServeTelemetry, RECENT_DEFAULT, RECENT_MAX};
 use m3d_core::configs::{DesignPoint, MulticoreDesign};
-use m3d_core::experiments::registry::{
-    find, run_experiments, Ctx, CtxError, ExperimentError,
-};
+use m3d_core::experiments::registry::{find, run_experiments, Ctx, CtxError, ExperimentError};
 use m3d_core::experiments::RunScale;
 use m3d_core::report::{metrics_json, Json};
 use m3d_core::search::{
@@ -77,7 +75,9 @@ pub fn inject_sim_panic_seed(seed: Option<u64>) {
 fn injected_panic_check(reqs: &[&SimRequest]) {
     let armed = INJECTED_PANIC_SEED.load(std::sync::atomic::Ordering::SeqCst);
     if armed != NO_INJECTED_PANIC
-        && reqs.iter().any(|r| r.points.iter().any(|p| p.seed == armed))
+        && reqs
+            .iter()
+            .any(|r| r.points.iter().any(|p| p.seed == armed))
     {
         panic!("injected sim panic (seed {armed})");
     }
@@ -121,7 +121,10 @@ pub fn parse_sim_params(params: &Json) -> Result<SimRequest, WireError> {
                     items.len()
                 )));
             }
-            items.iter().map(parse_sim_point).collect::<Result<_, _>>()?
+            items
+                .iter()
+                .map(parse_sim_point)
+                .collect::<Result<_, _>>()?
         }
         Some(_) => return Err(WireError::bad_request("`points` must be an array")),
         None => vec![parse_sim_point(params)?],
@@ -169,9 +172,8 @@ fn parse_sim_point(p: &Json) -> Result<SimPoint, WireError> {
         )));
     }
     let (profile, mut config) = if n_cores == 1 {
-        let profile = spec_by_name(app).ok_or_else(|| {
-            WireError::bad_request(format!("unknown single-core app `{app}`"))
-        })?;
+        let profile = spec_by_name(app)
+            .ok_or_else(|| WireError::bad_request(format!("unknown single-core app `{app}`")))?;
         let dp = DesignPoint::ALL
             .iter()
             .find(|d| d.label() == design)
@@ -180,9 +182,8 @@ fn parse_sim_point(p: &Json) -> Result<SimPoint, WireError> {
             })?;
         (profile, dp.core_config())
     } else {
-        let profile = parallel_by_name(app).ok_or_else(|| {
-            WireError::bad_request(format!("unknown parallel app `{app}`"))
-        })?;
+        let profile = parallel_by_name(app)
+            .ok_or_else(|| WireError::bad_request(format!("unknown parallel app `{app}`")))?;
         let md = MulticoreDesign::ALL
             .iter()
             .find(|d| d.label() == design)
@@ -225,7 +226,11 @@ impl Engine {
         } else {
             RunScale::full()
         };
-        let ctx = Ctx::builder().scale(scale).quick(quick).jobs(jobs).build()?;
+        let ctx = Ctx::builder()
+            .scale(scale)
+            .quick(quick)
+            .jobs(jobs)
+            .build()?;
         m3d_obs::enable();
         for c in SERVE_COUNTERS {
             m3d_obs::add(c, 0);
@@ -375,11 +380,7 @@ impl Engine {
     /// `{"text": "..."}`; the default (or `"format":"json"`) is the
     /// structured report.
     pub fn telemetry(&self, params: &Json) -> Result<Json, WireError> {
-        telemetry_response(
-            &self.telemetry,
-            self.start.elapsed().as_secs_f64(),
-            params,
-        )
+        telemetry_response(&self.telemetry, self.start.elapsed().as_secs_f64(), params)
     }
 
     /// Answer one already-parsed request (the serial path: no queue, no
@@ -485,7 +486,10 @@ impl Engine {
 pub(crate) fn serve_counters_snapshot() -> m3d_obs::MetricsSnapshot {
     let mut snap = m3d_obs::snapshot();
     for name in SERVE_COUNTERS {
-        if let Err(i) = snap.counters.binary_search_by(|(n, _)| n.as_str().cmp(name)) {
+        if let Err(i) = snap
+            .counters
+            .binary_search_by(|(n, _)| n.as_str().cmp(name))
+        {
             snap.counters.insert(i, ((*name).to_owned(), 0));
         }
     }

@@ -259,8 +259,12 @@ pub struct Request {
 /// Parse one request line. On failure, returns the id if one was readable
 /// (so the error response can still be correlated) plus the error.
 pub fn parse_request(line: &str) -> Result<Request, (Option<i64>, WireError)> {
-    let v = Json::parse(line)
-        .map_err(|e| (None, WireError::new(ErrorKind::Parse, format!("invalid JSON: {e}"))))?;
+    let v = Json::parse(line).map_err(|e| {
+        (
+            None,
+            WireError::new(ErrorKind::Parse, format!("invalid JSON: {e}")),
+        )
+    })?;
     if !matches!(v, Json::Obj(_)) {
         return Err((
             None,
@@ -523,11 +527,7 @@ mod tests {
         }
         for (i, a) in ErrorKind::ALL.iter().enumerate() {
             for b in &ErrorKind::ALL[i + 1..] {
-                assert_ne!(
-                    a.wire_name(),
-                    b.wire_name(),
-                    "wire names must not collide"
-                );
+                assert_ne!(a.wire_name(), b.wire_name(), "wire names must not collide");
             }
         }
         assert_eq!(ErrorKind::from_wire("no_such_kind"), None);
@@ -555,10 +555,8 @@ mod tests {
         assert!(Response::parse("not json").is_err());
         assert!(Response::parse(r#"{"id":1}"#).is_err(), "no `ok` flag");
         assert!(
-            Response::parse(
-                r#"{"id":1,"ok":false,"error":{"kind":"martian","message":"?"}}"#
-            )
-            .is_err(),
+            Response::parse(r#"{"id":1,"ok":false,"error":{"kind":"martian","message":"?"}}"#)
+                .is_err(),
             "error kinds are a closed set"
         );
     }

@@ -636,12 +636,7 @@ fn worker_loop(state: &ServerState) {
     }
 }
 
-fn process_line(
-    line: &str,
-    writer: &Arc<ConnWriter>,
-    conns: &mut Conns,
-    state: &Arc<ServerState>,
-) {
+fn process_line(line: &str, writer: &Arc<ConnWriter>, conns: &mut Conns, state: &Arc<ServerState>) {
     let received = Instant::now();
     let req = match parse_request(line) {
         Ok(r) => r,
@@ -674,9 +669,7 @@ fn process_line(
                 // wait behind simulations in the queue. Behind the same
                 // panic guard as a worker's batch, so the loop survives.
                 let hit = catch_unwind(AssertUnwindSafe(|| state.engine.sim_cached(&params)))
-                    .unwrap_or_else(|p| {
-                        Some(Err(WireError::new(ErrorKind::Panic, panic_text(p))))
-                    });
+                    .unwrap_or_else(|p| Some(Err(WireError::new(ErrorKind::Panic, panic_text(p)))));
                 if let Some(r) = hit {
                     m3d_obs::add("serve.inline_hits", 1);
                     return inline(r);

@@ -139,7 +139,8 @@ impl ServeTelemetry {
 
     /// Set the slow-request threshold (milliseconds; 0 disables logging).
     pub fn set_slow_ms(&self, ms: u64) {
-        self.slow_us.store(ms.saturating_mul(1000), Ordering::Relaxed);
+        self.slow_us
+            .store(ms.saturating_mul(1000), Ordering::Relaxed);
     }
 
     /// Microseconds since this engine's construction — the tick every
@@ -220,12 +221,7 @@ impl ServeTelemetry {
                 )
             })
             .collect();
-        let flight_recent: Vec<Json> = self
-            .flight
-            .recent(recent)
-            .iter()
-            .map(flight_json)
-            .collect();
+        let flight_recent: Vec<Json> = self.flight.recent(recent).iter().map(flight_json).collect();
         let slow_recent: Vec<Json> = {
             let ring = self.slow.lock().expect("telemetry slow log");
             ring.iter().rev().map(slow_json).collect()
@@ -288,7 +284,11 @@ impl ServeTelemetry {
         out.push_str("# TYPE m3d_serve_requests_total counter\n");
         for m in Method::ALL {
             let n = snap.counter(method_counter(m)).unwrap_or(0);
-            let _ = writeln!(out, "m3d_serve_requests_total{{method=\"{}\"}} {n}", m.name());
+            let _ = writeln!(
+                out,
+                "m3d_serve_requests_total{{method=\"{}\"}} {n}",
+                m.name()
+            );
         }
         for (metric, help, pick) in [
             (
@@ -361,7 +361,10 @@ fn window_stats_json(h: &HistogramSnapshot) -> Json {
     let mut fields = vec![
         ("count".to_owned(), Json::from(h.count)),
         ("mean".to_owned(), Json::from(h.mean())),
-        ("max".to_owned(), Json::from(if h.count == 0 { 0.0 } else { h.max })),
+        (
+            "max".to_owned(),
+            Json::from(if h.count == 0 { 0.0 } else { h.max }),
+        ),
     ];
     for (q, label) in QUANTILES {
         fields.push((label.to_owned(), Json::from(h.quantile(q))));
@@ -388,10 +391,7 @@ fn flight_json(r: &FlightRecord) -> Json {
 /// phases as a root `request` span with `queue` and `handle` children.
 fn slow_json(r: &FlightRecord) -> Json {
     let span = |name: &str, dur_us: u64| {
-        Json::obj([
-            ("name", Json::from(name)),
-            ("dur_us", Json::from(dur_us)),
-        ])
+        Json::obj([("name", Json::from(name)), ("dur_us", Json::from(dur_us))])
     };
     Json::obj([
         ("id", Json::from(r.id)),
@@ -435,7 +435,10 @@ mod tests {
         t.observe_at(100_000, obs(Method::Sim, 1000, "ok"));
         t.observe_at(5_000_000, obs(Method::Sim, 3000, "ok"));
         let j = t.json_at(5_100_000, 5.1, 16);
-        let sim = j.get("methods").and_then(|m| m.get("sim")).expect("sim block");
+        let sim = j
+            .get("methods")
+            .and_then(|m| m.get("sim"))
+            .expect("sim block");
         let lat = sim.get("latency_us").expect("latency block");
         let count = |w: &str| match lat.get(w).and_then(|x| x.get("count")) {
             Some(Json::Int(i)) => *i,
@@ -494,14 +497,23 @@ mod tests {
         t.observe_at(1000, obs(Method::Stats, 500, "ok"));
         t.observe_at(2000, obs(Method::Stats, 900_000, "write_error"));
         let j = t.json_at(3000, 0.003, 8);
-        let stats = j.get("methods").and_then(|m| m.get("stats")).expect("stats");
+        let stats = j
+            .get("methods")
+            .and_then(|m| m.get("stats"))
+            .expect("stats");
         assert_eq!(
-            stats.get("latency_us").and_then(|l| l.get("1s")).and_then(|w| w.get("count")),
+            stats
+                .get("latency_us")
+                .and_then(|l| l.get("1s"))
+                .and_then(|w| w.get("count")),
             Some(&Json::from(1u64))
         );
         // ... but the queue window and the flight recorder still see it.
         assert_eq!(
-            stats.get("queue_us").and_then(|l| l.get("1s")).and_then(|w| w.get("count")),
+            stats
+                .get("queue_us")
+                .and_then(|l| l.get("1s"))
+                .and_then(|w| w.get("count")),
             Some(&Json::from(2u64))
         );
         let recent = match j.get("flight").and_then(|f| f.get("recent")) {
@@ -524,10 +536,7 @@ mod tests {
             }
             let (name, value) = line.rsplit_once(' ').expect("name value");
             assert!(!name.is_empty());
-            assert!(
-                value.parse::<f64>().is_ok(),
-                "unparsable value in `{line}`"
-            );
+            assert!(value.parse::<f64>().is_ok(), "unparsable value in `{line}`");
             if let Some(open) = name.find('{') {
                 assert!(name.ends_with('}'), "unclosed labels in `{line}`");
                 assert!(open > 0);

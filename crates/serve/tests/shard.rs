@@ -25,10 +25,8 @@ impl Drop for ChildGuard {
 /// Spawn one `serve --quick` daemon on an ephemeral port and wait for
 /// its port file.
 fn spawn_daemon(tag: &str) -> (String, ChildGuard) {
-    let port_file = std::env::temp_dir().join(format!(
-        "m3d-shard-test-{}-{tag}.port",
-        std::process::id()
-    ));
+    let port_file =
+        std::env::temp_dir().join(format!("m3d-shard-test-{}-{tag}.port", std::process::id()));
     let _ = std::fs::remove_file(&port_file);
     let child = Command::new(env!("CARGO_BIN_EXE_serve"))
         .args(["--quick", "--port-file"])
@@ -45,7 +43,10 @@ fn spawn_daemon(tag: &str) -> (String, ChildGuard) {
                 break s.to_owned();
             }
         }
-        assert!(Instant::now() < deadline, "daemon never wrote {port_file:?}");
+        assert!(
+            Instant::now() < deadline,
+            "daemon never wrote {port_file:?}"
+        );
         std::thread::sleep(Duration::from_millis(10));
     };
     let _ = std::fs::remove_file(&port_file);
@@ -161,7 +162,10 @@ fn one_and_three_shard_routers_match_the_serial_reference_byte_for_byte() {
     // code path, one answer stream in request order.
     let engine = Engine::new(true, 1).expect("engine");
     let expected: Vec<String> = lines.iter().flat_map(|l| engine.answer_lines(l)).collect();
-    assert!(expected.len() > lines.len(), "the plan must stream partials");
+    assert!(
+        expected.len() > lines.len(),
+        "the plan must stream partials"
+    );
 
     // The same mix through an actual `serve --oneshot` child process.
     let mut oneshot = Command::new(env!("CARGO_BIN_EXE_serve"))
@@ -239,14 +243,33 @@ fn router_keeps_answering_after_a_shard_is_killed() {
     // simulation), whose shard is predictable from the public routing
     // hash — that is the shard this test kills mid-stream.
     let apps = [
-        "Astar", "Bzip2", "Gcc", "Gobmk", "Hmmer", "Lbm", "Libquantum", "Mcf", "Milc", "Namd",
-        "Omnetpp", "Povray", "Sjeng", "Soplex", "Xalancbmk", "H264Ref", "Gromacs",
+        "Astar",
+        "Bzip2",
+        "Gcc",
+        "Gobmk",
+        "Hmmer",
+        "Lbm",
+        "Libquantum",
+        "Mcf",
+        "Milc",
+        "Namd",
+        "Omnetpp",
+        "Povray",
+        "Sjeng",
+        "Soplex",
+        "Xalancbmk",
+        "H264Ref",
+        "Gromacs",
     ];
     let plan_params = Json::obj([
         ("apps", Json::Arr(apps.map(Json::from).to_vec())),
         (
             "vdds",
-            Json::Arr((0..10).map(|i| Json::from(0.55 + 0.05 * i as f64)).collect()),
+            Json::Arr(
+                (0..10)
+                    .map(|i| Json::from(0.55 + 0.05 * i as f64))
+                    .collect(),
+            ),
         ),
         ("warmup", Json::from(140u64)),
         ("measure", Json::from(160u64)),
@@ -257,7 +280,10 @@ fn router_keeps_answering_after_a_shard_is_killed() {
 
     let mut c = Client::connect(&addr).expect("connect");
     let mut stream = c.plan(900, plan_params, None).expect("start plan");
-    let first = stream.next().expect("first partial").expect("typed partial");
+    let first = stream
+        .next()
+        .expect("first partial")
+        .expect("typed partial");
     assert!(first.partial, "{}", first.raw);
 
     // SIGKILL the shard running the plan: no drain, no goodbye.

@@ -73,7 +73,11 @@ fn stats_reports_every_serve_counter_including_zeros() {
     }
     // Nothing in this binary trips these paths, so their zeros must still
     // be spelled out rather than omitted.
-    for name in ["serve.write_errors", "serve.rejected", "serve.deadline_expired"] {
+    for name in [
+        "serve.write_errors",
+        "serve.rejected",
+        "serve.deadline_expired",
+    ] {
         assert_eq!(counters.get(name), Some(&Json::Int(0)), "{name}");
     }
     handle.shutdown();
@@ -108,8 +112,13 @@ fn daemon_burst_records_exactly_one_latency_sample_per_request() {
     let before = count_of(resp.result().expect("stats result"));
 
     for k in 0..N {
-        c.send(20 + k, Method::Sim, sim_points_params(0xAC17_0000 + k as u64), None)
-            .expect("send");
+        c.send(
+            20 + k,
+            Method::Sim,
+            sim_points_params(0xAC17_0000 + k as u64),
+            None,
+        )
+        .expect("send");
     }
     for _ in 0..N {
         let resp = c.recv().expect("burst reply");
@@ -154,12 +163,21 @@ fn oneshot_records_exactly_one_latency_sample_per_request() {
     };
     let before = count();
     for k in 0..N {
-        let line = request_line(300 + k as i64, Method::Sim, sim_points_params(0x0E17_0000 + k), None);
+        let line = request_line(
+            300 + k as i64,
+            Method::Sim,
+            sim_points_params(0x0E17_0000 + k),
+            None,
+        );
         let replies = engine.answer_lines(&line);
         assert_eq!(replies.len(), 1, "{replies:?}");
         assert!(replies[0].contains(r#""ok":true"#), "{}", replies[0]);
     }
-    assert_eq!(count() - before, N, "one latency sample per oneshot request");
+    assert_eq!(
+        count() - before,
+        N,
+        "one latency sample per oneshot request"
+    );
 }
 
 /// Answering requests leaves nothing in the `serve` trace category: the

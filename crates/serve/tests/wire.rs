@@ -48,7 +48,12 @@ fn malformed_and_unknown_requests_answer_structured_errors() {
     assert_eq!(resp.id, None, "{reply}");
 
     let resp = c
-        .call(41, Method::Sim, Json::obj([("app", Json::from(7i64))]), None)
+        .call(
+            41,
+            Method::Sim,
+            Json::obj([("app", Json::from(7i64))]),
+            None,
+        )
         .expect("reply");
     assert_eq!(kind_of(&resp), Some("bad_request"));
     assert_eq!(resp.id, Some(41));
@@ -95,7 +100,10 @@ fn deadline_expiry_cancels_cleanly() {
         .call(
             7,
             Method::Sim,
-            Json::obj([("points", Json::arr([sim_params("Gcc", 0xDEAD_0001, 2_000, 1_500)]))]),
+            Json::obj([(
+                "points",
+                Json::arr([sim_params("Gcc", 0xDEAD_0001, 2_000, 1_500)]),
+            )]),
             Some(0),
         )
         .expect("reply");
@@ -116,7 +124,10 @@ fn full_queue_rejects_with_overloaded() {
     let resp = c
         .sim(
             9,
-            Json::obj([("points", Json::arr([sim_params("Gcc", 0xDEAD_0002, 2_000, 1_500)]))]),
+            Json::obj([(
+                "points",
+                Json::arr([sim_params("Gcc", 0xDEAD_0002, 2_000, 1_500)]),
+            )]),
         )
         .expect("reply");
     assert_eq!(kind_of(&resp), Some("overloaded"));
@@ -165,7 +176,10 @@ fn concurrent_connections_match_serial_answers_byte_for_byte() {
                 })
             })
             .collect();
-        handles.into_iter().map(|h| h.join().expect("thread")).collect()
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("thread"))
+            .collect()
     });
     for a in &answers {
         assert_eq!(a, &expected, "concurrent answer diverged from serial");
@@ -209,7 +223,10 @@ fn streamed_plan_matches_oneshot_byte_for_byte() {
     let expected = engine.answer_lines(&line);
     assert!(expected.len() > 2, "expected several partial lines");
     assert!(
-        expected.last().expect("final line").contains(r#""ok":true"#),
+        expected
+            .last()
+            .expect("final line")
+            .contains(r#""ok":true"#),
         "{expected:?}"
     );
     for partial in &expected[..expected.len() - 1] {
@@ -229,8 +246,23 @@ fn thousand_candidate_plan_streams_partials_and_is_jobs_invariant() {
     // points above the 0.8 V clamp prune before simulation, so the run
     // stays cheap at this tiny interval.
     let apps = [
-        "Astar", "Bzip2", "Gcc", "Gobmk", "Hmmer", "Lbm", "Libquantum", "Mcf", "Milc", "Namd",
-        "Omnetpp", "Povray", "Sjeng", "Soplex", "Xalancbmk", "H264Ref", "Gromacs",
+        "Astar",
+        "Bzip2",
+        "Gcc",
+        "Gobmk",
+        "Hmmer",
+        "Lbm",
+        "Libquantum",
+        "Mcf",
+        "Milc",
+        "Namd",
+        "Omnetpp",
+        "Povray",
+        "Sjeng",
+        "Soplex",
+        "Xalancbmk",
+        "H264Ref",
+        "Gromacs",
     ];
     let params = Json::obj([
         ("apps", Json::Arr(apps.map(Json::from).to_vec())),
@@ -362,7 +394,9 @@ fn telemetry_reports_rolling_quantiles_and_flight_records_from_a_live_daemon() {
     }
     let latency = sim.get("latency_us").expect("latency_us");
     for window in ["1s", "10s", "60s"] {
-        let w = latency.get(window).unwrap_or_else(|| panic!("window {window}"));
+        let w = latency
+            .get(window)
+            .unwrap_or_else(|| panic!("window {window}"));
         for q in ["p50", "p90", "p95", "p99"] {
             assert!(
                 matches!(w.get(q), Some(Json::Int(_)) | Some(Json::Num(_))),
@@ -394,8 +428,14 @@ fn telemetry_reports_rolling_quantiles_and_flight_records_from_a_live_daemon() {
         Some(Json::Str(t)) => t.clone(),
         other => panic!("result.text not a string: {other:?} ({})", resp.raw),
     };
-    assert!(text.contains("m3d_serve_requests_total{method=\"sim\"}"), "{text}");
-    assert!(text.contains("m3d_serve_latency_us{method=\"sim\""), "{text}");
+    assert!(
+        text.contains("m3d_serve_requests_total{method=\"sim\"}"),
+        "{text}"
+    );
+    assert!(
+        text.contains("m3d_serve_latency_us{method=\"sim\""),
+        "{text}"
+    );
 
     // An unknown format is a structured bad_request, not a hang.
     let resp = c
@@ -473,14 +513,33 @@ fn hung_up_plan_client_aborts_the_search() {
     // cached and chunks take real simulation time), chunked small so the
     // abort lands after only a few of the ~128 chunks.
     let apps = [
-        "Astar", "Bzip2", "Gcc", "Gobmk", "Hmmer", "Lbm", "Libquantum", "Mcf", "Milc", "Namd",
-        "Omnetpp", "Povray", "Sjeng", "Soplex", "Xalancbmk", "H264Ref", "Gromacs",
+        "Astar",
+        "Bzip2",
+        "Gcc",
+        "Gobmk",
+        "Hmmer",
+        "Lbm",
+        "Libquantum",
+        "Mcf",
+        "Milc",
+        "Namd",
+        "Omnetpp",
+        "Povray",
+        "Sjeng",
+        "Soplex",
+        "Xalancbmk",
+        "H264Ref",
+        "Gromacs",
     ];
     let params = Json::obj([
         ("apps", Json::Arr(apps.map(Json::from).to_vec())),
         (
             "vdds",
-            Json::Arr((0..10).map(|i| Json::from(0.55 + 0.05 * i as f64)).collect()),
+            Json::Arr(
+                (0..10)
+                    .map(|i| Json::from(0.55 + 0.05 * i as f64))
+                    .collect(),
+            ),
         ),
         ("warmup", Json::from(130u64)),
         ("measure", Json::from(170u64)),
@@ -489,7 +548,10 @@ fn hung_up_plan_client_aborts_the_search() {
     {
         let mut c = Client::connect(&addr).expect("connect");
         let mut stream = c.plan(401, params, None).expect("send plan");
-        let first = stream.next().expect("first partial").expect("typed partial");
+        let first = stream
+            .next()
+            .expect("first partial")
+            .expect("typed partial");
         assert!(first.partial, "{}", first.raw);
         // Dropping the client closes the socket with partials unread: the
         // kernel resets the connection and the server's next flush fails.
@@ -570,7 +632,10 @@ fn many_connections_share_two_workers() {
                     Method::Sim,
                     // One shared seed: after the first miss these are memo
                     // hits, keeping 24 connections cheap.
-                    Json::obj([("points", Json::arr([sim_params("Gcc", 0x3A2E_0001, 1_000, 900)]))]),
+                    Json::obj([(
+                        "points",
+                        Json::arr([sim_params("Gcc", 0x3A2E_0001, 1_000, 900)]),
+                    )]),
                     None,
                 )
                 .expect("send sim");

@@ -6,9 +6,9 @@
 //! cargo run --release -p m3d-sram --example structure_survey
 //! ```
 
-use m3d_sram::model2d::analyze_2d;
-use m3d_sram::partition3d::{partition, applicable, Strategy};
 use m3d_sram::hetero::partition_hetero;
+use m3d_sram::model2d::analyze_2d;
+use m3d_sram::partition3d::{applicable, partition, Strategy};
 use m3d_sram::structures::StructureId;
 use m3d_tech::process::ProcessCorner;
 use m3d_tech::{TechnologyNode, ViaKind};
@@ -25,14 +25,21 @@ fn main() {
             base.breakdown.t_senseamp_s*1e12, base.breakdown.t_route_s*1e12, base.breakdown.t_match_s*1e12);
         for via in [ViaKind::Miv, ViaKind::TsvAggressive] {
             for s in Strategy::ALL {
-                if !applicable(&spec, s) { continue; }
-                if s == Strategy::Port && spec.total_ports() + spec.search_ports < 2 { continue; }
+                if !applicable(&spec, s) {
+                    continue;
+                }
+                if s == Strategy::Port && spec.total_ports() + spec.search_ports < 2 {
+                    continue;
+                }
                 let p = partition(&spec, &node, s, via);
                 let r = p.metrics.reduction_vs(&base.metrics);
                 println!("   {:?} {}: {}", via, s, r);
             }
         }
         let (h, hr) = partition_hetero(&spec, &node, ViaKind::Miv);
-        println!("   HET {} (b{}/t{} u{}): {}", h.strategy, h.bottom_share, h.top_share, h.top_upsize, hr);
+        println!(
+            "   HET {} (b{}/t{} u{}): {}",
+            h.strategy, h.bottom_share, h.top_share, h.top_upsize, hr
+        );
     }
 }

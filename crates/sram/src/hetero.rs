@@ -144,9 +144,7 @@ fn hetero_bit_word(
                     bl_extra_cell_cap_f: 0.0,
                     cam: spec.is_cam().then(|| CamPlan {
                         tag_bits: match strategy {
-                            Strategy::Bit => {
-                                (spec.cam_tag_bits * share).div_ceil(total)
-                            }
+                            Strategy::Bit => (spec.cam_tag_bits * share).div_ceil(total),
                             _ => spec.cam_tag_bits,
                         },
                         search_ports: spec.search_ports,

@@ -159,14 +159,16 @@ pub fn analyze_with_org(node: &TechnologyNode, plan: &LayerPlan, org: Organizati
 
     // --- Geometry -----------------------------------------------------
     let sa_w = cols_sa as f64 * cw + node.f_to_um(DECODER_STRIP_F);
-    let sa_h = rows_sa as f64 * ch
-        + node.f_to_um(SENSE_STRIP_PER_PORT_F * plan.cell.ports.max(1) as f64);
+    let sa_h =
+        rows_sa as f64 * ch + node.f_to_um(SENSE_STRIP_PER_PORT_F * plan.cell.ports.max(1) as f64);
     // Subarrays tile a near-square grid (floorplanners balance the aspect
     // ratio so the H-tree stays short).
     let n_sub = (org.ndwl * org.ndbl) as f64;
     let sub_area = sa_w * sa_h;
     let bank_area_raw = n_sub * sub_area;
-    let bank_w = (bank_area_raw * (sa_w / sa_h).clamp(0.25, 4.0)).sqrt().max(sa_w);
+    let bank_w = (bank_area_raw * (sa_w / sa_h).clamp(0.25, 4.0))
+        .sqrt()
+        .max(sa_w);
     let bank_h = bank_area_raw / bank_w;
     let bank_area = bank_area_raw * HTREE_AREA_OVERHEAD;
     let banks_per_side = (plan.banks as f64).sqrt().ceil();
@@ -223,11 +225,10 @@ pub fn analyze_with_org(node: &TechnologyNode, plan: &LayerPlan, org: Organizati
     let e_sa = cols_sa as f64 * 6.0 * node.c_inv_min_f * vdd * vdd;
 
     // --- Routing (H-tree within bank + across banks) -------------------
-    let route_len = plan.route_scale
-        * ((bank_w + bank_h) / 4.0 + (total_w + total_h - bank_w - bank_h) / 2.0);
+    let route_len =
+        plan.route_scale * ((bank_w + bank_h) / 4.0 + (total_w + total_h - bank_w - bank_h) / 2.0);
     let t_route = wire::repeated_wire_delay_s(node, route_len) + pf * 2.0 * fo4;
-    let e_route =
-        wire::wire_energy_j(node, route_len, true) * plan.cols as f64 * ROUTE_ACTIVITY;
+    let e_route = wire::wire_energy_j(node, route_len, true) * plan.cols as f64 * ROUTE_ACTIVITY;
 
     // --- CAM search path ----------------------------------------------
     let (t_match, e_match) = match &plan.cam {
@@ -243,8 +244,8 @@ pub fn analyze_with_org(node: &TechnologyNode, plan: &LayerPlan, org: Organizati
             let ml_len = cam.tag_bits as f64 * cw;
             let c_ml = cam.tag_bits as f64 * 2.0 * plan.cell.bitline_drain_cap_f(node)
                 + node.wire_c_per_um * ml_len;
-            let r_pull = node.r_inv_min_ohm / 2.0 * plan.cell.process.delay_factor
-                / plan.cell.upsize;
+            let r_pull =
+                node.r_inv_min_ohm / 2.0 * plan.cell.process.delay_factor / plan.cell.upsize;
             let t_ml = 0.69 * r_pull * c_ml + 0.38 * node.local_wire_r_per_um() * ml_len * c_ml;
             // Priority encode the match results.
             let t_enc = pf * fo4 * 0.6 * (plan.rows.max(2) as f64).log2();
@@ -324,7 +325,8 @@ pub fn analyze_plan(node: &TechnologyNode, plan: &LayerPlan) -> Analysis {
     }
     m3d_obs::add("sram.organizations.evaluated", evaluated);
     m3d_obs::add("sram.organizations.pruned", pruned);
-    best.expect("organization search always evaluates ndwl=ndbl=1").1
+    best.expect("organization search always evaluates ndwl=ndbl=1")
+        .1
 }
 
 /// Analyse a planar 2D array: the paper's baseline for every table.

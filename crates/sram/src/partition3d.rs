@@ -296,9 +296,8 @@ pub fn port_partition_plans(
     cell_t.width_f *= scale;
     cell_t.height_f *= scale;
     if !via.kind.is_miv() {
-        let koz_side_f = via.diameter_um
-            * m3d_tech::via::TSV_KOZ_SIDE_MULTIPLIER
-            / node.f_to_um(1.0);
+        let koz_side_f =
+            via.diameter_um * m3d_tech::via::TSV_KOZ_SIDE_MULTIPLIER / node.f_to_um(1.0);
         cell_t.width_f = cell_t.width_f.max(2.0 * koz_side_f);
         cell_t.height_f = cell_t.height_f.max(koz_side_f);
     }
@@ -604,7 +603,10 @@ mod tests {
 
     #[test]
     fn pp_not_applicable_to_single_ported() {
-        assert!(!applicable(&ArraySpec::ram("BPT", 4096, 8, 1, 0), Strategy::Port));
+        assert!(!applicable(
+            &ArraySpec::ram("BPT", 4096, 8, 1, 0),
+            Strategy::Port
+        ));
         assert!(applicable(&bpt(), Strategy::Word));
     }
 
@@ -625,4 +627,3 @@ mod tests {
         }
     }
 }
-

@@ -32,7 +32,13 @@ impl ArraySpec {
     /// # Panics
     ///
     /// Panics if any dimension or the total port count is zero.
-    pub fn ram(name: &str, words: usize, bits: usize, read_ports: usize, write_ports: usize) -> Self {
+    pub fn ram(
+        name: &str,
+        words: usize,
+        bits: usize,
+        read_ports: usize,
+        write_ports: usize,
+    ) -> Self {
         let s = Self {
             name: name.to_owned(),
             words,

@@ -252,7 +252,9 @@ mod tests {
     fn tsv3d_interlayer_resistance_much_higher_than_m3d() {
         let a = 1e-6; // 1 mm^2 in m^2
         let m3d = LayerStack::m3d().interlayer_resistance_k_per_w(a).unwrap();
-        let tsv = LayerStack::tsv3d().interlayer_resistance_k_per_w(a).unwrap();
+        let tsv = LayerStack::tsv3d()
+            .interlayer_resistance_k_per_w(a)
+            .unwrap();
         // Paper: D2D layers have ~13-16x higher thermal resistance; the full
         // inter-layer path in TSV3D ends up >10x worse than in M3D.
         assert!(tsv > 10.0 * m3d, "tsv {tsv} vs m3d {m3d}");
@@ -267,7 +269,11 @@ mod tests {
 
     #[test]
     fn stacks_start_at_heat_sink() {
-        for s in [LayerStack::m3d(), LayerStack::tsv3d(), LayerStack::planar_2d()] {
+        for s in [
+            LayerStack::m3d(),
+            LayerStack::tsv3d(),
+            LayerStack::planar_2d(),
+        ] {
             assert_eq!(s.layers[0].name, "Heat Sink");
         }
     }

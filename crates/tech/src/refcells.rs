@@ -138,7 +138,10 @@ mod tests {
         let tsv13 = via_overhead_pct(&Via::tsv_aggressive(), RefCell::Adder32, &node);
         let tsv5 = via_overhead_pct(&Via::tsv_recent(), RefCell::Adder32, &node);
         assert!(miv < 0.01, "MIV vs adder must be <0.01%, got {miv}");
-        assert!((tsv13 - 8.0).abs() < 0.5, "TSV1.3 vs adder ≈ 8%, got {tsv13}");
+        assert!(
+            (tsv13 - 8.0).abs() < 0.5,
+            "TSV1.3 vs adder ≈ 8%, got {tsv13}"
+        );
         assert!(tsv5 > 100.0, "TSV5 vs adder > 100%, got {tsv5}");
     }
 

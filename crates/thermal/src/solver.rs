@@ -98,7 +98,10 @@ impl ThermalConfig {
     pub fn validate(&self) -> Result<(), ThermalError> {
         let fail = |msg: String| Err(ThermalError::InvalidConfig(msg));
         if self.nx < 2 || self.ny < 2 {
-            return fail(format!("grid {}x{} too small (need nx, ny >= 2)", self.nx, self.ny));
+            return fail(format!(
+                "grid {}x{} too small (need nx, ny >= 2)",
+                self.nx, self.ny
+            ));
         }
         if !self.ambient_c.is_finite() {
             return fail(format!("ambient_c = {} must be finite", self.ambient_c));
@@ -402,7 +405,10 @@ mod tests {
         let before = cache.hits();
         let (_, second) = solve_with_stats(&LayerStack::planar_2d(), &lp, &cfg);
         assert!(!first.assembly_cache_hit || before > 0);
-        assert!(second.assembly_cache_hit, "second solve must reuse the model");
+        assert!(
+            second.assembly_cache_hit,
+            "second solve must reuse the model"
+        );
         assert!(cache.hits() > before);
     }
 
@@ -420,7 +426,11 @@ mod tests {
         let s = bad.sanitized();
         assert!(s.validate().is_ok(), "sanitized must validate: {s:?}");
         let good = cfg();
-        assert_eq!(good.sanitized(), good, "valid configs pass through unchanged");
+        assert_eq!(
+            good.sanitized(),
+            good,
+            "valid configs pass through unchanged"
+        );
     }
 
     #[test]

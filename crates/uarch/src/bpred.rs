@@ -104,7 +104,10 @@ impl Btb {
     /// Panics unless `entries` is divisible by `ways` and the set count is a
     /// power of two.
     pub fn new(entries: usize, ways: usize) -> Self {
-        assert!(entries.is_multiple_of(ways), "entries must divide into ways");
+        assert!(
+            entries.is_multiple_of(ways),
+            "entries must divide into ways"
+        );
         let sets = entries / ways;
         assert!(sets.is_power_of_two(), "set count must be a power of two");
         Self {
@@ -238,7 +241,7 @@ mod tests {
     #[test]
     fn btb_evicts_lru() {
         let mut b = Btb::new(8, 2); // 4 sets x 2 ways
-        // Three PCs mapping to the same set: stride by sets*4 = 16.
+                                    // Three PCs mapping to the same set: stride by sets*4 = 16.
         let (p1, p2, p3) = (0x1000, 0x1010, 0x1020);
         b.insert(p1, 1);
         b.insert(p2, 2);

@@ -123,8 +123,7 @@ impl Cache {
     pub fn contains(&self, addr: u64) -> bool {
         let (set, tag) = self.index(addr);
         let base = set * self.cfg.ways;
-        (base..base + self.cfg.ways)
-            .any(|i| self.meta[i] & M_VALID != 0 && self.tags[i] == tag)
+        (base..base + self.cfg.ways).any(|i| self.meta[i] & M_VALID != 0 && self.tags[i] == tag)
     }
 
     /// Invalidate a line if present (coherence). Returns whether it was

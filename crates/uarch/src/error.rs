@@ -69,10 +69,9 @@ impl fmt::Display for SimError {
                 write!(f, "{what} must be strictly positive")
             }
             SimError::NonFinite { what } => write!(f, "{what} must be finite"),
-            SimError::CacheGeometry { cache, sets } => write!(
-                f,
-                "{cache} cache set count {sets} is not a power of two"
-            ),
+            SimError::CacheGeometry { cache, sets } => {
+                write!(f, "{cache} cache set count {sets} is not a power of two")
+            }
             SimError::BtbGeometry { entries, ways } => write!(
                 f,
                 "BTB geometry {entries} entries / {ways} ways needs a \

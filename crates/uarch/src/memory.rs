@@ -234,10 +234,7 @@ impl MemorySystem {
 
     fn note_sharer(&mut self, core: usize, addr: u64) {
         let line = self.line_of(addr);
-        let e = self
-            .directory
-            .entry(line)
-            .or_insert(DirState::Shared(0));
+        let e = self.directory.entry(line).or_insert(DirState::Shared(0));
         if let DirState::Shared(mask) = e {
             *mask |= 1 << core;
         }

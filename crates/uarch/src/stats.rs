@@ -77,11 +77,36 @@ impl ActivityStats {
             ($($f:ident),*) => { $( self.$f += other.$f; )* };
         }
         add!(
-            fetched, dispatched, issued, committed, rf_reads, rf_writes, rat_reads, rat_writes,
-            iq_wakeups, lq_searches, sq_searches, store_forwards, bpred_accesses, btb_accesses,
-            branches, mispredictions, alu_ops, mul_ops, fp_ops, loads, stores, active_cycles,
-            barriers, barrier_stall_cycles, stall_frontend_cycles, stall_memory_cycles,
-            stall_execute_cycles, rob_occupancy_sum, iq_occupancy_sum, occupancy_samples
+            fetched,
+            dispatched,
+            issued,
+            committed,
+            rf_reads,
+            rf_writes,
+            rat_reads,
+            rat_writes,
+            iq_wakeups,
+            lq_searches,
+            sq_searches,
+            store_forwards,
+            bpred_accesses,
+            btb_accesses,
+            branches,
+            mispredictions,
+            alu_ops,
+            mul_ops,
+            fp_ops,
+            loads,
+            stores,
+            active_cycles,
+            barriers,
+            barrier_stall_cycles,
+            stall_frontend_cycles,
+            stall_memory_cycles,
+            stall_execute_cycles,
+            rob_occupancy_sum,
+            iq_occupancy_sum,
+            occupancy_samples
         );
     }
 
@@ -98,11 +123,36 @@ impl ActivityStats {
             ($($f:ident),*) => { $( self.$f -= earlier.$f; )* };
         }
         sub!(
-            fetched, dispatched, issued, committed, rf_reads, rf_writes, rat_reads, rat_writes,
-            iq_wakeups, lq_searches, sq_searches, store_forwards, bpred_accesses, btb_accesses,
-            branches, mispredictions, alu_ops, mul_ops, fp_ops, loads, stores, active_cycles,
-            barriers, barrier_stall_cycles, stall_frontend_cycles, stall_memory_cycles,
-            stall_execute_cycles, rob_occupancy_sum, iq_occupancy_sum, occupancy_samples
+            fetched,
+            dispatched,
+            issued,
+            committed,
+            rf_reads,
+            rf_writes,
+            rat_reads,
+            rat_writes,
+            iq_wakeups,
+            lq_searches,
+            sq_searches,
+            store_forwards,
+            bpred_accesses,
+            btb_accesses,
+            branches,
+            mispredictions,
+            alu_ops,
+            mul_ops,
+            fp_ops,
+            loads,
+            stores,
+            active_cycles,
+            barriers,
+            barrier_stall_cycles,
+            stall_frontend_cycles,
+            stall_memory_cycles,
+            stall_execute_cycles,
+            rob_occupancy_sum,
+            iq_occupancy_sum,
+            occupancy_samples
         );
     }
 

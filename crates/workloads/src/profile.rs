@@ -49,7 +49,13 @@ impl InstMix {
 
     /// Sum of all explicit fractions (must be ≤ 1).
     pub fn total(&self) -> f64 {
-        self.load + self.store + self.branch + self.int_mul + self.fp_add + self.fp_mul + self.fp_div
+        self.load
+            + self.store
+            + self.branch
+            + self.int_mul
+            + self.fp_add
+            + self.fp_mul
+            + self.fp_div
     }
 }
 

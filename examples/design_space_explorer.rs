@@ -28,7 +28,10 @@ fn main() {
     }
 
     println!("\n== 2. Hetero-layer RF: bottom-ports x upsize sweep ==");
-    println!("  (access latency in ps; 2D = {:.0} ps)", base.metrics.access_s * 1e12);
+    println!(
+        "  (access latency in ps; 2D = {:.0} ps)",
+        base.metrics.access_s * 1e12
+    );
     print!("  b\\u ");
     for u in [1.0, 1.5, 2.0, 3.0] {
         print!("{u:>8.1}x");
@@ -40,8 +43,7 @@ fn main() {
     for p_b in 9..=13 {
         print!("  {p_b:>2}  ");
         for u in [1.0, 1.5, 2.0, 3.0] {
-            let (bottom, top, _) =
-                port_partition_plans(&rf, &node, procs, &via, p_b, 18 - p_b, u);
+            let (bottom, top, _) = port_partition_plans(&rf, &node, procs, &via, p_b, 18 - p_b, u);
             let ab = analyze_with_org(&node, &bottom, org);
             let at = analyze_with_org(&node, &top, org);
             let acc = ab.metrics.access_s.max(at.metrics.access_s);

@@ -19,7 +19,10 @@ fn main() {
     let part = partition_hetero(&nl, penalty);
     let timing = nl.timing();
 
-    println!("== 64-bit carry-skip adder, top layer {:.0}% slower ==", penalty * 100.0);
+    println!(
+        "== 64-bit carry-skip adder, top layer {:.0}% slower ==",
+        penalty * 100.0
+    );
     println!(
         "gates {} | critical path {:.1} FO4 | partitioned {:.1} FO4 | top layer {:.0}%\n",
         nl.logic_gate_count(),

@@ -18,10 +18,7 @@ use m3d_workloads::parallel::{parallel_by_name, splash_parsec};
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let app_name = args.first().map(String::as_str).unwrap_or("Ocean");
-    let work: u64 = args
-        .get(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(80_000);
+    let work: u64 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(80_000);
     let Some(app) = parallel_by_name(app_name) else {
         eprintln!("unknown app {app_name}; available:");
         for p in splash_parsec() {
