@@ -15,6 +15,9 @@ cargo test -q --workspace --offline
 echo "== cargo clippy -- -D warnings =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "== cargo fmt --check (workspace formatting) =="
+cargo fmt --all -- --check
+
 echo "== repro --quick all (artifact smoke test) =="
 rm -rf target/repro-ci
 ./target/release/repro --quick all --out-dir target/repro-ci

@@ -13,7 +13,7 @@
 //! SRAM candidates evaluated/pruned, µops simulated). It also runs three
 //! probes: the cycle probe (simulated cycles per wall-second over a pinned
 //! point set), the design-space search probe, and the instrumentation
-//! overhead of a serial thermal solve (median of paired off/on solves).
+//! overhead of a thermal solve (median of paired off/on solves).
 //! Per-layer wall times live in `perfbench/`, not here.
 //!
 //! `--check` compares the integer counters, the cycle probe's cycle count
@@ -47,7 +47,7 @@ fn main() {
     eprintln!("[perf_baseline] measuring (quick scale, 1 worker)...");
     let current = measure();
     eprintln!(
-        "[perf_baseline] obs overhead on a serial thermal solve: {:+.2}% \
+        "[perf_baseline] obs overhead on a thermal solve: {:+.2}% \
          (median of {OBS_PROBE_PAIRS} off/on pairs)",
         current.overhead_pct
     );

@@ -45,7 +45,7 @@ use crate::bpred::{Btb, Tournament};
 use crate::config::CoreConfig;
 use crate::memory::MemorySystem;
 use crate::stats::ActivityStats;
-use m3d_workloads::{MicroOp, OpKind, TraceGenerator};
+use m3d_workloads::{MicroOp, OpKind, OpStream};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 
@@ -359,7 +359,7 @@ pub struct CoreEngine {
     /// This core's index.
     pub core_id: usize,
     cfg: CoreConfig,
-    gen: TraceGenerator,
+    gen: OpStream,
     rob: RobSoa,
     next_seq: u64,
     /// Latest in-flight producer tag per architectural register
@@ -390,15 +390,21 @@ pub struct CoreEngine {
     pub stats: ActivityStats,
     /// µops committed so far.
     pub committed: u64,
-    /// Cycle at which `target` commits was reached (if set).
-    pub cycle_at_target: Option<u64>,
+    /// Commit-count targets of the current run, ascending.
+    targets: Vec<u64>,
+    /// `(cycle, stats)` as each target was reached, aligned with `targets`.
+    at_target: Vec<Option<(u64, ActivityStats)>>,
+    /// Index of the next target a commit can reach.
+    next_target: usize,
+    /// `targets[next_target]`, or `u64::MAX` once none is left: the one
+    /// value the commit path compares against.
     target: u64,
-    stats_at_target: Option<ActivityStats>,
 }
 
 impl CoreEngine {
-    /// Create a core running the given trace generator.
-    pub fn new(core_id: usize, cfg: CoreConfig, gen: TraceGenerator) -> Self {
+    /// Create a core running the given µop stream (a
+    /// [`m3d_workloads::TraceGenerator`] converts into a live one).
+    pub fn new(core_id: usize, cfg: CoreConfig, gen: impl Into<OpStream>) -> Self {
         let bpred = Tournament::new(cfg.bpred_entries);
         let btb = Btb::new(cfg.btb_entries, cfg.btb_ways);
         let rob = RobSoa::new(cfg.rob_entries);
@@ -408,7 +414,7 @@ impl CoreEngine {
             free_int: cfg.int_regs,
             free_fp: cfg.fp_regs,
             cfg,
-            gen,
+            gen: gen.into(),
             rob,
             next_seq: 0,
             rat: [TAG_NONE; 32],
@@ -429,24 +435,51 @@ impl CoreEngine {
             skipped_cycles: 0,
             stats: ActivityStats::default(),
             committed: 0,
-            cycle_at_target: None,
+            targets: Vec::new(),
+            at_target: Vec::new(),
+            next_target: 0,
             target: u64::MAX,
-            stats_at_target: None,
         }
     }
 
-    /// Set the commit-count target at which this core's statistics are
-    /// snapshotted, forgetting the previous interval's snapshot (so a run
-    /// that misses its target reports its own counters, not stale ones).
-    pub fn set_target(&mut self, n: u64) {
-        self.target = n;
-        self.cycle_at_target = None;
-        self.stats_at_target = None;
+    /// Set the ascending commit counts at which this core's cycle and
+    /// statistics are snapshotted, forgetting the previous run's snapshots
+    /// (so a run that misses a target reports its own counters, not stale
+    /// ones). A target at or below the current commit count is never
+    /// reached.
+    pub(crate) fn set_targets(&mut self, targets: impl IntoIterator<Item = u64>) {
+        self.targets.clear();
+        self.targets.extend(targets);
+        debug_assert!(self.targets.is_sorted(), "targets must ascend");
+        self.at_target.clear();
+        self.at_target.resize(self.targets.len(), None);
+        self.next_target = self.targets.partition_point(|&t| t <= self.committed);
+        self.target = self
+            .targets
+            .get(self.next_target)
+            .copied()
+            .unwrap_or(u64::MAX);
     }
 
-    /// Statistics as of reaching the target (or current if not yet reached).
-    pub fn stats_at_target(&self) -> ActivityStats {
-        self.stats_at_target.unwrap_or(self.stats)
+    /// Targets reached so far, counting the unreachable ones at the front
+    /// as reached: target `i` has been passed iff `i < targets_passed()`.
+    pub(crate) fn targets_passed(&self) -> usize {
+        self.next_target
+    }
+
+    /// `(cycle, stats)` as target `i` was reached, if it was.
+    pub(crate) fn at_target(&self, i: usize) -> Option<(u64, ActivityStats)> {
+        self.at_target[i]
+    }
+
+    /// This core's µop stream.
+    pub(crate) fn stream_mut(&mut self) -> &mut OpStream {
+        &mut self.gen
+    }
+
+    /// Give up the core, keeping its µop stream.
+    pub(crate) fn into_stream(self) -> OpStream {
+        self.gen
     }
 
     /// `(jumps, cycles)` the skip-ahead fast path has taken on this core.
@@ -563,9 +596,14 @@ impl CoreEngine {
             self.rob.free_head();
             self.committed += 1;
             self.stats.committed += 1;
-            if self.committed == self.target && self.cycle_at_target.is_none() {
-                self.cycle_at_target = Some(cycle);
-                self.stats_at_target = Some(self.stats);
+            while self.committed == self.target {
+                self.at_target[self.next_target] = Some((cycle, self.stats));
+                self.next_target += 1;
+                self.target = self
+                    .targets
+                    .get(self.next_target)
+                    .copied()
+                    .unwrap_or(u64::MAX);
             }
             n += 1;
         }
@@ -995,7 +1033,7 @@ mod tests {
     use crate::stats::PerfResult;
     use m3d_workloads::parallel::splash_parsec;
     use m3d_workloads::spec::{spec2006, spec_by_name};
-    use m3d_workloads::WorkloadProfile;
+    use m3d_workloads::{TraceGenerator, WorkloadProfile};
     use proptest::prelude::*;
 
     fn run_app(name: &str, cfg: CoreConfig, n: u64) -> PerfResult {

@@ -15,6 +15,8 @@
 //! * [`spec`] — the 21 SPEC CPU2006 applications of Figures 6–8.
 //! * [`parallel`] — the 15 SPLASH-2/PARSEC applications of Figures 9–10.
 //! * [`gen::TraceGenerator`] — deterministic µop stream generator.
+//! * [`stream::OpStream`] — a stream generated live, recorded once, or
+//!   replayed from a record.
 //!
 //! # Example
 //!
@@ -37,7 +39,9 @@ pub mod op;
 pub mod parallel;
 pub mod profile;
 pub mod spec;
+pub mod stream;
 
 pub use gen::TraceGenerator;
 pub use op::{MicroOp, OpKind};
 pub use profile::WorkloadProfile;
+pub use stream::{OpStream, StreamRecord};
