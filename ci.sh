@@ -33,6 +33,19 @@ grep -q '"metrics"' target/repro-ci/manifest.json || {
   echo "ci.sh: manifest lacks the aggregated metrics block" >&2
   exit 1
 }
+# fig8 runs after fig6_fig7 and reads the same single-core simulations
+# from the memo cache: every one of its batch points is a hit, and it
+# simulates no cycle.
+fig8_counter() {
+  sed -n "s/.*\"uarch\.batch\.$1\": \([0-9]*\).*/\1/p" target/repro-ci/fig8.json
+}
+FIG8_POINTS=$(fig8_counter points)
+[ -n "$FIG8_POINTS" ] && [ "$(fig8_counter cycles)" = 0 ] &&
+  [ "$(fig8_counter cache_hits)" = "$FIG8_POINTS" ] || {
+  echo "ci.sh: fig8 re-simulated points fig6_fig7 had already simulated" >&2
+  grep '"uarch\.batch\.' target/repro-ci/fig8.json >&2 || true
+  exit 1
+}
 
 echo "== serve smoke test (ephemeral port, loadgen, graceful shutdown) =="
 # Start the query daemon on an ephemeral port, let loadgen drive one

@@ -186,3 +186,48 @@ fn artifacts_carry_solver_and_warm_start_counters() {
     assert!(agg.counter("thermal.iterations").is_some_and(|v| v > 0));
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// `text` from its first line starting with `from` to the end, with every
+/// run of digits on the wall-clock lines (solver milliseconds, experiment
+/// wall time) collapsed to `#`.
+fn masked_block(text: &str, from: &str) -> String {
+    let start = text
+        .find(from)
+        .unwrap_or_else(|| panic!("no `{from}` in {text}"));
+    let mut out = String::new();
+    for line in text[start..].lines() {
+        let timed = line.contains("thermal solver") || line.contains("experiment wall time");
+        let mut in_digits = false;
+        for c in line.chars() {
+            if timed && c.is_ascii_digit() {
+                if !in_digits {
+                    out.push('#');
+                }
+                in_digits = true;
+            } else {
+                out.push(c);
+                in_digits = false;
+            }
+        }
+        out.push('\n');
+    }
+    out
+}
+
+#[test]
+fn fig8_prints_the_same_block_alone_and_after_fig6() {
+    // Alone, fig8 simulates its points; after fig6 in the same run, it
+    // reads them from the memo cache. Both must print the same figure.
+    let run = |names: &[&str]| {
+        let out = repro()
+            .args(["--quick", "--jobs", "2"])
+            .args(names)
+            .output()
+            .expect("repro runs");
+        assert!(out.status.success(), "{names:?}: {out:?}");
+        masked_block(&String::from_utf8_lossy(&out.stdout), "Figure 8:")
+    };
+    let alone = run(&["fig8"]);
+    assert!(alone.contains("Average"), "{alone}");
+    assert_eq!(alone, run(&["fig6", "fig8"]));
+}

@@ -4,6 +4,8 @@
 //!
 //! The runs use extra-small simulation windows so two full `all` passes
 //! stay cheap; determinism does not depend on the window size.
+//! Instrumentation is on, so the per-experiment counters can be compared
+//! too.
 
 use m3d_bench::artifacts::{max_overlap, write_artifacts, RunInfo};
 use m3d_core::experiments::registry::{run_experiments, select, Ctx, Outcome};
@@ -60,10 +62,39 @@ fn run_all(jobs: usize) -> (Vec<Outcome>, String) {
     (outcomes, text)
 }
 
+/// fig8's `uarch.batch.*` counters in one run.
+fn fig8_batch_counters(outcomes: &[Outcome]) -> Vec<(&'static str, Option<u64>)> {
+    let fig8 = outcomes
+        .iter()
+        .find(|o| o.spec.name == "fig8")
+        .expect("fig8 selected");
+    let metrics = fig8.metrics.as_ref().expect("instrumentation enabled");
+    [
+        "uarch.batch.points",
+        "uarch.batch.cache_hits",
+        "uarch.batch.checkpoint_reuses",
+        "uarch.batch.cycles",
+        "uarch.batch.cap_exhausted",
+    ]
+    .into_iter()
+    .map(|k| (k, metrics.counter(k)))
+    .collect()
+}
+
 #[test]
 fn jobs1_and_jobs4_agree() {
+    m3d_obs::enable();
     let (serial, text1) = run_all(1);
     let (parallel, text4) = run_all(4);
+
+    // fig8 runs after fig6_fig7 and reads its 18 single-core points
+    // (6 quick apps x 3 designs) from the memo cache at every `--jobs`.
+    let fig8 = fig8_batch_counters(&serial);
+    assert_eq!(fig8, fig8_batch_counters(&parallel), "fig8 batch counters");
+    let count = |k: &str| fig8.iter().find(|(n, _)| *n == k).and_then(|(_, v)| *v);
+    assert_eq!(count("uarch.batch.points"), Some(18), "{fig8:?}");
+    assert_eq!(count("uarch.batch.cache_hits"), Some(18), "{fig8:?}");
+    assert_eq!(count("uarch.batch.cycles"), Some(0), "{fig8:?}");
 
     assert_eq!(serial.len(), parallel.len());
     assert!(serial.iter().all(|o| o.report.is_ok()), "serial run failed");

@@ -76,8 +76,12 @@ fn average<'a>(it: impl Iterator<Item = &'a Vec<f64>>) -> Vec<f64> {
 
 /// The batch point for one (application, design) pair. Every simulation in
 /// this study is "fresh machine → warm-up → measure" on one core, which is
-/// exactly a single-core [`SimPoint`].
-fn point(app: &m3d_workloads::WorkloadProfile, d: DesignPoint, scale: RunScale) -> SimPoint {
+/// exactly a single-core [`SimPoint`]. Figure 8 simulates the same points.
+pub(crate) fn point(
+    app: &m3d_workloads::WorkloadProfile,
+    d: DesignPoint,
+    scale: RunScale,
+) -> SimPoint {
     SimPoint::single(
         d.core_config(),
         app.clone(),

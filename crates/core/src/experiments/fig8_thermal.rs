@@ -1,11 +1,16 @@
 //! Figure 8: peak temperature of Base (2D), TSV3D, and M3D-Het across the
 //! SPEC applications.
 //!
-//! Per application: run the design's simulation, split the measured power
+//! Per application: take the design's simulation, split the measured power
 //! over the Ryzen-like floorplan blocks, and solve the steady-state thermal
 //! grid for the design's layer stack. The 3D designs fold the floorplan to
 //! 50% footprint (the paper's conservative assumption) and split each
 //! block's power across the two device layers.
+//!
+//! The simulations are the Figure 6/7 points of the same (application,
+//! design) pairs, run through the batch engine: when `fig6_fig7` ran first
+//! in the same process (the registry orders fig8 after it), every one is a
+//! memo-cache hit.
 //!
 //! The three designs' [`ThermalModel`]s are assembled once up front (via the
 //! process-wide model cache) and shared by every application; applications
@@ -15,6 +20,7 @@
 //! sweep count severalfold.
 
 use crate::configs::DesignPoint;
+use crate::experiments::fig6_fig7_single_core::point;
 use crate::experiments::registry::{Ctx, ExperimentError, ExperimentReport, Section};
 use crate::experiments::{par_map_with, RunScale};
 use crate::planner::DesignSpace;
@@ -24,7 +30,7 @@ use m3d_tech::layers::LayerStack;
 use m3d_thermal::floorplan::Floorplan;
 use m3d_thermal::model::{shared_cache, SolveStatsSummary, ThermalModel};
 use m3d_thermal::solver::{Solution, ThermalConfig};
-use m3d_uarch::Multicore;
+use m3d_uarch::{SimBatch, SimError};
 use m3d_workloads::spec::spec2006;
 use std::sync::Arc;
 
@@ -107,37 +113,41 @@ struct WarmFields {
     het: Option<Solution>,
 }
 
-/// Run the thermal study over a subset (or all) of SPEC.
-pub fn run(space: &DesignSpace, scale: RunScale, max_apps: usize) -> Vec<ThermalRow> {
-    run_with_stats(space, scale, max_apps).0
-}
+/// The three designs the study compares, in row order.
+const DESIGNS: [DesignPoint; 3] = [DesignPoint::Base, DesignPoint::Tsv3d, DesignPoint::M3dHet];
 
-/// Like [`run`], but also returns the accumulated solver statistics
-/// (iterations, warm starts, cache hits, wall time) for the `repro` report.
+/// Run the thermal study over the first `max_apps` SPEC applications,
+/// simulating through the batch engine on `jobs` worker lanes, and return
+/// the rows with the accumulated solver statistics (iterations, warm
+/// starts, cache hits, wall time) for the `repro` report.
 pub fn run_with_stats(
     space: &DesignSpace,
     scale: RunScale,
     max_apps: usize,
-) -> (Vec<ThermalRow>, SolveStatsSummary) {
+    jobs: usize,
+) -> Result<(Vec<ThermalRow>, SolveStatsSummary), SimError> {
     let model = CorePowerModel::new_22nm();
     let tcfg = ThermalConfig::default();
     let designs = DesignModels::build(&tcfg);
     let apps: Vec<_> = spec2006().into_iter().take(max_apps).collect();
+    let points: Vec<_> = apps
+        .iter()
+        .flat_map(|app| DESIGNS.iter().map(move |&d| point(app, d, scale)))
+        .collect();
+    let perf = SimBatch::new(jobs)
+        .run(&points)
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
 
     let results = par_map_with(
         &apps,
         MAX_APP_THREADS,
         WarmFields::default,
-        |warm, _, app| {
-            let powers_for = |d: DesignPoint| {
-                let mut core = Multicore::new(d.core_config(), app, 0xF16, 1);
-                let _ = core.run(scale.warmup);
-                let r = core.run(scale.measure);
-                model.block_powers(&r, &d.power_config(space))
-            };
-            let base_blocks = powers_for(DesignPoint::Base);
-            let tsv_blocks = powers_for(DesignPoint::Tsv3d);
-            let het_blocks = powers_for(DesignPoint::M3dHet);
+        |warm, i, app| {
+            let [base_blocks, tsv_blocks, het_blocks] = std::array::from_fn(|k| {
+                let r = &perf[i * DESIGNS.len() + k];
+                model.block_powers(r, &DESIGNS[k].power_config(space))
+            });
 
             let mut stats = SolveStatsSummary::default();
             let mut run_one = |(m, cached): &(Arc<ThermalModel>, bool),
@@ -189,7 +199,7 @@ pub fn run_with_stats(
             row
         })
         .collect();
-    (rows, total)
+    Ok((rows, total))
 }
 
 /// Render Figure 8.
@@ -227,10 +237,10 @@ pub fn report(ctx: &Ctx) -> Result<ExperimentReport, ExperimentError> {
     eprintln!("[repro] running thermal study...");
     let apps = if ctx.quick() { 6 } else { 21 };
     let t1 = std::time::Instant::now();
-    let (rows, stats) = run_with_stats(space, ctx.scale(), apps);
+    let (rows, stats) = run_with_stats(space, ctx.scale(), apps, ctx.jobs())?;
     let wall = t1.elapsed().as_secs_f64();
     let scale = ctx.scale();
-    let uops = (rows.len() * 3) as u64 * (scale.warmup + scale.measure);
+    let uops = (rows.len() * DESIGNS.len()) as u64 * (scale.warmup + scale.measure);
     Ok(ExperimentReport {
         sections: vec![
             Section::always(fig8_text(&rows)),
@@ -264,7 +274,11 @@ mod tests {
 
     fn rows() -> &'static Vec<ThermalRow> {
         static R: OnceLock<Vec<ThermalRow>> = OnceLock::new();
-        R.get_or_init(|| run(&DesignSpace::compute(), RunScale::quick(), 4))
+        R.get_or_init(|| {
+            run_with_stats(&DesignSpace::compute(), RunScale::quick(), 4, 1)
+                .expect("paper design points are valid")
+                .0
+        })
     }
 
     #[test]
@@ -314,8 +328,9 @@ mod tests {
         // the shared cache, and warm starts must kick in past the first app
         // of each worker chunk.
         let space = DesignSpace::compute();
-        let (_, first) = run_with_stats(&space, RunScale::quick(), 3);
-        let (rows2, second) = run_with_stats(&space, RunScale::quick(), 3);
+        let study = || run_with_stats(&space, RunScale::quick(), 3, 1).expect("valid points");
+        let (_, first) = study();
+        let (rows2, second) = study();
         assert_eq!(rows2.len(), 3);
         assert_eq!(first.solves, 9, "3 apps x 3 designs");
         assert!(second.cache_hits >= second.solves.saturating_sub(3));

@@ -3,9 +3,9 @@
 //! Every table/figure driver exposes a uniform `report(&Ctx) ->
 //! ExperimentReport` entry point; this module registers them all in
 //! [`REGISTRY`] with their declared dependencies (the shared
-//! [`DesignSpace`] prerequisite, the thermal model cache) and a scheduling
-//! weight, and runs a selection of them across a `std::thread::scope`
-//! worker pool.
+//! [`DesignSpace`] prerequisite, the thermal model cache, the entries they
+//! start after) and a scheduling weight, and runs a selection of them
+//! across a `std::thread::scope` worker pool.
 //!
 //! Determinism contract: experiments are *executed* heaviest-first across
 //! workers, but their rendered text is *emitted* in registry order, and all
@@ -24,7 +24,6 @@ use m3d_thermal::model::SolveStatsSummary;
 use m3d_thermal::solver::ThermalConfig;
 use m3d_uarch::SimError;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -310,6 +309,12 @@ pub struct ExperimentSpec {
     /// Scheduling weight: heavier experiments are started first so the
     /// total wall time is bounded by the slowest experiment, not the sum.
     pub weight: u32,
+    /// Registry ids of the entries this one starts after, when they are
+    /// selected too: fig8 reads the simulations of `fig6_fig7` from the
+    /// memo cache. An entry that is not selected does not hold it back.
+    /// Only earlier registry entries may be named, so no selection can
+    /// deadlock.
+    pub after: &'static [&'static str],
     /// The driver entry point. Typed failures (e.g. an invalid simulation
     /// point) return `Err` and are reported like caught panics, without
     /// tearing down the run.
@@ -319,8 +324,8 @@ pub struct ExperimentSpec {
 impl ExperimentSpec {
     /// Declared dependencies as stable names: `"space"` when the driver
     /// consumes the shared [`DesignSpace`], `"thermal"` when it runs the
-    /// thermal solver. The vocabulary is shared by `repro --list` and the
-    /// `m3d-serve` `list` method.
+    /// thermal solver, then the ids of the entries it runs
+    /// [`after`](ExperimentSpec::after). `repro --list` prints them.
     pub fn deps(&self) -> Vec<&'static str> {
         let mut d = Vec::new();
         if self.needs_space {
@@ -329,6 +334,7 @@ impl ExperimentSpec {
         if self.needs_thermal {
             d.push("thermal");
         }
+        d.extend(self.after);
         d
     }
 }
@@ -343,6 +349,7 @@ pub static REGISTRY: &[ExperimentSpec] = &[
         needs_space: false,
         needs_thermal: false,
         weight: 1,
+        after: &[],
         run: table1_table2_fig2_vias::report_table1,
     },
     ExperimentSpec {
@@ -352,6 +359,7 @@ pub static REGISTRY: &[ExperimentSpec] = &[
         needs_space: false,
         needs_thermal: false,
         weight: 1,
+        after: &[],
         run: table1_table2_fig2_vias::report_table2,
     },
     ExperimentSpec {
@@ -361,6 +369,7 @@ pub static REGISTRY: &[ExperimentSpec] = &[
         needs_space: false,
         needs_thermal: false,
         weight: 1,
+        after: &[],
         run: table1_table2_fig2_vias::report_fig2,
     },
     ExperimentSpec {
@@ -370,6 +379,7 @@ pub static REGISTRY: &[ExperimentSpec] = &[
         needs_space: false,
         needs_thermal: false,
         weight: 5,
+        after: &[],
         run: table3_4_5_partitioning::report_table3,
     },
     ExperimentSpec {
@@ -379,6 +389,7 @@ pub static REGISTRY: &[ExperimentSpec] = &[
         needs_space: false,
         needs_thermal: false,
         weight: 5,
+        after: &[],
         run: table3_4_5_partitioning::report_table4,
     },
     ExperimentSpec {
@@ -388,6 +399,7 @@ pub static REGISTRY: &[ExperimentSpec] = &[
         needs_space: false,
         needs_thermal: false,
         weight: 5,
+        after: &[],
         run: table3_4_5_partitioning::report_table5,
     },
     ExperimentSpec {
@@ -397,6 +409,7 @@ pub static REGISTRY: &[ExperimentSpec] = &[
         needs_space: false,
         needs_thermal: false,
         weight: 3,
+        after: &[],
         run: fig5_logic::report,
     },
     ExperimentSpec {
@@ -406,6 +419,7 @@ pub static REGISTRY: &[ExperimentSpec] = &[
         needs_space: false,
         needs_thermal: false,
         weight: 1,
+        after: &[],
         run: table7_techniques::report,
     },
     ExperimentSpec {
@@ -415,6 +429,7 @@ pub static REGISTRY: &[ExperimentSpec] = &[
         needs_space: false,
         needs_thermal: false,
         weight: 10,
+        after: &[],
         run: ablations::report,
     },
     ExperimentSpec {
@@ -424,6 +439,7 @@ pub static REGISTRY: &[ExperimentSpec] = &[
         needs_space: false,
         needs_thermal: true,
         weight: 30,
+        after: &[],
         run: section5_alternatives::report,
     },
     ExperimentSpec {
@@ -433,6 +449,7 @@ pub static REGISTRY: &[ExperimentSpec] = &[
         needs_space: true,
         needs_thermal: false,
         weight: 20,
+        after: &[],
         run: table6_best::report,
     },
     ExperimentSpec {
@@ -442,6 +459,7 @@ pub static REGISTRY: &[ExperimentSpec] = &[
         needs_space: true,
         needs_thermal: false,
         weight: 20,
+        after: &[],
         run: table8_hetero::report,
     },
     ExperimentSpec {
@@ -451,6 +469,7 @@ pub static REGISTRY: &[ExperimentSpec] = &[
         needs_space: true,
         needs_thermal: true,
         weight: 25,
+        after: &[],
         run: table11_configs::report,
     },
     ExperimentSpec {
@@ -460,6 +479,7 @@ pub static REGISTRY: &[ExperimentSpec] = &[
         needs_space: true,
         needs_thermal: false,
         weight: 100,
+        after: &[],
         run: fig6_fig7_single_core::report,
     },
     ExperimentSpec {
@@ -469,6 +489,7 @@ pub static REGISTRY: &[ExperimentSpec] = &[
         needs_space: true,
         needs_thermal: true,
         weight: 60,
+        after: &["fig6_fig7"],
         run: fig8_thermal::report,
     },
     ExperimentSpec {
@@ -478,6 +499,7 @@ pub static REGISTRY: &[ExperimentSpec] = &[
         needs_space: true,
         needs_thermal: true,
         weight: 90,
+        after: &[],
         run: fig9_fig10_multicore::report,
     },
     ExperimentSpec {
@@ -487,6 +509,7 @@ pub static REGISTRY: &[ExperimentSpec] = &[
         needs_space: true,
         needs_thermal: true,
         weight: 80,
+        after: &[],
         run: frontier::report,
     },
 ];
@@ -570,12 +593,25 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> ExperimentError {
     })
 }
 
+/// What the worker lanes of [`run_experiments`] share.
+struct Schedule {
+    /// Unclaimed entries, heaviest first.
+    queue: Vec<usize>,
+    /// Entries whose driver has returned (`Ok`, `Err` or panic).
+    finished: Vec<bool>,
+    /// Outcomes not yet emitted.
+    slots: Vec<Option<Outcome>>,
+}
+
 /// Run `selected` experiments on up to `jobs` worker threads.
 ///
 /// Execution order is heaviest-first (by [`ExperimentSpec::weight`]) so the
-/// run is bounded by the slowest experiment; `emit` is nevertheless called
-/// exactly once per experiment **in registry order**, as soon as each
-/// result and all its predecessors are available, so output streams
+/// run is bounded by the slowest experiment, except that an entry starts
+/// only once every selected entry it runs [`after`](ExperimentSpec::after)
+/// has finished, whether it succeeded, failed or panicked; a free lane
+/// meanwhile takes the heaviest entry it may start. `emit` is nevertheless
+/// called exactly once per experiment **in registry order**, as soon as
+/// each result and all its predecessors are available, so output streams
 /// deterministically. Panicking drivers are caught and surfaced as `Err`
 /// outcomes instead of tearing down the run.
 ///
@@ -599,25 +635,46 @@ pub fn run_experiments(
 
     // Schedule heaviest-first; the sort is stable, so equal weights keep
     // registry order.
-    let mut schedule: Vec<usize> = (0..n).collect();
-    schedule.sort_by_key(|&i| std::cmp::Reverse(selected[i].weight));
+    let mut queue: Vec<usize> = (0..n).collect();
+    queue.sort_by_key(|&i| std::cmp::Reverse(selected[i].weight));
+    // The selected entries each entry waits for.
+    let waits_for: Vec<Vec<usize>> = selected
+        .iter()
+        .map(|s| {
+            (0..n)
+                .filter(|&j| s.after.contains(&selected[j].name))
+                .collect()
+        })
+        .collect();
 
-    let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<Outcome>>> = Mutex::new((0..n).map(|_| None).collect());
-    let ready = Condvar::new();
+    let state = Mutex::new(Schedule {
+        queue,
+        finished: vec![false; n],
+        slots: (0..n).map(|_| None).collect(),
+    });
+    let changed = Condvar::new();
     let t0 = Instant::now();
 
     std::thread::scope(|scope| {
         for lane in 0..jobs {
-            let (next, slots, ready, schedule) = (&next, &slots, &ready, &schedule);
+            let (state, changed, waits_for) = (&state, &changed, &waits_for);
             scope.spawn(move || {
                 m3d_obs::label_thread(format!("repro-worker-{lane}"));
+                let mut guard = state.lock().expect("orchestrator state poisoned");
                 loop {
-                    let k = next.fetch_add(1, Ordering::Relaxed);
-                    if k >= n {
-                        break;
-                    }
-                    let i = schedule[k];
+                    let startable = guard
+                        .queue
+                        .iter()
+                        .position(|&i| waits_for[i].iter().all(|&j| guard.finished[j]));
+                    let Some(k) = startable else {
+                        if guard.queue.is_empty() {
+                            break;
+                        }
+                        guard = changed.wait(guard).expect("orchestrator state poisoned");
+                        continue;
+                    };
+                    let i = guard.queue.remove(k);
+                    drop(guard);
                     let spec = selected[i];
                     // All counters emitted while this driver runs (on this
                     // thread or any worker that re-enters the task) are
@@ -643,25 +700,26 @@ pub fn run_experiments(
                         wall_s: started.elapsed().as_secs_f64(),
                         metrics: m3d_obs::is_enabled().then(|| task.snapshot()),
                     };
-                    let mut guard = slots.lock().expect("orchestrator slots poisoned");
-                    guard[i] = Some(outcome);
-                    ready.notify_all();
+                    guard = state.lock().expect("orchestrator state poisoned");
+                    guard.finished[i] = true;
+                    guard.slots[i] = Some(outcome);
+                    changed.notify_all();
                 }
             });
         }
 
         // The caller's thread drains results in registry order.
         let mut out: Vec<Outcome> = Vec::with_capacity(n);
-        let mut guard = slots.lock().expect("orchestrator slots poisoned");
+        let mut guard = state.lock().expect("orchestrator state poisoned");
         for i in 0..n {
-            while guard[i].is_none() {
-                guard = ready.wait(guard).expect("orchestrator slots poisoned");
+            while guard.slots[i].is_none() {
+                guard = changed.wait(guard).expect("orchestrator state poisoned");
             }
-            let outcome = guard[i].take().expect("slot just checked");
+            let outcome = guard.slots[i].take().expect("slot just checked");
             drop(guard);
             emit(&outcome);
             out.push(outcome);
-            guard = slots.lock().expect("orchestrator slots poisoned");
+            guard = state.lock().expect("orchestrator state poisoned");
         }
         drop(guard);
         out
@@ -724,6 +782,7 @@ mod tests {
             needs_space: false,
             needs_thermal: false,
             weight: 1,
+            after: &[],
             run: ok_spec,
         },
         ExperimentSpec {
@@ -733,6 +792,7 @@ mod tests {
             needs_space: false,
             needs_thermal: false,
             weight: 100,
+            after: &[],
             run: panicking_spec,
         },
     ];
@@ -751,6 +811,163 @@ mod tests {
         assert!(matches!(err, ExperimentError::Panic(_)), "{err}");
         assert!(err.to_string().contains("boom"), "{err}");
         assert!(outcomes.iter().all(|o| o.wall_s >= 0.0));
+    }
+
+    #[test]
+    fn after_names_an_earlier_registry_entry() {
+        // Entries only wait for earlier ones, so no selection can deadlock.
+        for (i, spec) in REGISTRY.iter().enumerate() {
+            for target in spec.after {
+                let j = REGISTRY.iter().position(|s| s.name == *target);
+                assert!(
+                    j.is_some_and(|j| j < i),
+                    "{} runs after `{target}`, which is not an earlier entry",
+                    spec.name
+                );
+            }
+        }
+        let fig8 = find("fig8").expect("registered");
+        assert_eq!(fig8.after, ["fig6_fig7"]);
+        assert_eq!(fig8.deps(), ["space", "thermal", "fig6_fig7"]);
+    }
+
+    /// Start and finish events of the [`SCHED`] drivers, in order.
+    static EVENTS: Mutex<Vec<String>> = Mutex::new(Vec::new());
+
+    /// A driver that logs its start, runs `body` for its result, and
+    /// logs its finish (also when `body` panics).
+    fn logged(
+        name: &str,
+        body: impl FnOnce() -> Result<ExperimentReport, ExperimentError>,
+    ) -> Result<ExperimentReport, ExperimentError> {
+        struct Finish<'a>(&'a str);
+        impl Drop for Finish<'_> {
+            fn drop(&mut self) {
+                let mut events = EVENTS.lock().unwrap_or_else(|e| e.into_inner());
+                events.push(format!("finish {}", self.0));
+            }
+        }
+        EVENTS.lock().expect("events").push(format!("start {name}"));
+        let _finish = Finish(name);
+        body()
+    }
+
+    fn sched_ok(_: &Ctx) -> Result<ExperimentReport, ExperimentError> {
+        logged("ok", || Ok(ExperimentReport::default()))
+    }
+    fn sched_err(_: &Ctx) -> Result<ExperimentReport, ExperimentError> {
+        logged("err", || {
+            Err(ExperimentError::CapExhausted {
+                experiment: "err".to_owned(),
+                points: 1,
+            })
+        })
+    }
+    fn sched_panic(_: &Ctx) -> Result<ExperimentReport, ExperimentError> {
+        logged("panic", || panic!("scheduled panic"))
+    }
+    fn sched_after_ok(_: &Ctx) -> Result<ExperimentReport, ExperimentError> {
+        logged("after_ok", || Ok(ExperimentReport::default()))
+    }
+    fn sched_after_err(_: &Ctx) -> Result<ExperimentReport, ExperimentError> {
+        logged("after_err", || Ok(ExperimentReport::default()))
+    }
+    fn sched_after_panic(_: &Ctx) -> Result<ExperimentReport, ExperimentError> {
+        logged("after_panic", || Ok(ExperimentReport::default()))
+    }
+    fn sched_after_unselected(_: &Ctx) -> Result<ExperimentReport, ExperimentError> {
+        logged("after_unselected", || Ok(ExperimentReport::default()))
+    }
+    fn sched_unselected(_: &Ctx) -> Result<ExperimentReport, ExperimentError> {
+        logged("unselected", || Ok(ExperimentReport::default()))
+    }
+
+    macro_rules! sched_spec {
+        ($name:literal, $weight:literal, $after:expr, $run:path) => {
+            ExperimentSpec {
+                name: $name,
+                title: $name,
+                cli_names: &[$name],
+                needs_space: false,
+                needs_thermal: false,
+                weight: $weight,
+                after: $after,
+                run: $run,
+            }
+        };
+    }
+
+    /// Each dependant outweighs its target, so heaviest-first alone would
+    /// start it first.
+    static SCHED: [ExperimentSpec; 8] = [
+        sched_spec!("after_ok", 90, &["ok"], sched_after_ok),
+        sched_spec!("after_err", 80, &["err"], sched_after_err),
+        sched_spec!("after_panic", 70, &["panic"], sched_after_panic),
+        sched_spec!(
+            "after_unselected",
+            60,
+            &["unselected"],
+            sched_after_unselected
+        ),
+        sched_spec!("ok", 3, &[], sched_ok),
+        sched_spec!("err", 2, &[], sched_err),
+        sched_spec!("panic", 1, &[], sched_panic),
+        sched_spec!("unselected", 1, &[], sched_unselected),
+    ];
+
+    #[test]
+    fn entries_start_after_their_selected_targets_finish() {
+        let selected: Vec<&'static ExperimentSpec> =
+            SCHED.iter().filter(|s| s.name != "unselected").collect();
+        for jobs in [1, 2, 4] {
+            EVENTS.lock().expect("events").clear();
+            // A blocked entry would hang the run: fail after a deadline
+            // instead.
+            let (tx, rx) = std::sync::mpsc::channel();
+            let run = selected.clone();
+            let runner = std::thread::spawn(move || {
+                let ctx = Ctx::new(RunScale::quick(), true);
+                let mut emitted = Vec::new();
+                let outcomes = run_experiments(&ctx, &run, jobs, |o| emitted.push(o.spec.name));
+                let ok: Vec<(&str, bool)> = outcomes
+                    .iter()
+                    .map(|o| (o.spec.name, o.report.is_ok()))
+                    .collect();
+                tx.send((emitted, ok)).ok();
+            });
+            let (emitted, ok) = rx
+                .recv_timeout(std::time::Duration::from_secs(60))
+                .unwrap_or_else(|_| panic!("jobs {jobs}: the run did not finish"));
+            runner.join().expect("the runner sent its result");
+            let names: Vec<&str> = selected.iter().map(|s| s.name).collect();
+            assert_eq!(emitted, names, "jobs {jobs}: emit follows registry order");
+            let expected: Vec<(&str, bool)> = names
+                .iter()
+                .map(|&n| (n, n != "err" && n != "panic"))
+                .collect();
+            assert_eq!(ok, expected, "jobs {jobs}");
+            let events = EVENTS.lock().expect("events").clone();
+            let at = |e: &str| {
+                events
+                    .iter()
+                    .position(|x| x == e)
+                    .unwrap_or_else(|| panic!("jobs {jobs}: no `{e}` in {events:?}"))
+            };
+            for (dependant, target) in [
+                ("after_ok", "ok"),
+                ("after_err", "err"),
+                ("after_panic", "panic"),
+            ] {
+                assert!(
+                    at(&format!("start {dependant}")) > at(&format!("finish {target}")),
+                    "jobs {jobs}: {dependant} started before {target} finished: {events:?}"
+                );
+            }
+            // Waiting on an unselected entry is no wait: it is the
+            // heaviest entry free to start, so it starts first.
+            assert!(!events.iter().any(|e| e.ends_with(" unselected")));
+            assert_eq!(events[0], "start after_unselected", "jobs {jobs}");
+        }
     }
 
     #[test]

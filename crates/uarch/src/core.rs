@@ -275,6 +275,149 @@ impl RingScan {
     }
 }
 
+/// Cycles the calendar's bucket ring covers (a power of two).
+const RING: usize = 512;
+
+/// End of a calendar bucket list, and an empty bucket.
+const NO_SLOT: u32 = u32::MAX;
+
+/// The wake-up calendar: ROB slots keyed by the future cycle at which
+/// their operands are ready.
+///
+/// Keys within `RING` cycles of the last drained cycle `base` live in a
+/// ring of one bucket per cycle: bucket `at % RING` is an intrusive list
+/// of slots through `next`, and `occupied` marks the non-empty buckets.
+/// Since every ring key lies in `(base, base + RING)`, a bucket never
+/// holds two keys. Keys further out go to the `overflow` heap. Entries
+/// are only pushed after the current cycle's drain, with keys past it.
+#[derive(Debug, Clone)]
+struct Calendar {
+    /// The last cycle drained.
+    base: u64,
+    /// First slot of each bucket's list, or `NO_SLOT`.
+    head: Vec<u32>,
+    /// One bit per non-empty bucket.
+    occupied: [u64; RING / 64],
+    /// Next slot in the same bucket, per ROB slot.
+    next: Vec<u32>,
+    /// Entries keyed `base + RING` or later.
+    overflow: BinaryHeap<Reverse<(u64, u32)>>,
+    /// Entries ever pushed to `overflow` (diagnostic only).
+    overflows: u64,
+}
+
+impl Calendar {
+    fn new(cap: usize) -> Self {
+        Self {
+            base: 0,
+            head: vec![NO_SLOT; RING],
+            occupied: [0; RING / 64],
+            next: vec![NO_SLOT; cap],
+            overflow: BinaryHeap::new(),
+            overflows: 0,
+        }
+    }
+
+    /// File slot `s` under cycle `at`, which must lie after `base`.
+    #[inline]
+    fn push(&mut self, at: u64, s: usize) {
+        debug_assert!(at > self.base, "calendar key {at} not after {}", self.base);
+        if at - self.base < RING as u64 {
+            let b = at as usize % RING;
+            self.next[s] = self.head[b];
+            self.head[b] = s as u32;
+            self.occupied[b >> 6] |= 1 << (b & 63);
+        } else {
+            self.overflow.push(Reverse((at, s as u32)));
+            self.overflows += 1;
+        }
+    }
+
+    /// Remove every entry keyed at or before `cycle` (which must not
+    /// precede `base`), handing each slot to `ready`.
+    #[inline]
+    fn drain(&mut self, cycle: u64, mut ready: impl FnMut(usize)) {
+        debug_assert!(cycle >= self.base);
+        // The buckets of cycles base + 1 ..= cycle, as a cyclic range.
+        let mut left = (cycle - self.base).min(RING as u64) as usize;
+        let mut b = (self.base as usize + 1) % RING;
+        self.base = cycle;
+        while left > 0 {
+            let (w, off) = (b >> 6, b & 63);
+            let take = (64 - off).min(left);
+            let mask = (!0u64 >> (64 - take)) << off;
+            let mut bits = self.occupied[w] & mask;
+            self.occupied[w] &= !mask;
+            while bits != 0 {
+                let bucket = (w << 6) + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let mut s = std::mem::replace(&mut self.head[bucket], NO_SLOT);
+                while s != NO_SLOT {
+                    ready(s as usize);
+                    s = self.next[s as usize];
+                }
+            }
+            left -= take;
+            b = (b + take) % RING;
+        }
+        while let Some(&Reverse((at, s))) = self.overflow.peek() {
+            if at > cycle {
+                break;
+            }
+            self.overflow.pop();
+            ready(s as usize);
+        }
+    }
+
+    /// The earliest key, if any entry is filed.
+    fn first(&self) -> Option<u64> {
+        // Search the occupancy bits cyclically from bucket base + 1: the
+        // first hit is the earliest ring key.
+        let from = (self.base as usize + 1) % RING;
+        let ring = (0..=RING / 64).find_map(|i| {
+            let w = (from / 64 + i) % (RING / 64);
+            let mut bits = self.occupied[w];
+            if i == 0 {
+                bits &= !0u64 << (from & 63);
+            } else if i == RING / 64 {
+                bits &= !(!0u64 << (from & 63));
+            }
+            (bits != 0).then(|| self.key_of((w << 6) + bits.trailing_zeros() as usize))
+        });
+        let over = self.overflow.peek().map(|&Reverse((at, _))| at);
+        ring.into_iter().chain(over).min()
+    }
+
+    /// The ring key of bucket `b`: its one cycle in `(base, base + RING)`.
+    fn key_of(&self, b: usize) -> u64 {
+        let from = (self.base as usize + 1) % RING;
+        self.base + 1 + ((b + RING - from) % RING) as u64
+    }
+
+    /// Every filed `(key, slot)`, ring first, in no particular order, or
+    /// the first bucket whose occupancy bit disagrees with its list.
+    #[cfg(test)]
+    fn entries(&self) -> Result<Vec<(u64, usize)>, String> {
+        let mut out = Vec::new();
+        for b in 0..RING {
+            let mut s = self.head[b];
+            if (self.occupied[b >> 6] >> (b & 63)) & 1 != u64::from(s != NO_SLOT) {
+                return Err(format!("calendar bucket {b}: occupancy bit is stale"));
+            }
+            while s != NO_SLOT {
+                out.push((self.key_of(b), s as usize));
+                s = self.next[s as usize];
+            }
+        }
+        out.extend(
+            self.overflow
+                .iter()
+                .map(|&Reverse((at, s))| (at, s as usize)),
+        );
+        Ok(out)
+    }
+}
+
 /// Structure-of-arrays store-forwarding buffer: in-flight stores as
 /// parallel `(seq, 8-byte-aligned address, done_cycle)` columns, oldest
 /// first. Loads scan `addr8` newest-first for a matching older store.
@@ -371,7 +514,7 @@ pub struct CoreEngine {
     ready: SlotMask,
     /// Unissued entries whose producers have all issued but whose
     /// operands are not ready yet, keyed by `ready_at`.
-    calendar: BinaryHeap<Reverse<(u64, u32)>>,
+    calendar: Calendar,
     lq_occ: usize,
     sq_occ: usize,
     free_int: usize,
@@ -409,6 +552,7 @@ impl CoreEngine {
         let btb = Btb::new(cfg.btb_entries, cfg.btb_ways);
         let rob = RobSoa::new(cfg.rob_entries);
         let ready = SlotMask::new(cfg.rob_entries);
+        let calendar = Calendar::new(cfg.rob_entries);
         Self {
             core_id,
             free_int: cfg.int_regs,
@@ -420,7 +564,7 @@ impl CoreEngine {
             rat: [TAG_NONE; 32],
             iq_occ: 0,
             ready,
-            calendar: BinaryHeap::new(),
+            calendar,
             lq_occ: 0,
             sq_occ: 0,
             fetch_queue: VecDeque::new(),
@@ -488,6 +632,13 @@ impl CoreEngine {
     /// were stepped.
     pub fn skip_counters(&self) -> (u64, u64) {
         (self.skip_jumps, self.skipped_cycles)
+    }
+
+    /// Wake-up calendar entries filed `RING` (512) or more cycles ahead,
+    /// which go to its overflow heap. Diagnostic only, like
+    /// [`CoreEngine::skip_counters`].
+    pub(crate) fn calendar_overflows(&self) -> u64 {
+        self.calendar.overflows
     }
 
     fn uses_fp_reg(op: &MicroOp) -> bool {
@@ -611,13 +762,8 @@ impl CoreEngine {
     }
 
     fn issue(&mut self, cycle: u64, mem: &mut MemorySystem) {
-        while let Some(&Reverse((at, s))) = self.calendar.peek() {
-            if at > cycle {
-                break;
-            }
-            self.calendar.pop();
-            self.ready.set(s as usize);
-        }
+        let ready = &mut self.ready;
+        self.calendar.drain(cycle, |s| ready.set(s));
         let mut issued = 0;
         let (mut alu, mut mul, mut lsu, mut fpu) = (
             self.cfg.fus.alus,
@@ -772,7 +918,7 @@ impl CoreEngine {
         if at <= cycle {
             self.ready.set(s);
         } else {
-            self.calendar.push(Reverse((at, s as u32)));
+            self.calendar.push(at, s);
         }
     }
 
@@ -944,7 +1090,7 @@ impl CoreEngine {
                 consider(head_done);
             }
         }
-        if let Some(&Reverse((at, _))) = self.calendar.peek() {
+        if let Some(at) = self.calendar.first() {
             consider(at);
         }
         let mut scan = RingScan::new(0, self.rob.cap);
@@ -1172,6 +1318,71 @@ mod tests {
         assert!(r.cycles > 0);
     }
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The calendar against a `BinaryHeap` model: random pushes (near,
+        /// across the ring's reach and far past it), drains by one step or
+        /// by skip-ahead jumps of up to three ring lengths, jumps straight to
+        /// the earliest key, and full comparisons of the filed entries.
+        #[test]
+        fn calendar_matches_a_heap_model(
+            ops in proptest::collection::vec((0u64..8, any::<u64>()), 1..600),
+        ) {
+            const CAP: usize = 64;
+            let mut cal = Calendar::new(CAP);
+            let mut model: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
+            let mut free: Vec<usize> = (0..CAP).rev().collect();
+            let mut cycle = 0u64;
+            let ring = RING as u64;
+            for (op, v) in ops {
+                let mut drain_to = None;
+                match op {
+                    0..=3 => {
+                        let Some(s) = free.pop() else { continue };
+                        let ahead = match op {
+                            0 => v % 8,
+                            1 => v % ring,
+                            2 => ring - 3 + v % 6,
+                            _ => v % (4 * ring),
+                        };
+                        cal.push(cycle + 1 + ahead, s);
+                        model.push(Reverse((cycle + 1 + ahead, s)));
+                    }
+                    4 => drain_to = Some(cycle + v % 3),
+                    5 => drain_to = Some(cycle + v % (3 * ring)),
+                    6 => drain_to = model.peek().map(|&Reverse((at, _))| at),
+                    _ => {
+                        let mut got = cal.entries().map_err(proptest::test_runner::CaseError::Fail)?;
+                        got.sort_unstable();
+                        let mut want: Vec<(u64, usize)> =
+                            model.iter().map(|&Reverse(e)| e).collect();
+                        want.sort_unstable();
+                        prop_assert_eq!(got, want);
+                    }
+                }
+                if let Some(to) = drain_to {
+                    cycle = to;
+                    let mut got = Vec::new();
+                    cal.drain(cycle, |s| got.push(s));
+                    got.sort_unstable();
+                    let mut want = Vec::new();
+                    while let Some(&Reverse((at, s))) = model.peek() {
+                        if at > cycle {
+                            break;
+                        }
+                        model.pop();
+                        want.push(s);
+                    }
+                    want.sort_unstable();
+                    free.extend(&want);
+                    prop_assert!(got == want, "drain to {cycle}: got {got:?}, want {want:?}");
+                }
+                prop_assert_eq!(cal.first(), model.peek().map(|&Reverse((at, _))| at));
+            }
+        }
+    }
+
     #[test]
     fn barrier_ctl_releases_when_all_arrive() {
         let mut b = BarrierCtl::new(3);
@@ -1313,8 +1524,7 @@ mod tests {
                     node = e.rob.cons_next[(node >> 1) as usize][(node & 1) as usize];
                 }
             }
-            for &Reverse((at, s)) in &e.calendar {
-                let s = s as usize;
+            for (at, s) in e.calendar.entries()? {
                 in_calendar[s] += 1;
                 if at != e.rob.ready_at[s] || at <= cycle {
                     let ready_at = e.rob.ready_at[s];

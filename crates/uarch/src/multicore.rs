@@ -120,6 +120,14 @@ impl Multicore {
             .fold((0, 0), |(j, s), (cj, cs)| (j + cj, s + cs))
     }
 
+    /// Wake-up calendar entries filed 512 or more cycles ahead, which go
+    /// to the calendar's overflow heap, summed over cores. Diagnostic only, like
+    /// [`Multicore::skip_counters`]: the `oracle_equiv` test reads it to
+    /// show that its draws reach that path.
+    pub fn calendar_overflows(&self) -> u64 {
+        self.cores.iter().map(CoreEngine::calendar_overflows).sum()
+    }
+
     /// Run until every core commits `n_per_core` more µops; the reported
     /// cycle count is the slowest core's completion of this interval
     /// (parallel completion time). Consecutive runs continue the same

@@ -19,6 +19,7 @@ use m3d_workloads::spec::spec2006;
 use m3d_workloads::WorkloadProfile;
 use proptest::prelude::*;
 use reference::RefMachine;
+use std::sync::atomic::{AtomicU64, Ordering};
 use support::perturbed;
 
 mod support;
@@ -60,10 +61,15 @@ fn interval(fus: &FuConfig, measure: u64) -> u64 {
     }
 }
 
+/// Wake-up calendar entries filed past the bucket ring's reach, summed
+/// over the cases of `single_core_matches_reference`.
+static CALENDAR_OVERFLOWS: AtomicU64 = AtomicU64::new(0);
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    #[test]
+    /// Run by [`cases::single_core_matches_reference`], which also checks
+    /// that the draws reach the calendar's overflow heap.
     fn single_core_matches_reference(
         app in 0usize..12,
         three_d in any::<bool>(),
@@ -92,6 +98,7 @@ proptest! {
         let mut oracle = RefMachine::single(cfg, profile, seed);
         prop_assert_eq!(core.run(warmup), oracle.run(warmup));
         prop_assert_eq!(core.run(measure), oracle.run(measure));
+        CALENDAR_OVERFLOWS.fetch_add(core.calendar_overflows(), Ordering::Relaxed);
     }
 
     #[test]
@@ -137,5 +144,19 @@ proptest! {
         };
         prop_assert_eq!(mc.run(500), oracle.run(500));
         prop_assert_eq!(mc.run(measure), oracle.run(measure));
+    }
+}
+
+mod cases {
+    use super::*;
+
+    /// The single-core draws, plus a check that they exercise the
+    /// calendar's overflow path: DRAM latencies of up to 200 ns at up to
+    /// 4 GHz put wake-ups 512 or more cycles out.
+    #[test]
+    fn single_core_matches_reference() {
+        super::single_core_matches_reference();
+        let overflows = CALENDAR_OVERFLOWS.load(Ordering::Relaxed);
+        assert!(overflows > 0, "no drawn machine filed a calendar overflow");
     }
 }
