@@ -12,6 +12,12 @@ cargo build --release --workspace --offline
 echo "== cargo test -q =="
 cargo test -q --workspace --offline
 
+echo "== perfbench harness: build + pure tests =="
+# The harness is a workspace of its own that links the public APIs of
+# m3d-core, m3d-serve and m3d-obs; this is the step that compiles it.
+CARGO_TARGET_DIR=target/perfbench-harness cargo test -q --offline \
+  --manifest-path perfbench/harness/Cargo.toml
+
 echo "== cargo clippy -- -D warnings =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 

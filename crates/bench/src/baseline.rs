@@ -51,8 +51,7 @@ use m3d_core::report::Json;
 use m3d_core::search::{run_search, SearchOptions, SearchOutcome, SearchSpace, SearchSpaceBuilder};
 use m3d_tech::layers::LayerStack;
 use m3d_thermal::floorplan::Floorplan;
-use m3d_thermal::model::ThermalModel;
-use m3d_thermal::solver::ThermalConfig;
+use m3d_thermal::model::{ThermalConfig, ThermalModel};
 use m3d_uarch::{CoreConfig, SimBatch, SimInterval, SimPoint};
 use m3d_workloads::spec::spec2006;
 use std::time::Instant;

@@ -92,8 +92,8 @@ impl DesignPoint {
     }
 
     /// The layer stack this design is assembled on, as an index into the
-    /// three cached thermal models: 0 planar 2D, 1 TSV3D, 2 M3D (every
-    /// monolithic design shares the two-tier M3D stack).
+    /// planner's three stack thermal models: 0 planar 2D, 1 TSV3D, 2 M3D
+    /// (every monolithic design shares the two-tier M3D stack).
     pub fn stack_slot(self) -> usize {
         match self {
             DesignPoint::Base => 0,
@@ -192,6 +192,16 @@ impl MulticoreDesign {
         match self {
             MulticoreDesign::M3dHet2x8 => 8,
             _ => 4,
+        }
+    }
+
+    /// The layer stack this design's cores are assembled on, as an index
+    /// like [`DesignPoint::stack_slot`]'s: 0 planar 2D, 1 TSV3D, 2 M3D.
+    pub fn stack_slot(self) -> usize {
+        match self {
+            MulticoreDesign::Base4 => 0,
+            MulticoreDesign::Tsv3d4 => 1,
+            _ => 2,
         }
     }
 

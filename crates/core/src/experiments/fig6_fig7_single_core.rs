@@ -93,19 +93,10 @@ pub(crate) fn point(
     )
 }
 
-/// Run the full single-core study (Figures 6 and 7) on one worker lane.
-pub fn run(space: &DesignSpace, scale: RunScale) -> SingleCoreStudy {
-    run_sharded(space, scale, 1).expect("paper design points are valid")
-}
-
-/// Run the study through the batch engine across `jobs` worker lanes. The
-/// 126 (application × design) points are independent, so results are
-/// identical for every `jobs` value.
-pub fn run_sharded(
-    space: &DesignSpace,
-    scale: RunScale,
-    jobs: usize,
-) -> Result<SingleCoreStudy, SimError> {
+/// Run the single-core study (Figures 6 and 7) through the batch engine
+/// across `jobs` worker lanes. The 126 (application × design) points are
+/// independent, so results are identical for every `jobs` value.
+pub fn run(space: &DesignSpace, scale: RunScale, jobs: usize) -> Result<SingleCoreStudy, SimError> {
     let apps = spec2006();
     let points: Vec<SimPoint> = apps
         .iter()
@@ -194,7 +185,7 @@ pub fn report(ctx: &Ctx) -> Result<ExperimentReport, ExperimentError> {
     let t_space = t0.elapsed().as_secs_f64();
     eprintln!("[repro] running single-core study (21 apps x 6 designs)...");
     let t1 = std::time::Instant::now();
-    let study = run_sharded(space, ctx.scale(), ctx.jobs())?;
+    let study = run(space, ctx.scale(), ctx.jobs())?;
     let t_sim = t1.elapsed().as_secs_f64();
     let scale = ctx.scale();
     let uops = (study.rows.len() * DesignPoint::ALL.len()) as u64 * (scale.warmup + scale.measure);
@@ -256,7 +247,10 @@ mod tests {
 
     fn study() -> &'static SingleCoreStudy {
         static S: OnceLock<SingleCoreStudy> = OnceLock::new();
-        S.get_or_init(|| run(&DesignSpace::compute(), RunScale::quick()))
+        S.get_or_init(|| {
+            run(&DesignSpace::compute(), RunScale::quick(), 1)
+                .expect("paper design points are valid")
+        })
     }
 
     fn idx(d: DesignPoint) -> usize {

@@ -12,7 +12,7 @@
 //! in the same process (the registry orders fig8 after it), every one is a
 //! memo-cache hit.
 //!
-//! The three designs' [`ThermalModel`]s are assembled once up front (via the
+//! The three stacks' thermal models are assembled once up front (via the
 //! process-wide model cache) and shared by every application; applications
 //! are distributed over worker threads, and within a worker each design's
 //! solve warm-starts from the previous application's temperature field —
@@ -23,23 +23,12 @@ use crate::configs::DesignPoint;
 use crate::experiments::fig6_fig7_single_core::point;
 use crate::experiments::registry::{Ctx, ExperimentError, ExperimentReport, Section};
 use crate::experiments::{par_map_with, RunScale};
-use crate::planner::DesignSpace;
+use crate::planner::{DesignModels, DesignSpace, CORE_AREA_M2};
 use crate::report::{thermal_stats_text, Json, Table};
 use m3d_power::model::CorePowerModel;
-use m3d_tech::layers::LayerStack;
-use m3d_thermal::floorplan::Floorplan;
-use m3d_thermal::model::{shared_cache, SolveStatsSummary, ThermalModel};
-use m3d_thermal::solver::{Solution, ThermalConfig};
+use m3d_thermal::model::{Solution, SolveStatsSummary};
 use m3d_uarch::{SimBatch, SimError};
 use m3d_workloads::spec::spec2006;
-use std::sync::Arc;
-
-/// 2D core area at 22 nm, m² (Ryzen-class core scaled).
-pub const CORE_AREA_M2: f64 = 9.0e-6;
-/// Share of each block's power dissipated in the bottom (fast) layer.
-const BOTTOM_POWER_SHARE: f64 = 0.55;
-/// Worker-thread cap for the per-application fan-out.
-const MAX_APP_THREADS: usize = 8;
 
 /// One application's peak temperatures.
 #[derive(Debug, Clone, PartialEq)]
@@ -56,79 +45,21 @@ pub struct ThermalRow {
     pub hottest_block: String,
 }
 
-/// The three assembled per-design models the study shares across apps.
-pub(crate) struct DesignModels {
-    /// Unfolded 2D floorplan (also the folded one's source of block names).
-    pub(crate) fp_2d: Floorplan,
-    /// Folded (half-footprint) floorplan used by the 3D designs.
-    pub(crate) fp_3d: Floorplan,
-    /// (model, came-from-cache) per design: Base, TSV3D, M3D-Het.
-    pub(crate) base: (Arc<ThermalModel>, bool),
-    pub(crate) tsv: (Arc<ThermalModel>, bool),
-    pub(crate) het: (Arc<ThermalModel>, bool),
-}
-
-impl DesignModels {
-    /// Assemble (or fetch from the shared cache) all three design models.
-    pub(crate) fn build(cfg: &ThermalConfig) -> Self {
-        let fp_2d = Floorplan::ryzen_like(CORE_AREA_M2);
-        let fp_3d = fp_2d.scaled(0.5);
-        let cache = shared_cache();
-        let one = |stack: &LayerStack, fps: &[Floorplan]| {
-            cache
-                .get_or_build(stack, fps, cfg)
-                .expect("default thermal config and ryzen floorplan are valid")
-        };
-        Self {
-            base: one(&LayerStack::planar_2d(), std::slice::from_ref(&fp_2d)),
-            tsv: one(&LayerStack::tsv3d(), &[fp_3d.clone(), fp_3d.clone()]),
-            het: one(&LayerStack::m3d(), &[fp_3d.clone(), fp_3d.clone()]),
-            fp_2d,
-            fp_3d,
-        }
-    }
-
-    /// Split named block powers into the folded bottom/top power vectors.
-    pub(crate) fn folded_powers(&self, blocks: &[(&str, f64)]) -> Vec<Vec<f64>> {
-        let bottom: Vec<(&str, f64)> = blocks
-            .iter()
-            .map(|&(n, w)| (n, w * BOTTOM_POWER_SHARE))
-            .collect();
-        let top: Vec<(&str, f64)> = blocks
-            .iter()
-            .map(|&(n, w)| (n, w * (1.0 - BOTTOM_POWER_SHARE)))
-            .collect();
-        vec![
-            self.fp_3d.power_from_named(&bottom),
-            self.fp_3d.power_from_named(&top),
-        ]
-    }
-}
-
-/// Per-worker warm-start fields, one per design.
-#[derive(Default)]
-struct WarmFields {
-    base: Option<Solution>,
-    tsv: Option<Solution>,
-    het: Option<Solution>,
-}
-
-/// The three designs the study compares, in row order.
+/// The three designs the study compares, in row order; one per stack slot.
 const DESIGNS: [DesignPoint; 3] = [DesignPoint::Base, DesignPoint::Tsv3d, DesignPoint::M3dHet];
 
 /// Run the thermal study over the first `max_apps` SPEC applications,
 /// simulating through the batch engine on `jobs` worker lanes, and return
 /// the rows with the accumulated solver statistics (iterations, warm
 /// starts, cache hits, wall time) for the `repro` report.
-pub fn run_with_stats(
+pub fn run(
     space: &DesignSpace,
     scale: RunScale,
     max_apps: usize,
     jobs: usize,
 ) -> Result<(Vec<ThermalRow>, SolveStatsSummary), SimError> {
     let model = CorePowerModel::new_22nm();
-    let tcfg = ThermalConfig::default();
-    let designs = DesignModels::build(&tcfg);
+    let designs = DesignModels::build();
     let apps: Vec<_> = spec2006().into_iter().take(max_apps).collect();
     let points: Vec<_> = apps
         .iter()
@@ -139,57 +70,26 @@ pub fn run_with_stats(
         .into_iter()
         .collect::<Result<Vec<_>, _>>()?;
 
-    let results = par_map_with(
-        &apps,
-        MAX_APP_THREADS,
-        WarmFields::default,
-        |warm, i, app| {
-            let [base_blocks, tsv_blocks, het_blocks] = std::array::from_fn(|k| {
-                let r = &perf[i * DESIGNS.len() + k];
-                model.block_powers(r, &DESIGNS[k].power_config(space))
-            });
-
-            let mut stats = SolveStatsSummary::default();
-            let mut run_one = |(m, cached): &(Arc<ThermalModel>, bool),
-                               powers: Vec<Vec<f64>>,
-                               prev: &mut Option<Solution>| {
-                let (sol, mut s) = m
-                    .solve_from(&powers, prev.as_ref())
-                    .expect("power vectors were built from the model's floorplans");
-                s.assembly_cache_hit = *cached || prev.is_some();
-                stats.absorb(&s);
-                *prev = Some(sol.clone());
-                sol
-            };
-            let base = run_one(
-                &designs.base,
-                vec![designs.fp_2d.power_from_named(&base_blocks)],
-                &mut warm.base,
-            );
-            let tsv = run_one(
-                &designs.tsv,
-                designs.folded_powers(&tsv_blocks),
-                &mut warm.tsv,
-            );
-            let het = run_one(
-                &designs.het,
-                designs.folded_powers(&het_blocks),
-                &mut warm.het,
-            );
-
-            let row = ThermalRow {
-                app: app.name.clone(),
-                base_c: base.peak_c,
-                tsv3d_c: tsv.peak_c,
-                m3d_het_c: het.peak_c,
-                hottest_block: het
-                    .hottest_block()
-                    .map(|(n, _)| n.to_owned())
-                    .unwrap_or_default(),
-            };
-            (row, stats)
-        },
-    );
+    let results = par_map_with(&apps, <[Option<Solution>; 3]>::default, |warm, i, app| {
+        let mut stats = SolveStatsSummary::default();
+        let [base, tsv, het] = std::array::from_fn(|k| {
+            let d = DESIGNS[k];
+            let blocks = model.block_powers(&perf[i * DESIGNS.len() + k], &d.power_config(space));
+            let slot = d.stack_slot();
+            let powers = designs.named(slot, &blocks);
+            let sol = designs.solve(slot, &powers, &mut warm[slot], &mut stats);
+            let hottest = sol.hottest_block().map(|(n, _)| n.to_owned());
+            (sol.peak_c, hottest.unwrap_or_default())
+        });
+        let row = ThermalRow {
+            app: app.name.clone(),
+            base_c: base.0,
+            tsv3d_c: tsv.0,
+            m3d_het_c: het.0,
+            hottest_block: het.1,
+        };
+        (row, stats)
+    });
 
     let mut total = SolveStatsSummary::default();
     let rows = results
@@ -237,7 +137,7 @@ pub fn report(ctx: &Ctx) -> Result<ExperimentReport, ExperimentError> {
     eprintln!("[repro] running thermal study...");
     let apps = if ctx.quick() { 6 } else { 21 };
     let t1 = std::time::Instant::now();
-    let (rows, stats) = run_with_stats(space, ctx.scale(), apps, ctx.jobs())?;
+    let (rows, stats) = run(space, ctx.scale(), apps, ctx.jobs())?;
     let wall = t1.elapsed().as_secs_f64();
     let scale = ctx.scale();
     let uops = (rows.len() * DESIGNS.len()) as u64 * (scale.warmup + scale.measure);
@@ -275,7 +175,7 @@ mod tests {
     fn rows() -> &'static Vec<ThermalRow> {
         static R: OnceLock<Vec<ThermalRow>> = OnceLock::new();
         R.get_or_init(|| {
-            run_with_stats(&DesignSpace::compute(), RunScale::quick(), 4, 1)
+            run(&DesignSpace::compute(), RunScale::quick(), 4, 1)
                 .expect("paper design points are valid")
                 .0
         })
@@ -328,13 +228,13 @@ mod tests {
         // the shared cache, and warm starts must kick in past the first app
         // of each worker chunk.
         let space = DesignSpace::compute();
-        let study = || run_with_stats(&space, RunScale::quick(), 3, 1).expect("valid points");
+        let study = || run(&space, RunScale::quick(), 3, 1).expect("valid points");
         let (_, first) = study();
         let (rows2, second) = study();
         assert_eq!(rows2.len(), 3);
         assert_eq!(first.solves, 9, "3 apps x 3 designs");
         assert!(second.cache_hits >= second.solves.saturating_sub(3));
         assert_eq!(second.non_converged, 0);
-        assert!(second.max_residual_k < ThermalConfig::default().tolerance_k);
+        assert!(second.max_residual_k < m3d_thermal::model::ThermalConfig::default().tolerance_k);
     }
 }

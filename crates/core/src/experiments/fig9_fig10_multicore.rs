@@ -9,28 +9,21 @@
 //! (see [`ParallelRow::speedup`]).
 //!
 //! Each design also gets a per-core steady-state thermal solve (peak die
-//! temperature at the application's measured per-core power), reusing the
-//! fig8 [`ThermalModel`]s from the shared cache. Applications fan out over
-//! worker threads; within a worker, each design's solve warm-starts from
-//! the previous application's field.
-//!
-//! [`ThermalModel`]: m3d_thermal::model::ThermalModel
+//! temperature at the application's measured per-core power), on the
+//! planner's stack thermal models from the shared cache. Applications fan
+//! out over worker threads; within a worker, each design's solve
+//! warm-starts from the previous application's field.
 
 use crate::configs::MulticoreDesign;
-use crate::experiments::fig8_thermal::DesignModels;
 use crate::experiments::registry::{Ctx, ExperimentError, ExperimentReport, Section};
 use crate::experiments::{par_map_with, RunScale};
-use crate::planner::DesignSpace;
+use crate::planner::{DesignModels, DesignSpace};
 use crate::report::{ratio, thermal_stats_text, Json, Table};
 use m3d_power::model::CorePowerModel;
-use m3d_thermal::model::SolveStatsSummary;
-use m3d_thermal::solver::{Solution, ThermalConfig};
+use m3d_thermal::model::{Solution, SolveStatsSummary};
 use m3d_uarch::stats::PerfResult;
 use m3d_uarch::{SimBatch, SimError, SimInterval, SimPoint};
 use m3d_workloads::parallel::splash_parsec;
-
-/// Worker-thread cap for the per-application fan-out.
-const MAX_APP_THREADS: usize = 8;
 
 /// Trace seed shared by every multicore simulation (also exported from
 /// `m3d_bench::artifacts`).
@@ -105,30 +98,19 @@ fn time_per_work(r: &PerfResult) -> f64 {
     r.time_s() / r.instructions as f64
 }
 
-/// Run the full multicore study.
-pub fn run(space: &DesignSpace, scale: RunScale) -> MulticoreStudy {
-    run_with_stats(space, scale).0
-}
-
-/// Like [`run`], but also returns the accumulated thermal-solver statistics
-/// for the `repro` report.
-pub fn run_with_stats(space: &DesignSpace, scale: RunScale) -> (MulticoreStudy, SolveStatsSummary) {
-    run_sharded_with_stats(space, scale, 1).expect("paper multicore designs are valid")
-}
-
-/// Like [`run_with_stats`], but the 75 (application × design) cycle
+/// Run the multicore study: the 75 (application × design) cycle
 /// simulations run through the batch engine across `jobs` worker lanes
-/// first; the thermal fan-out then consumes the precomputed results with
-/// its historical per-worker warm-start chains, so every value is
-/// identical to the serial run for any `jobs`.
-pub fn run_sharded_with_stats(
+/// first, then the thermal fan-out consumes the results with its
+/// per-worker warm-start chains, so every value is the same for any
+/// `jobs`. Returns the study and the accumulated thermal-solver statistics
+/// for the `repro` report.
+pub fn run(
     space: &DesignSpace,
     scale: RunScale,
     jobs: usize,
 ) -> Result<(MulticoreStudy, SolveStatsSummary), SimError> {
     let model = CorePowerModel::new_22nm();
-    let tcfg = ThermalConfig::default();
-    let designs = DesignModels::build(&tcfg);
+    let designs = DesignModels::build();
     let apps: Vec<_> = splash_parsec();
 
     let n_designs = MulticoreDesign::ALL.len();
@@ -157,7 +139,6 @@ pub fn run_sharded_with_stats(
 
     let results = par_map_with(
         &apps,
-        MAX_APP_THREADS,
         || vec![None::<Solution>; MulticoreDesign::ALL.len()],
         |warm, ai, app| {
             let results: Vec<(MulticoreDesign, PerfResult)> = MulticoreDesign::ALL
@@ -174,8 +155,8 @@ pub fn run_sharded_with_stats(
                 breakdowns[0].total_j() / results[0].1.instructions as f64
             });
 
-            // Per-core thermal check: uniform per-core power over the fig8
-            // floorplans, on the design's stack, warm-started per design.
+            // Per-core thermal check: the per-core power spread evenly over
+            // the design's stack, warm-started per design.
             let mut stats = SolveStatsSummary::default();
             let peak_c: Vec<f64> = MulticoreDesign::ALL
                 .iter()
@@ -183,33 +164,9 @@ pub fn run_sharded_with_stats(
                 .zip(warm.iter_mut())
                 .map(|((&d, b), prev)| {
                     let core_w = b.average_power_w() / d.n_cores() as f64;
-                    let ((m, cached), powers) = match d {
-                        MulticoreDesign::Base4 => {
-                            (&designs.base, vec![designs.fp_2d.uniform_power(core_w)])
-                        }
-                        MulticoreDesign::Tsv3d4 => (
-                            &designs.tsv,
-                            vec![
-                                designs.fp_3d.uniform_power(core_w * 0.55),
-                                designs.fp_3d.uniform_power(core_w * 0.45),
-                            ],
-                        ),
-                        _ => (
-                            &designs.het,
-                            vec![
-                                designs.fp_3d.uniform_power(core_w * 0.55),
-                                designs.fp_3d.uniform_power(core_w * 0.45),
-                            ],
-                        ),
-                    };
-                    let (sol, mut s) = m
-                        .solve_from(&powers, prev.as_ref())
-                        .expect("uniform powers match the model floorplans");
-                    s.assembly_cache_hit = *cached || prev.is_some();
-                    stats.absorb(&s);
-                    let peak = sol.peak_c;
-                    *prev = Some(sol);
-                    peak
+                    let slot = d.stack_slot();
+                    let powers = designs.uniform(slot, core_w);
+                    designs.solve(slot, &powers, prev, &mut stats).peak_c
                 })
                 .collect();
 
@@ -306,7 +263,7 @@ pub fn report(ctx: &Ctx) -> Result<ExperimentReport, ExperimentError> {
     let t_space = t0.elapsed().as_secs_f64();
     eprintln!("[repro] running multicore study (15 apps x 5 designs)...");
     let t1 = std::time::Instant::now();
-    let (study, stats) = run_sharded_with_stats(space, ctx.scale(), ctx.jobs())?;
+    let (study, stats) = run(space, ctx.scale(), ctx.jobs())?;
     let wall = t1.elapsed().as_secs_f64();
     let scale = ctx.scale();
     let cores_total: usize = MulticoreDesign::ALL.iter().map(|d| d.n_cores()).sum();
@@ -380,7 +337,11 @@ mod tests {
 
     fn study() -> &'static MulticoreStudy {
         static S: OnceLock<MulticoreStudy> = OnceLock::new();
-        S.get_or_init(|| run(&DesignSpace::compute(), RunScale::quick()))
+        S.get_or_init(|| {
+            run(&DesignSpace::compute(), RunScale::quick(), 1)
+                .expect("paper multicore designs are valid")
+                .0
+        })
     }
 
     fn idx(d: MulticoreDesign) -> usize {

@@ -56,7 +56,11 @@ impl Default for RunScale {
     }
 }
 
-/// Map `f` over `items` on scoped worker threads, preserving input order.
+/// Worker-thread cap of [`par_map_with`].
+const MAX_THREADS: usize = 8;
+
+/// Map `f` over `items` on up to [`MAX_THREADS`] scoped worker threads,
+/// preserving input order.
 ///
 /// Items are dealt to workers in contiguous chunks, and each worker carries
 /// a private state value (`init()`) across its chunk — the thermal
@@ -66,7 +70,6 @@ impl Default for RunScale {
 /// with no threads spawned.
 pub(crate) fn par_map_with<T, R, S>(
     items: &[T],
-    max_threads: usize,
     init: impl Fn() -> S + Sync,
     f: impl Fn(&mut S, usize, &T) -> R + Sync,
 ) -> Vec<R>
@@ -77,7 +80,7 @@ where
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-        .min(max_threads)
+        .min(MAX_THREADS)
         .min(items.len())
         .max(1);
     if threads <= 1 {
@@ -123,7 +126,6 @@ mod par_tests {
         let items: Vec<usize> = (0..37).collect();
         let doubled = par_map_with(
             &items,
-            8,
             || (),
             |_, i, &x| {
                 assert_eq!(i, x);
@@ -135,11 +137,8 @@ mod par_tests {
 
     #[test]
     fn serial_fallback_matches() {
-        let items = vec![1, 2, 3];
-        assert_eq!(
-            par_map_with(&items, 1, || (), |_, _, &x| x + 1),
-            vec![2, 3, 4]
-        );
+        // One item never spawns a worker.
+        assert_eq!(par_map_with(&[1], || (), |_, _, &x| x + 1), vec![2]);
     }
 
     #[test]
@@ -149,7 +148,6 @@ mod par_tests {
         let items: Vec<usize> = (0..24).collect();
         let counts = par_map_with(
             &items,
-            4,
             || 0usize,
             |seen, _, _| {
                 *seen += 1;

@@ -18,10 +18,9 @@ use crate::experiments::{
     section5_alternatives, table11_configs, table1_table2_fig2_vias, table3_4_5_partitioning,
     table6_best, table7_techniques, table8_hetero, RunScale,
 };
-use crate::planner::DesignSpace;
+use crate::planner::{DesignModels, DesignSpace};
 use crate::report::Json;
 use m3d_thermal::model::SolveStatsSummary;
-use m3d_thermal::solver::ThermalConfig;
 use m3d_uarch::SimError;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Condvar, Mutex, OnceLock};
@@ -238,7 +237,7 @@ impl Ctx {
     /// cache so every thermal experiment observes the same (warm) cache
     /// state regardless of scheduling order.
     pub fn prewarm_thermal_models(&self) {
-        let _ = fig8_thermal::DesignModels::build(&ThermalConfig::default());
+        let _ = DesignModels::build();
     }
 }
 

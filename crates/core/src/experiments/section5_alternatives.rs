@@ -8,8 +8,9 @@
 //!    the hetero techniques keep M3D-Het performance while cutting energy
 //!    further — the paper reports ~9 percentage points over M3D-Het.
 
-use crate::experiments::fig8_thermal::DesignModels;
+use crate::configs::DesignPoint;
 use crate::experiments::registry::{Ctx, ExperimentError, ExperimentReport, Section};
+use crate::planner::DesignModels;
 use crate::report::{Json, Table};
 use m3d_sram::hetero::partition_hetero_with;
 use m3d_sram::model2d::analyze_2d;
@@ -19,8 +20,7 @@ use m3d_sram::structures::StructureId;
 use m3d_tech::process::ProcessCorner;
 use m3d_tech::via::ViaKind;
 use m3d_tech::TechnologyNode;
-use m3d_thermal::model::SolveStatsSummary;
-use m3d_thermal::solver::{Solution, ThermalConfig};
+use m3d_thermal::model::{Solution, SolveStatsSummary};
 
 /// One enlarged-structure design point.
 #[derive(Debug, Clone, PartialEq)]
@@ -205,40 +205,19 @@ pub struct HeadroomRow {
 /// step's temperature field, so the whole sweep costs a few full
 /// convergences' worth of iterations.
 pub fn thermal_headroom() -> (Vec<HeadroomRow>, SolveStatsSummary) {
-    let tcfg = ThermalConfig::default();
-    let designs = DesignModels::build(&tcfg);
+    let designs = DesignModels::build();
     let mut stats = SolveStatsSummary::default();
-    let mut warm_base: Option<Solution> = None;
-    let mut warm_het: Option<Solution> = None;
+    let mut warm: [Option<Solution>; 3] = Default::default();
     let rows = (0..10)
         .map(|step| {
             let power_w = 3.0 + step as f64;
-            let mut run_one =
-                |(m, cached): &(std::sync::Arc<m3d_thermal::model::ThermalModel>, bool),
-                 powers: Vec<Vec<f64>>,
-                 prev: &mut Option<Solution>| {
-                    let (sol, mut s) = m
-                        .solve_from(&powers, prev.as_ref())
-                        .expect("uniform powers match the model floorplans");
-                    s.assembly_cache_hit = *cached || prev.is_some();
-                    stats.absorb(&s);
-                    let peak = sol.peak_c;
-                    *prev = Some(sol);
-                    peak
-                };
-            let base_c = run_one(
-                &designs.base,
-                vec![designs.fp_2d.uniform_power(power_w)],
-                &mut warm_base,
-            );
-            let m3d_het_c = run_one(
-                &designs.het,
-                vec![
-                    designs.fp_3d.uniform_power(power_w * 0.55),
-                    designs.fp_3d.uniform_power(power_w * 0.45),
-                ],
-                &mut warm_het,
-            );
+            let [base_c, m3d_het_c] = [DesignPoint::Base, DesignPoint::M3dHet].map(|d| {
+                let slot = d.stack_slot();
+                let powers = designs.uniform(slot, power_w);
+                designs
+                    .solve(slot, &powers, &mut warm[slot], &mut stats)
+                    .peak_c
+            });
             HeadroomRow {
                 power_w,
                 base_c,

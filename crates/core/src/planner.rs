@@ -8,12 +8,13 @@ use m3d_sram::metrics::Reduction;
 use m3d_sram::model2d::analyze_2d;
 use m3d_sram::partition3d::{best_partition, Strategy};
 use m3d_sram::structures::StructureId;
+use m3d_tech::layers::LayerStack;
 use m3d_tech::node::TechnologyNode;
 use m3d_tech::process::ProcessCorner;
 use m3d_tech::via::ViaKind;
-use m3d_thermal::model::SolveStatsSummary;
-use m3d_thermal::solver::{Solution, ThermalConfig};
-use std::sync::OnceLock;
+use m3d_thermal::floorplan::Floorplan;
+use m3d_thermal::model::{shared_cache, Solution, SolveStatsSummary, ThermalConfig, ThermalModel};
+use std::sync::{Arc, OnceLock};
 
 /// Baseline 2D core frequency, GHz (Table 11, set by the RF access time).
 pub const BASE_FREQ_GHZ: f64 = 3.3;
@@ -25,6 +26,11 @@ pub const TJMAX_C: f64 = 105.0;
 /// Nominal Base-core power at 3.3 GHz used by the feasibility estimate,
 /// watts (the paper's measured SPEC average).
 const NOMINAL_CORE_W: f64 = 6.4;
+/// 2D core area at 22 nm, m² (Ryzen-class core scaled).
+pub const CORE_AREA_M2: f64 = 9.0e-6;
+/// Share of each block's power dissipated in the bottom (fast) layer of a
+/// folded 3D core.
+const BOTTOM_POWER_SHARE: f64 = 0.55;
 
 /// One structure's planning outcome for a given via technology.
 #[derive(Debug, Clone, PartialEq)]
@@ -241,39 +247,18 @@ impl DesignSpace {
     /// solve per stack.
     pub fn thermal_feasibility(&self) -> (Vec<ThermalFeasibility>, SolveStatsSummary) {
         let _span = m3d_obs::span("planner", "thermal_feasibility");
-        let tcfg = ThermalConfig::default();
-        let designs = crate::experiments::fig8_thermal::DesignModels::build(&tcfg);
+        let designs = DesignModels::build();
         let mut stats = SolveStatsSummary::default();
-        let mut warm: [Option<Solution>; 3] = [None, None, None];
+        let mut warm: [Option<Solution>; 3] = Default::default();
         let rows = DesignPoint::ALL
             .iter()
             .map(|&d| {
                 let core_w = NOMINAL_CORE_W * d.derived_frequency_ghz(self) / BASE_FREQ_GHZ;
                 let slot = d.stack_slot();
-                let ((model, cached), powers) = match slot {
-                    0 => (&designs.base, vec![designs.fp_2d.uniform_power(core_w)]),
-                    1 => (
-                        &designs.tsv,
-                        vec![
-                            designs.fp_3d.uniform_power(core_w * 0.55),
-                            designs.fp_3d.uniform_power(core_w * 0.45),
-                        ],
-                    ),
-                    _ => (
-                        &designs.het,
-                        vec![
-                            designs.fp_3d.uniform_power(core_w * 0.55),
-                            designs.fp_3d.uniform_power(core_w * 0.45),
-                        ],
-                    ),
-                };
-                let (sol, mut s) = model
-                    .solve_from(&powers, warm[slot].as_ref())
-                    .expect("uniform powers match the model floorplans");
-                s.assembly_cache_hit = *cached || warm[slot].is_some();
-                stats.absorb(&s);
-                let peak_c = sol.peak_c;
-                warm[slot] = Some(sol);
+                let powers = designs.uniform(slot, core_w);
+                let peak_c = designs
+                    .solve(slot, &powers, &mut warm[slot], &mut stats)
+                    .peak_c;
                 ThermalFeasibility {
                     design: d,
                     peak_c,
@@ -282,6 +267,100 @@ impl DesignSpace {
             })
             .collect();
         (rows, stats)
+    }
+}
+
+/// The thermal models of the three layer stacks, indexed by
+/// [`DesignPoint::stack_slot`] and
+/// [`MulticoreDesign::stack_slot`](crate::configs::MulticoreDesign::stack_slot):
+/// planar 2D, TSV3D and M3D. The 2D stack
+/// carries the Ryzen-like floorplan; the 3D stacks fold it to half the
+/// footprint (the paper's conservative assumption) on both device layers.
+pub(crate) struct DesignModels {
+    /// Unfolded 2D floorplan.
+    fp_2d: Floorplan,
+    /// Folded (half-footprint) floorplan of each 3D device layer.
+    fp_3d: Floorplan,
+    /// Per stack slot: the model, and whether it came from the cache.
+    models: [(Arc<ThermalModel>, bool); 3],
+}
+
+impl DesignModels {
+    /// Assemble the three stacks' models with the default
+    /// [`ThermalConfig`], or fetch them from the process-wide
+    /// [`shared_cache`].
+    pub(crate) fn build() -> Self {
+        let fp_2d = Floorplan::ryzen_like(CORE_AREA_M2);
+        let fp_3d = fp_2d.scaled(0.5);
+        let cfg = ThermalConfig::default();
+        let one = |stack: LayerStack, fps: &[Floorplan]| {
+            shared_cache()
+                .get_or_build(&stack, fps, &cfg)
+                .expect("default thermal config and ryzen floorplan are valid")
+        };
+        let folded = [fp_3d.clone(), fp_3d.clone()];
+        let models = [
+            one(LayerStack::planar_2d(), std::slice::from_ref(&fp_2d)),
+            one(LayerStack::tsv3d(), &folded),
+            one(LayerStack::m3d(), &folded),
+        ];
+        Self {
+            fp_2d,
+            fp_3d,
+            models,
+        }
+    }
+
+    /// Per-layer block powers of a core on `slot`'s stack that dissipates
+    /// `core_w` watts spread evenly over its blocks: all of it on the 2D
+    /// floorplan, or 55 % / 45 % on the folded bottom / top layers.
+    pub(crate) fn uniform(&self, slot: usize, core_w: f64) -> Vec<Vec<f64>> {
+        if slot == 0 {
+            return vec![self.fp_2d.uniform_power(core_w)];
+        }
+        // The top share is the literal 0.45, which differs in the last bit
+        // from `1.0 - BOTTOM_POWER_SHARE`; changing it moves the printed
+        // temperatures.
+        vec![
+            self.fp_3d.uniform_power(core_w * BOTTOM_POWER_SHARE),
+            self.fp_3d.uniform_power(core_w * 0.45),
+        ]
+    }
+
+    /// Per-layer block powers of a core on `slot`'s stack from its named
+    /// block powers: as they are on the 2D floorplan, or each block split
+    /// `BOTTOM_POWER_SHARE` / `1.0 - BOTTOM_POWER_SHARE` between the
+    /// folded bottom and top layers.
+    pub(crate) fn named(&self, slot: usize, blocks: &[(&str, f64)]) -> Vec<Vec<f64>> {
+        if slot == 0 {
+            return vec![self.fp_2d.power_from_named(blocks)];
+        }
+        let share = |s: f64| blocks.iter().map(|&(n, w)| (n, w * s)).collect::<Vec<_>>();
+        vec![
+            self.fp_3d.power_from_named(&share(BOTTOM_POWER_SHARE)),
+            self.fp_3d
+                .power_from_named(&share(1.0 - BOTTOM_POWER_SHARE)),
+        ]
+    }
+
+    /// Solve `slot`'s stack for `powers`, warm-starting from `warm` when it
+    /// holds a field, and leave the new field in `warm`. The solve is folded
+    /// into `stats`, and counts as a cache hit when its model came from the
+    /// cache or it warm-started.
+    pub(crate) fn solve<'w>(
+        &self,
+        slot: usize,
+        powers: &[Vec<f64>],
+        warm: &'w mut Option<Solution>,
+        stats: &mut SolveStatsSummary,
+    ) -> &'w Solution {
+        let (model, cached) = &self.models[slot];
+        let (sol, s) = model
+            .solve_from(powers, warm.as_ref())
+            .expect("power vectors were built from the model's floorplans");
+        stats.absorb(&s);
+        stats.cache_hits += usize::from(*cached || warm.is_some());
+        warm.insert(sol)
     }
 }
 
@@ -304,35 +383,22 @@ pub struct StackThermal {
 }
 
 /// The per-stack thermal coefficients, computed once per process (three
-/// cold solves at the nominal core power, using the same floorplans and
-/// 0.55/0.45 power fold as the fig8 experiment and the feasibility check).
+/// cold solves at the nominal core power, with the same floorplans and
+/// uniform power fold as the feasibility check).
 pub fn stack_thermal() -> &'static StackThermal {
     static CACHE: OnceLock<StackThermal> = OnceLock::new();
     CACHE.get_or_init(|| {
         let _span = m3d_obs::span("planner", "stack_thermal");
-        let tcfg = ThermalConfig::default();
-        let designs = crate::experiments::fig8_thermal::DesignModels::build(&tcfg);
-        let folded = vec![
-            designs.fp_3d.uniform_power(NOMINAL_CORE_W * 0.55),
-            designs.fp_3d.uniform_power(NOMINAL_CORE_W * 0.45),
-        ];
-        let peak = |model: &m3d_thermal::model::ThermalModel, powers: &[Vec<f64>]| {
-            let (sol, _) = model
-                .solve_from(powers, None)
-                .expect("uniform powers match the model floorplans");
-            sol.peak_c
-        };
-        let peaks = [
-            peak(
-                &designs.base.0,
-                &[designs.fp_2d.uniform_power(NOMINAL_CORE_W)],
-            ),
-            peak(&designs.tsv.0, &folded),
-            peak(&designs.het.0, &folded),
-        ];
+        let designs = DesignModels::build();
+        let mut stats = SolveStatsSummary::default();
+        let peaks: [f64; 3] = std::array::from_fn(|slot| {
+            let powers = designs.uniform(slot, NOMINAL_CORE_W);
+            designs.solve(slot, &powers, &mut None, &mut stats).peak_c
+        });
+        let ambient_c = ThermalConfig::default().ambient_c;
         StackThermal {
-            ambient_c: tcfg.ambient_c,
-            k_c_per_w: peaks.map(|p| (p - tcfg.ambient_c) / NOMINAL_CORE_W),
+            ambient_c,
+            k_c_per_w: peaks.map(|p| (p - ambient_c) / NOMINAL_CORE_W),
         }
     })
 }
@@ -490,5 +556,120 @@ mod tests {
             .sum::<f64>()
             / 12.0;
         assert!(avg > 25.0, "average array energy reduction {avg}%");
+    }
+
+    /// `(solves, total_iterations, warm_starts, cache_hits, non_converged,
+    /// max_residual_k bits)` of a summary: every field but the wall time.
+    fn exact(s: &SolveStatsSummary) -> (usize, usize, usize, usize, usize, u64) {
+        (
+            s.solves,
+            s.total_iterations,
+            s.warm_starts,
+            s.cache_hits,
+            s.non_converged,
+            s.max_residual_k.to_bits(),
+        )
+    }
+
+    #[test]
+    fn serial_thermal_outputs_are_pinned_bit_for_bit() {
+        // The thermal outputs that do not depend on the host's CPU count,
+        // as recorded before the solve loops were merged. With the models
+        // in the cache first, every solve counts as a cache hit.
+        let _ = DesignModels::build();
+
+        let (rows, stats) = crate::experiments::section5_alternatives::thermal_headroom();
+        let want: [(u64, u64, u64); 10] = [
+            (
+                0x4008_0000_0000_0000,
+                0x404a_e5ac_50cb_52c9,
+                0x404e_a88b_62a8_c2f2,
+            ),
+            (
+                0x4010_0000_0000_0000,
+                0x404c_5eaf_6804_0942,
+                0x4050_b1a8_dc35_359c,
+            ),
+            (
+                0x4014_0000_0000_0000,
+                0x404d_d7b3_c304_18c4,
+                0x4052_0f0a_a160_f513,
+            ),
+            (
+                0x4018_0000_0000_0000,
+                0x404f_50b8_2b3c_dd68,
+                0x4053_6c6c_5e58_4797,
+            ),
+            (
+                0x401c_0000_0000_0000,
+                0x4050_64de_4a06_1cac,
+                0x4054_c9ce_1b2d_ec13,
+            ),
+            (
+                0x4020_0000_0000_0000,
+                0x4051_2160_7e71_24a6,
+                0x4056_272f_d803_0753,
+            ),
+            (
+                0x4022_0000_0000_0000,
+                0x4051_dde2_b2dc_52f7,
+                0x4057_8491_94d8_2075,
+            ),
+            (
+                0x4024_0000_0000_0000,
+                0x4052_9a64_e747_82fd,
+                0x4058_e1f3_51ad_39c0,
+            ),
+            (
+                0x4026_0000_0000_0000,
+                0x4053_56e7_1bb2_b316,
+                0x405a_3f55_0e82_52da,
+            ),
+            (
+                0x4028_0000_0000_0000,
+                0x4054_1369_501d_e32d,
+                0x405b_9cb6_cb57_6bd7,
+            ),
+        ];
+        let got: Vec<_> = rows
+            .iter()
+            .map(|r| {
+                (
+                    r.power_w.to_bits(),
+                    r.base_c.to_bits(),
+                    r.m3d_het_c.to_bits(),
+                )
+            })
+            .collect();
+        assert_eq!(got, want);
+        assert_eq!(exact(&stats), (20, 39413, 18, 20, 0, 0x3f1a_3393_bbb0_0000));
+
+        let (rows, stats) = space().thermal_feasibility();
+        let want = [
+            (DesignPoint::Base, 0x404f_e786_222b_de64),
+            (DesignPoint::Tsv3d, 0x4056_5c52_872b_9b8f),
+            (DesignPoint::M3dIso, 0x4055_15aa_b3cd_886d),
+            (DesignPoint::M3dHetNaive, 0x4054_3a77_566c_d7b4),
+            (DesignPoint::M3dHet, 0x4054_cf30_bd68_561d),
+            (DesignPoint::M3dHetAgg, 0x4058_19f6_7995_10a4),
+        ];
+        let got: Vec<_> = rows
+            .iter()
+            .map(|r| (r.design, r.peak_c.to_bits()))
+            .collect();
+        assert_eq!(got, want);
+        assert!(rows.iter().all(|r| r.feasible));
+        assert_eq!(exact(&stats), (6, 15682, 3, 6, 0, 0x3f1a_3508_2b80_0000));
+
+        let k = stack_thermal();
+        assert_eq!(k.ambient_c, 45.0);
+        assert_eq!(
+            k.k_c_per_w.map(f64::to_bits),
+            [
+                0x4007_82cf_556d_abfa,
+                0x401b_c6ce_51ed_04e5,
+                0x4015_cc6e_3e71_73f2
+            ]
+        );
     }
 }

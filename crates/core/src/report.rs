@@ -787,7 +787,6 @@ mod tests {
             residual_k: 1.0e-5,
             converged: true,
             warm_start: false,
-            assembly_cache_hit: false,
             wall_s: 0.002,
         });
         let j = thermal_stats_json(&s);
@@ -913,7 +912,6 @@ mod tests {
             residual_k: 5.0e-5,
             converged: true,
             warm_start: true,
-            assembly_cache_hit: true,
             wall_s: 0.001,
         });
         let line = thermal_stats_text("fig8", &s);

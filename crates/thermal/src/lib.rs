@@ -11,45 +11,28 @@
 //! is found by red–black successive over-relaxation, two cells at a time
 //! with SSE2 on x86-64 (see [`model`]).
 //!
-//! Two levels of API:
-//!
-//! * [`solver::solve`] — one-shot convenience: panic-on-misuse, cold start,
-//!   config clamped into range, model assembly cached process-wide.
-//! * [`model::ThermalModel`] — assemble a design once (or fetch it from a
-//!   [`model::ModelCache`]), then run many solves with different power
-//!   vectors, warm starts, and [`model::SolveStats`] diagnostics. This is
-//!   the API the experiment drivers in `m3d-core` use.
+//! Every solve goes through [`model::ThermalModel`]: assemble a design once
+//! (or fetch it from a [`model::ModelCache`]), then run many solves with
+//! different power vectors, warm starts, and [`model::SolveStats`]
+//! diagnostics. [`ThermalConfig::validate`] rejects a configuration outside
+//! its documented ranges before assembly.
 //!
 //! # Example
 //!
+//! Solving one design at two power levels, the second warm-started from
+//! the first:
+//!
 //! ```
 //! use m3d_thermal::floorplan::Floorplan;
-//! use m3d_thermal::solver::{solve, LayerPower, ThermalConfig};
+//! use m3d_thermal::model::{ThermalConfig, ThermalModel};
 //! use m3d_tech::layers::LayerStack;
 //!
 //! let fp = Floorplan::ryzen_like(9.0e-6); // 9 mm² core
-//! let power = fp.uniform_power(6.4);
-//! let sol = solve(
-//!     &LayerStack::planar_2d(),
-//!     &[LayerPower { floorplan: fp, power_w: power }],
-//!     &ThermalConfig::default(),
-//! );
-//! assert!(sol.peak_c > 45.0 && sol.peak_c < 110.0);
-//! ```
-//!
-//! Reusing a model across power vectors with a warm start:
-//!
-//! ```
-//! use m3d_thermal::floorplan::Floorplan;
-//! use m3d_thermal::model::ThermalModel;
-//! use m3d_thermal::solver::ThermalConfig;
-//! use m3d_tech::layers::LayerStack;
-//!
-//! let fp = Floorplan::ryzen_like(9.0e-6);
 //! let cfg = ThermalConfig::default();
 //! let model = ThermalModel::new(&LayerStack::planar_2d(), &[fp.clone()], &cfg)?;
-//! let (low, _) = model.solve(&[fp.uniform_power(4.0)])?;
-//! let (high, stats) = model.solve_from(&[fp.uniform_power(6.0)], Some(&low))?;
+//! let (low, _) = model.solve(&[fp.uniform_power(6.4)])?;
+//! assert!(low.peak_c > 45.0 && low.peak_c < 110.0);
+//! let (high, stats) = model.solve_from(&[fp.uniform_power(8.0)], Some(&low))?;
 //! assert!(stats.warm_start && high.peak_c > low.peak_c);
 //! # Ok::<(), m3d_thermal::model::ThermalError>(())
 //! ```
@@ -59,10 +42,9 @@
 
 pub mod floorplan;
 pub mod model;
-pub mod solver;
 
 pub use floorplan::{Block, Floorplan};
 pub use model::{
-    shared_cache, ModelCache, SolveStats, SolveStatsSummary, ThermalError, ThermalModel,
+    shared_cache, ModelCache, Solution, SolveStats, SolveStatsSummary, ThermalConfig, ThermalError,
+    ThermalModel,
 };
-pub use solver::{solve, solve_with_stats, LayerPower, Solution, ThermalConfig};

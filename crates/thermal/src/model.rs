@@ -1,16 +1,27 @@
-//! Reusable thermal model: assemble once, solve many times.
+//! The steady-state thermal model (the HotSpot grid model): assemble a
+//! design once, solve it for many power vectors.
 //!
-//! [`ThermalModel`] separates the two phases the one-shot
-//! [`solve`](crate::solver::solve) entry point fuses:
+//! Each material layer of the stack becomes one grid layer of `nx × ny`
+//! cells. Conductances:
+//!
+//! * lateral, within a layer: `g = k · (t · dy) / dx` between side-adjacent
+//!   cells;
+//! * vertical, between layers: series combination of each layer's half
+//!   thickness, `g = A / (t₁/(2k₁) + t₂/(2k₂))`;
+//! * sink-to-ambient: the stack's first layer connects to ambient through
+//!   the convection resistance, distributed over its cells.
+//!
+//! [`ThermalModel`] works in two phases:
 //!
 //! 1. **Assembly** (per chip design): discretise the
-//!    [`LayerStack`] over an `nx × ny` grid, derive lateral / vertical /
-//!    sink conductances, and rasterise each powered floorplan into a
-//!    cell → block map. This depends only on the stack, the floorplans and
-//!    the [`ThermalConfig`] — not on the power numbers.
+//!    [`LayerStack`] over the grid, derive the conductances above, and
+//!    rasterise each powered floorplan into a cell → block map. This
+//!    depends only on the stack, the floorplans and the [`ThermalConfig`]
+//!    — not on the power numbers.
 //! 2. **Solve** (per power vector): inject per-block watts through the
-//!    prebuilt maps and run a red–black Gauss–Seidel/SOR sweep to the steady
-//!    state, optionally warm-starting from a previous [`Solution`].
+//!    prebuilt maps and run red–black successive over-relaxation,
+//!    `T += ω·((Σ g·T_neighbour + P) / Σ g − T)`, to the steady state,
+//!    optionally warm-starting from a previous [`Solution`].
 //!
 //! Experiments that evaluate dozens of power vectors against the same design
 //! (the Figure 8 thermal sweep, DVFS searches, the planner's feasibility
@@ -41,11 +52,117 @@
 //! residual equal a cell-by-cell scalar sweep bit for bit.
 
 use crate::floorplan::Floorplan;
-use crate::solver::{Solution, ThermalConfig};
-use m3d_tech::layers::LayerStack;
+use m3d_tech::layers::{LayerStack, HEAT_SINK_TO_AMBIENT_K_PER_W};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
+
+/// Grid and solver configuration.
+///
+/// Every field has a physically meaningful range, checked by
+/// [`validate`](ThermalConfig::validate), which [`ThermalModel::new`]
+/// calls. In particular `sor_omega` outside `(0, 2)` makes SOR diverge and
+/// `tolerance_k ≤ 0` never converges.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ThermalConfig {
+    /// Grid cells along x. Must be ≥ 2: a single column has no lateral
+    /// spreading and badly misrepresents hot spots.
+    pub nx: usize,
+    /// Grid cells along y. Must be ≥ 2.
+    pub ny: usize,
+    /// Ambient temperature, °C. Must be finite.
+    pub ambient_c: f64,
+    /// Heat-sink-to-ambient convection resistance, K/W. Must be finite and
+    /// positive (a zero resistance shorts the stack to ambient and divides
+    /// by zero in the per-cell conductance).
+    pub convection_k_per_w: f64,
+    /// SOR relaxation factor. Must lie in the open interval `(0, 2)`:
+    /// 1.0 is plain Gauss–Seidel, values in `(1, 2)` over-relax and
+    /// converge faster, and ω ≥ 2 provably diverges.
+    pub sor_omega: f64,
+    /// Convergence threshold on the max per-sweep update, K. Must be finite
+    /// and > 0, otherwise the sweep can never terminate early.
+    pub tolerance_k: f64,
+    /// Iteration cap. Must be ≥ 1.
+    pub max_iters: usize,
+}
+
+impl Default for ThermalConfig {
+    fn default() -> Self {
+        Self {
+            nx: 24,
+            ny: 24,
+            ambient_c: 45.0,
+            convection_k_per_w: HEAT_SINK_TO_AMBIENT_K_PER_W,
+            sor_omega: 1.6,
+            tolerance_k: 1e-4,
+            max_iters: 20_000,
+        }
+    }
+}
+
+impl ThermalConfig {
+    /// Check every field against its documented range.
+    ///
+    /// Returns [`ThermalError::InvalidConfig`] naming the first offending
+    /// field. [`ThermalModel::new`] calls this, so invalid configurations
+    /// fail fast instead of silently diverging.
+    pub fn validate(&self) -> Result<(), ThermalError> {
+        let fail = |msg: String| Err(ThermalError::InvalidConfig(msg));
+        if self.nx < 2 || self.ny < 2 {
+            return fail(format!(
+                "grid {}x{} too small (need nx, ny >= 2)",
+                self.nx, self.ny
+            ));
+        }
+        if !self.ambient_c.is_finite() {
+            return fail(format!("ambient_c = {} must be finite", self.ambient_c));
+        }
+        if !(self.convection_k_per_w.is_finite() && self.convection_k_per_w > 0.0) {
+            return fail(format!(
+                "convection_k_per_w = {} must be finite and > 0",
+                self.convection_k_per_w
+            ));
+        }
+        if !(self.sor_omega > 0.0 && self.sor_omega < 2.0) {
+            return fail(format!(
+                "sor_omega = {} outside (0, 2): SOR diverges",
+                self.sor_omega
+            ));
+        }
+        if !(self.tolerance_k.is_finite() && self.tolerance_k > 0.0) {
+            return fail(format!(
+                "tolerance_k = {} must be finite and > 0",
+                self.tolerance_k
+            ));
+        }
+        if self.max_iters == 0 {
+            return fail("max_iters = 0 (need at least one sweep)".to_owned());
+        }
+        Ok(())
+    }
+}
+
+/// Steady-state solution.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Solution {
+    /// Temperatures per stack layer, each `nx × ny` row-major, °C.
+    pub layer_temps_c: Vec<Vec<f64>>,
+    /// Peak temperature anywhere in a device layer, °C.
+    pub peak_c: f64,
+    /// Peak temperature per block name (max over device layers), °C.
+    pub block_peaks_c: Vec<(String, f64)>,
+}
+
+impl Solution {
+    /// The hottest block.
+    pub fn hottest_block(&self) -> Option<(&str, f64)> {
+        self.block_peaks_c
+            .iter()
+            .max_by(|a, b| a.1.partial_cmp(&b.1).expect("temps are finite"))
+            .map(|(n, t)| (n.as_str(), *t))
+    }
+}
 
 /// Errors from building or using a [`ThermalModel`].
 #[derive(Debug, Clone, PartialEq)]
@@ -113,9 +230,6 @@ pub struct SolveStats {
     pub converged: bool,
     /// Whether the solve started from a previous temperature field.
     pub warm_start: bool,
-    /// Whether the model came out of a [`ModelCache`] (set by the cache /
-    /// the `solve()` wrapper; `false` for directly-built models).
-    pub assembly_cache_hit: bool,
     /// Wall time of the solve (excluding assembly), seconds.
     pub wall_s: f64,
 }
@@ -129,7 +243,12 @@ pub struct SolveStatsSummary {
     pub total_iterations: usize,
     /// Solves that started warm.
     pub warm_starts: usize,
-    /// Solves whose model came from a cache.
+    /// Solves that reused earlier work: the model came out of a
+    /// [`ModelCache`] or the solve warm-started. [`absorb`] leaves it alone
+    /// because a model does not know where it came from; whoever fetched the
+    /// model counts it (in `m3d-core`, `DesignModels::solve`).
+    ///
+    /// [`absorb`]: SolveStatsSummary::absorb
     pub cache_hits: usize,
     /// Worst final residual seen, K.
     pub max_residual_k: f64,
@@ -145,7 +264,6 @@ impl SolveStatsSummary {
         self.solves += 1;
         self.total_iterations += s.iterations;
         self.warm_starts += usize::from(s.warm_start);
-        self.cache_hits += usize::from(s.assembly_cache_hit);
         self.max_residual_k = self.max_residual_k.max(s.residual_k);
         self.non_converged += usize::from(!s.converged);
         self.total_wall_s += s.wall_s;
@@ -501,13 +619,12 @@ impl ThermalModel {
 
         let (iterations, residual, converged) = self.sweep(&mut t, &power);
 
-        let solution = self.finish_solution(self.join(&t), iterations);
+        let solution = self.finish_solution(self.join(&t));
         let stats = SolveStats {
             iterations,
             residual_k: residual,
             converged,
             warm_start: warm_ok,
-            assembly_cache_hit: false,
             wall_s: t0.elapsed().as_secs_f64(),
         };
         // Counters at solve granularity: the sweep loop itself stays clean.
@@ -563,8 +680,9 @@ impl ThermalModel {
         max_delta
     }
 
-    /// Peaks + packaging, identical to the historical one-shot solver.
-    fn finish_solution(&self, t: Vec<f64>, iterations: usize) -> Solution {
+    /// Split a flat field into layers and find the device-layer and block
+    /// peaks.
+    fn finish_solution(&self, t: Vec<f64>) -> Solution {
         let n_cells = self.n_cells();
         let layer_temps_c: Vec<Vec<f64>> = (0..self.nl)
             .map(|l| t[l * n_cells..(l + 1) * n_cells].to_vec())
@@ -595,7 +713,6 @@ impl ThermalModel {
             layer_temps_c,
             peak_c: peak,
             block_peaks_c: block_peaks,
-            iterations,
         }
     }
 }
@@ -860,7 +977,8 @@ impl ModelCache {
     }
 }
 
-/// The process-wide cache used by [`crate::solver::solve`].
+/// The process-wide model cache, shared by every study that solves the
+/// same designs.
 pub fn shared_cache() -> &'static ModelCache {
     static CACHE: OnceLock<ModelCache> = OnceLock::new();
     CACHE.get_or_init(ModelCache::new)
@@ -869,7 +987,6 @@ pub fn shared_cache() -> &'static ModelCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solver::LayerPower;
 
     fn cfg() -> ThermalConfig {
         ThermalConfig {
@@ -1183,20 +1300,107 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn matches_one_shot_solver_wrapper() {
+    /// Peak of the planar 2D core at `total_w` spread uniformly, and the
+    /// solve's stats.
+    fn planar_at(total_w: f64) -> (Solution, SolveStats) {
         let fp = Floorplan::ryzen_like(9.0e-6);
-        let power = fp.uniform_power(6.4);
-        let via_wrapper = crate::solver::solve(
-            &LayerStack::planar_2d(),
-            &[LayerPower {
-                floorplan: fp.clone(),
-                power_w: power.clone(),
-            }],
-            &cfg(),
+        let model = ThermalModel::new(&LayerStack::planar_2d(), std::slice::from_ref(&fp), &cfg())
+            .expect("model");
+        model.solve(&[fp.uniform_power(total_w)]).expect("solve")
+    }
+
+    /// Solve a two-tier stack with the folded floorplan and the given
+    /// per-layer powers (near-sink layer first).
+    fn two_tier(stack: &LayerStack, near: Vec<f64>, far: Vec<f64>) -> Solution {
+        let folded = Floorplan::ryzen_like(4.5e-6);
+        let model = ThermalModel::new(stack, &[folded.clone(), folded], &cfg()).expect("model");
+        model.solve(&[near, far]).expect("solve").0
+    }
+
+    #[test]
+    fn planar_core_reaches_plausible_temperature() {
+        // 6.4 W core (the paper's measured average) should sit well below
+        // Tjmax but clearly above ambient.
+        let (s, _) = planar_at(6.4);
+        assert!(s.peak_c > 48.0 && s.peak_c < 100.0, "peak {}", s.peak_c);
+    }
+
+    #[test]
+    fn temperature_monotonic_in_power() {
+        let lo = planar_at(3.0).0.peak_c;
+        let hi = planar_at(10.0).0.peak_c;
+        assert!(hi > lo + 2.0, "lo {lo} hi {hi}");
+    }
+
+    #[test]
+    fn solve_converges() {
+        let (_, stats) = planar_at(6.4);
+        assert!(stats.converged && stats.iterations < cfg().max_iters);
+        assert!(stats.residual_k < cfg().tolerance_k);
+    }
+
+    #[test]
+    fn zero_power_stays_at_ambient() {
+        let (s, _) = planar_at(0.0);
+        assert!((s.peak_c - cfg().ambient_c).abs() < 0.01);
+    }
+
+    #[test]
+    fn hot_block_is_hottest() {
+        let fp = Floorplan::ryzen_like(9.0e-6);
+        let p = fp.power_from_named(&[("IQ", 4.0), ("FPU", 0.5)]);
+        let model = ThermalModel::new(&LayerStack::planar_2d(), std::slice::from_ref(&fp), &cfg())
+            .expect("model");
+        let (s, _) = model.solve(&[p]).expect("solve");
+        let (name, _) = s.hottest_block().expect("blocks exist");
+        assert_eq!(name, "IQ");
+    }
+
+    #[test]
+    fn tsv3d_far_layer_runs_hotter_than_m3d() {
+        // The paper's headline thermal result: same split power, the TSV3D
+        // stack's far-from-sink layer gets much hotter than M3D's.
+        let per_layer = Floorplan::ryzen_like(4.5e-6).uniform_power(3.2);
+        let m3d = two_tier(&LayerStack::m3d(), per_layer.clone(), per_layer.clone());
+        let tsv = two_tier(&LayerStack::tsv3d(), per_layer.clone(), per_layer);
+        assert!(
+            tsv.peak_c > m3d.peak_c + 3.0,
+            "tsv {} vs m3d {}",
+            tsv.peak_c,
+            m3d.peak_c
         );
-        let model = ThermalModel::new(&LayerStack::planar_2d(), &[fp], &cfg()).expect("model");
-        let (direct, _) = model.solve(&[power]).expect("solve");
-        assert!((via_wrapper.peak_c - direct.peak_c).abs() < 1e-9);
+    }
+
+    #[test]
+    fn m3d_layers_are_thermally_coupled() {
+        // Power only the far (top-fabricated) layer: in M3D the near layer
+        // tracks it closely because the ILD is 100 nm thin.
+        let folded = Floorplan::ryzen_like(4.5e-6);
+        let cold = vec![0.0; folded.blocks.len()];
+        let s = two_tier(&LayerStack::m3d(), cold, folded.uniform_power(6.4));
+        let dev = LayerStack::m3d().device_layer_indices();
+        let layer_max = |l: usize| s.layer_temps_c[l].iter().copied().fold(f64::MIN, f64::max);
+        let (near_max, far_max) = (layer_max(dev[0]), layer_max(dev[1]));
+        assert!(
+            (far_max - near_max) < 2.0,
+            "near {near_max} vs far {far_max}"
+        );
+    }
+
+    #[test]
+    fn rejects_floorplan_count_mismatches() {
+        let fp = Floorplan::ryzen_like(9.0e-6);
+        let stack = LayerStack::planar_2d();
+        assert_eq!(
+            ThermalModel::new(&stack, &[], &cfg()).err(),
+            Some(ThermalError::NoPoweredLayers)
+        );
+        assert_eq!(
+            ThermalModel::new(&stack, &[fp.clone(), fp], &cfg()).err(),
+            Some(ThermalError::TooManyLayers {
+                supplied: 2,
+                device_layers: 1
+            })
+        );
     }
 }

@@ -13,34 +13,32 @@
 
 use m3d_tech::layers::{LayerStack, StackKind};
 use m3d_thermal::floorplan::Floorplan;
-use m3d_thermal::solver::{solve, LayerPower, ThermalConfig};
+use m3d_thermal::model::{shared_cache, ThermalConfig};
 
 const TJMAX_C: f64 = 100.0;
 const CORE_AREA_M2: f64 = 9.0e-6;
 
 fn peak_at(stack: &LayerStack, power_w: f64) -> f64 {
-    let cfg = ThermalConfig::default();
-    let sol = if stack.kind == StackKind::Planar2d {
+    let (fp, powers) = if stack.kind == StackKind::Planar2d {
         let fp = Floorplan::ryzen_like(CORE_AREA_M2);
         let p = fp.uniform_power(power_w);
-        solve(
-            stack,
-            &[LayerPower {
-                floorplan: fp,
-                power_w: p,
-            }],
-            &cfg,
-        )
+        (fp, vec![p])
     } else {
         let fp = Floorplan::ryzen_like(CORE_AREA_M2).scaled(0.5);
         let p = fp.uniform_power(power_w / 2.0);
-        let layer = LayerPower {
-            floorplan: fp,
-            power_w: p,
-        };
-        solve(stack, &[layer.clone(), layer], &cfg)
+        (fp, vec![p.clone(), p])
     };
-    sol.peak_c
+    // The bisection below solves each stack dozens of times: fetch the
+    // assembled model from the shared cache instead of rebuilding it.
+    let fps = vec![fp; powers.len()];
+    let (model, _) = shared_cache()
+        .get_or_build(stack, &fps, &ThermalConfig::default())
+        .expect("default config and ryzen floorplan are valid");
+    model
+        .solve(&powers)
+        .expect("power maps match floorplans")
+        .0
+        .peak_c
 }
 
 fn main() {

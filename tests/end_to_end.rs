@@ -9,7 +9,7 @@ use m3d_sram::partition3d::Strategy;
 use m3d_sram::structures::StructureId;
 use m3d_tech::layers::LayerStack;
 use m3d_thermal::floorplan::Floorplan;
-use m3d_thermal::solver::{solve, LayerPower, ThermalConfig};
+use m3d_thermal::model::{ThermalConfig, ThermalModel};
 use m3d_uarch::multicore::Multicore;
 use m3d_workloads::parallel::parallel_by_name;
 use m3d_workloads::spec::spec_by_name;
@@ -71,41 +71,38 @@ fn simulation_to_thermal() {
         model.block_powers(&r, &d.power_config(s))
     };
 
-    let cfg = ThermalConfig::default();
+    // Peak temperature of `stack` with `fp` on each powered device layer.
+    let peak = |stack: &LayerStack, fp: &Floorplan, powers: Vec<Vec<f64>>| {
+        let fps = vec![fp.clone(); powers.len()];
+        let model = ThermalModel::new(stack, &fps, &ThermalConfig::default()).expect("valid model");
+        model
+            .solve(&powers)
+            .expect("power maps match floorplans")
+            .0
+            .peak_c
+    };
+
     let base_blocks = blocks_for(DesignPoint::Base);
     let fp2d = Floorplan::ryzen_like(9.0e-6);
-    let power2d = fp2d.power_from_named(&base_blocks);
-    let base = solve(
+    let base = peak(
         &LayerStack::planar_2d(),
-        &[LayerPower {
-            floorplan: fp2d,
-            power_w: power2d,
-        }],
-        &cfg,
+        &fp2d,
+        vec![fp2d.power_from_named(&base_blocks)],
     );
 
     let het_blocks = blocks_for(DesignPoint::M3dHet);
     let fp3d = Floorplan::ryzen_like(9.0e-6).scaled(0.5);
     let half: Vec<(&str, f64)> = het_blocks.iter().map(|&(n, w)| (n, w * 0.5)).collect();
-    let layer = LayerPower {
-        floorplan: fp3d.clone(),
-        power_w: fp3d.power_from_named(&half),
-    };
-    let m3d = solve(&LayerStack::m3d(), &[layer.clone(), layer.clone()], &cfg);
-    let tsv = solve(&LayerStack::tsv3d(), &[layer.clone(), layer], &cfg);
+    let layer = fp3d.power_from_named(&half);
+    let m3d = peak(
+        &LayerStack::m3d(),
+        &fp3d,
+        vec![layer.clone(), layer.clone()],
+    );
+    let tsv = peak(&LayerStack::tsv3d(), &fp3d, vec![layer.clone(), layer]);
 
-    assert!(
-        m3d.peak_c - base.peak_c < 15.0,
-        "M3D {} vs base {}",
-        m3d.peak_c,
-        base.peak_c
-    );
-    assert!(
-        tsv.peak_c > m3d.peak_c + 3.0,
-        "TSV {} vs M3D {}",
-        tsv.peak_c,
-        m3d.peak_c
-    );
+    assert!(m3d - base < 15.0, "M3D {m3d} vs base {base}");
+    assert!(tsv > m3d + 3.0, "TSV {tsv} vs M3D {m3d}");
 }
 
 #[test]

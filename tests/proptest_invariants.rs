@@ -9,8 +9,7 @@ use m3d_tech::node::TechnologyNode;
 use m3d_tech::process::ProcessCorner;
 use m3d_tech::via::ViaKind;
 use m3d_thermal::floorplan::{Block, Floorplan};
-use m3d_thermal::model::ThermalModel;
-use m3d_thermal::solver::ThermalConfig;
+use m3d_thermal::model::{ThermalConfig, ThermalModel};
 use proptest::prelude::*;
 
 /// A rows × cols grid of uniform blocks covering a square die of `area` m².
@@ -169,24 +168,11 @@ proptest! {
 
     #[test]
     fn thermal_monotone_in_power(p1 in 1.0f64..8.0, extra in 0.5f64..8.0) {
-        let fp = m3d_thermal::floorplan::Floorplan::ryzen_like(9.0e-6);
-        let cfg = m3d_thermal::solver::ThermalConfig {
-            nx: 12,
-            ny: 12,
-            ..Default::default()
-        };
-        let run = |w: f64| {
-            let power = fp.uniform_power(w);
-            m3d_thermal::solver::solve(
-                &m3d_tech::layers::LayerStack::planar_2d(),
-                &[m3d_thermal::solver::LayerPower {
-                    floorplan: fp.clone(),
-                    power_w: power,
-                }],
-                &cfg,
-            )
-            .peak_c
-        };
+        let fp = Floorplan::ryzen_like(9.0e-6);
+        let cfg = ThermalConfig { nx: 12, ny: 12, ..Default::default() };
+        let model = ThermalModel::new(&LayerStack::planar_2d(), std::slice::from_ref(&fp), &cfg)
+            .expect("valid model");
+        let run = |w: f64| model.solve(&[fp.uniform_power(w)]).expect("solve").0.peak_c;
         prop_assert!(run(p1 + extra) > run(p1));
     }
 
