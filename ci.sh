@@ -164,6 +164,33 @@ done | timeout 5 ./target/release/serve --oneshot --quick) || {
   exit 1
 }
 
+echo "== raw-byte smoke (300 KiB line, 0xFF byte, stats to serve --oneshot) =="
+# --oneshot frames stdin exactly as the daemon frames a connection: a line
+# over the 256 KiB cap is answered `oversized` and skipped, a byte that is
+# not UTF-8 is decoded lossily instead of ending the input, and the line
+# after both is still answered.
+RAW_OUT=$({
+  head -c 307200 /dev/zero | tr '\0' 'x'
+  echo
+  printf '{"id":2,"method":"sim\377"}\n'
+  printf '{"id":3,"method":"stats"}\n'
+} | ./target/release/serve --oneshot --quick) || {
+  echo "ci.sh: serve --oneshot failed on the raw-byte stream" >&2
+  exit 1
+}
+[ "$(printf '%s\n' "$RAW_OUT" | wc -l)" -eq 3 ] || {
+  echo "ci.sh: raw-byte stream did not get exactly 3 reply lines: $RAW_OUT" >&2
+  exit 1
+}
+printf '%s\n' "$RAW_OUT" | head -n 1 | grep -q '"kind":"oversized"' || {
+  echo "ci.sh: the 300 KiB line was not answered oversized" >&2
+  exit 1
+}
+printf '%s\n' "$RAW_OUT" | tail -n 1 | grep -q '"ok":true' || {
+  echo "ci.sh: the stats line after the raw bytes was not answered ok" >&2
+  exit 1
+}
+
 echo "== sharded serve smoke test (router, 2 shards, whole-tree shutdown) =="
 # The router fronts two spawned shard daemons; clients see the same wire
 # protocol on one ephemeral port. SIGTERM must drain the whole process

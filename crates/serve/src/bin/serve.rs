@@ -42,14 +42,19 @@
 //!   `m3d_serve::router` rustdoc). The bound address, `--port-file`, and
 //!   the wire protocol are exactly as in single-daemon mode.
 //! * `--oneshot` — no TCP at all: read request lines from stdin, write
-//!   response lines to stdout, exit at EOF. One process per query is the
-//!   honest "cold" baseline: the `perf_baseline` serve probe's cold tier
-//!   times it, and perfbench's `serve-hit` workload times the warm
-//!   daemon it is compared against.
+//!   response lines to stdout, exit at EOF. Lines are framed, admitted,
+//!   guarded and accounted for exactly as on a daemon connection: the
+//!   same framing (lossy UTF-8, trailing `\r`s trimmed, blank lines
+//!   skipped), the same 256 KiB line cap (a longer line is answered
+//!   `oversized` and skipped), the same panic guard (a panicking handler
+//!   is answered with kind `panic`). EOF also ends an unterminated last
+//!   line, so `printf '{...}' | serve --oneshot` is answered. One process
+//!   per query is the honest "cold" baseline: the `perf_baseline` serve
+//!   probe's cold tier times it, and perfbench's `serve-hit` workload
+//!   times the warm daemon it is compared against.
 
 use m3d_serve::server::{install_signal_handlers, Server, ServerConfig};
 use m3d_serve::{Engine, Router, RouterConfig};
-use std::io::{BufRead, Write};
 
 struct Args {
     cfg: ServerConfig,
@@ -124,26 +129,15 @@ fn oneshot(quick: bool, jobs: usize, slow_ms: u64) -> i32 {
         }
     };
     engine.set_slow_ms(slow_ms);
-    let stdin = std::io::stdin();
-    let stdout = std::io::stdout();
-    let mut out = stdout.lock();
-    for line in stdin.lock().lines() {
-        let line = match line {
-            Ok(l) => l,
-            Err(_) => break,
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        // `plan` requests produce several lines (partials then the final
-        // answer); everything else produces exactly one.
-        for reply in engine.answer_lines(&line) {
-            if writeln!(out, "{reply}").and_then(|()| out.flush()).is_err() {
-                return 0;
-            }
+    match engine.answer_stream(std::io::stdin().lock(), std::io::stdout().lock()) {
+        Ok(()) => 0,
+        // The reader went away: nobody is left to answer.
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => 0,
+        Err(e) => {
+            eprintln!("[serve] {e}");
+            1
         }
     }
-    0
 }
 
 fn main() {

@@ -1,12 +1,17 @@
 //! The query engine: answers parsed requests against the warm process
-//! state. Shared verbatim by the server's worker pool, the `--oneshot`
-//! mode of the `serve` binary, and the wire tests — which is what makes
-//! "concurrent answers equal serial answers byte-for-byte" checkable: both
-//! paths run the same code over the same point list.
+//! state, and the request path every serving mode shares. The `--oneshot`
+//! mode of the `serve` binary, the daemon (inline and on its workers) and
+//! the shard router all admit a line with `admit`, run handler code
+//! behind `guarded`, and account for the finished request with
+//! `ReqMeta::complete`; `--oneshot` also frames its input with the
+//! daemon's framing. That is what makes "concurrent answers equal serial
+//! answers byte-for-byte" checkable: every path runs the same code over
+//! the same point list.
 
+use crate::event_loop::{frame_lines, Framed};
 use crate::protocol::{
-    ok_line, parse_request, partial_line, ErrorKind, Method, Request, WireError, MAX_INTERVAL_UOPS,
-    MAX_POINTS,
+    err_line, ok_line, parse_request, partial_line, ErrorKind, Method, Request, WireError,
+    MAX_INTERVAL_UOPS, MAX_LINE_BYTES, MAX_POINTS,
 };
 use crate::telemetry::{RequestObservation, ServeTelemetry, RECENT_DEFAULT, RECENT_MAX};
 use m3d_core::configs::{DesignPoint, MulticoreDesign};
@@ -20,7 +25,9 @@ use m3d_uarch::batch::{result_cache_len, SimBatch, SimInterval, SimPoint};
 use m3d_uarch::SimError;
 use m3d_workloads::parallel::parallel_by_name;
 use m3d_workloads::spec::spec_by_name;
-use std::time::Instant;
+use std::io::{Read, Write};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::time::{Duration, Instant};
 
 /// Every counter the server maintains. [`Engine::stats`] reports each of
 /// them unconditionally (zeros included), so monitoring clients can tell
@@ -94,6 +101,133 @@ pub fn method_counter(m: Method) -> &'static str {
         Method::Plan => "serve.requests.plan",
         Method::Stats => "serve.requests.stats",
         Method::Telemetry => "serve.requests.telemetry",
+    }
+}
+
+/// An admitted request's identity, arrival facts and deadline, carried
+/// from [`admit`] to [`ReqMeta::complete`] so the flight recorder can
+/// reconstruct the request's life.
+pub(crate) struct ReqMeta {
+    pub(crate) id: i64,
+    pub(crate) method: Method,
+    pub(crate) received: Instant,
+    pub(crate) req_bytes: u64,
+    /// `deadline_ms` after receipt, when the request carries one.
+    pub(crate) deadline: Option<Instant>,
+}
+
+/// Admission, shared by every serving path: parse one framed client line
+/// and count it in `serve.requests` and its per-method counter. A line
+/// that does not parse counts in `serve.errors` instead, and the rendered
+/// error line that answers it comes back as the `Err`.
+pub(crate) fn admit(line: &str) -> Result<(Request, ReqMeta), String> {
+    let received = Instant::now();
+    match parse_request(line) {
+        Ok(req) => {
+            m3d_obs::add("serve.requests", 1);
+            m3d_obs::add(method_counter(req.method), 1);
+            let meta = ReqMeta {
+                id: req.id,
+                method: req.method,
+                received,
+                req_bytes: line.len() as u64,
+                deadline: req
+                    .deadline_ms
+                    .map(|ms| received + Duration::from_millis(ms)),
+            };
+            Ok((req, meta))
+        }
+        Err((id, e)) => {
+            m3d_obs::add("serve.errors", 1);
+            Err(err_line(id, &e))
+        }
+    }
+}
+
+/// Admission of a line over [`MAX_LINE_BYTES`]: counted in
+/// `serve.errors` and answered with id `null`, since nothing of it was
+/// parsed.
+pub(crate) fn admit_oversized() -> String {
+    m3d_obs::add("serve.errors", 1);
+    err_line(
+        None,
+        &WireError::new(
+            ErrorKind::Oversized,
+            format!("request line exceeds {MAX_LINE_BYTES} bytes"),
+        ),
+    )
+}
+
+/// The panic guard every serving path runs handler code behind: a panic
+/// becomes the `panic` error kind carrying the payload's message, and the
+/// calling thread (a worker, the event loop, or `--oneshot`'s) lives on.
+pub(crate) fn guarded<T>(f: impl FnOnce() -> T) -> Result<T, WireError> {
+    catch_unwind(AssertUnwindSafe(f)).map_err(|payload| {
+        let text = if let Some(s) = payload.downcast_ref::<&str>() {
+            (*s).to_owned()
+        } else if let Some(s) = payload.downcast_ref::<String>() {
+            s.clone()
+        } else {
+            "handler panicked".to_owned()
+        };
+        WireError::new(ErrorKind::Panic, text)
+    })
+}
+
+/// Render a handler outcome as its terminating reply line, with the error
+/// kind it failed with (`None` on success).
+pub(crate) fn reply_line(id: i64, result: Result<Json, WireError>) -> (String, Option<ErrorKind>) {
+    match result {
+        Ok(v) => (ok_line(id, v), None),
+        Err(e) => (err_line(Some(id), &e), Some(e.kind)),
+    }
+}
+
+impl ReqMeta {
+    /// Completion, shared by every serving path: account for this
+    /// request's terminating reply `line`, which failed with `outcome`
+    /// (`None`: it succeeded). An error counts in `serve.errors` and, by
+    /// kind, in `serve.deadline_expired`, `serve.rejected` or
+    /// `serve.shard_failed`. A `delivered` reply records its latency in
+    /// `serve.latency_us`; one that never reached its client (the
+    /// connection was gone) records none, and its flight record says
+    /// `write_error`. Every completion leaves one flight record.
+    pub(crate) fn complete(
+        &self,
+        telemetry: &ServeTelemetry,
+        line: &str,
+        outcome: Option<ErrorKind>,
+        delivered: bool,
+        queue_us: u64,
+        batch: u32,
+    ) {
+        if let Some(kind) = outcome {
+            m3d_obs::add("serve.errors", 1);
+            match kind {
+                ErrorKind::Deadline => m3d_obs::add("serve.deadline_expired", 1),
+                ErrorKind::Overloaded => m3d_obs::add("serve.rejected", 1),
+                ErrorKind::ShardDown => m3d_obs::add("serve.shard_failed", 1),
+                _ => {}
+            }
+        }
+        let total_us = (self.received.elapsed().as_secs_f64() * 1e6) as u64;
+        if delivered {
+            m3d_obs::record("serve.latency_us", total_us as f64);
+        }
+        telemetry.observe(RequestObservation {
+            id: self.id,
+            method: self.method,
+            req_bytes: self.req_bytes,
+            resp_bytes: line.len() as u64,
+            queue_us,
+            total_us,
+            batch,
+            outcome: match outcome {
+                _ if !delivered => "write_error",
+                None => "ok",
+                Some(kind) => kind.wire_name(),
+            },
+        });
     }
 }
 
@@ -298,65 +432,10 @@ impl Engine {
         Some(sim_response(&results, req.strict))
     }
 
-    /// Run one registry experiment by name and return its schema-v2 JSON.
-    pub fn experiment(&self, params: &Json) -> Result<Json, WireError> {
-        let name = match params.get("name") {
-            Some(Json::Str(s)) => s.as_str(),
-            _ => return Err(WireError::bad_request("`name` must be a string")),
-        };
-        let Some(spec) = find(name) else {
-            return Err(WireError::bad_request(format!(
-                "unknown experiment `{name}` (try `repro --list`)"
-            )));
-        };
-        let outcomes = run_experiments(&self.ctx, &[spec], self.ctx.jobs(), |_| {});
-        let outcome = &outcomes[0];
-        match &outcome.report {
-            Ok(_) => Ok(m3d_bench::artifacts::experiment_json(outcome)),
-            Err(e) => Err(WireError::from(e)),
-        }
-    }
-
     /// The planned design space as JSON (computing it on first use; the
     /// `OnceLock` in [`Ctx`] memoizes it for the process lifetime).
     pub fn planner(&self) -> Json {
         self.ctx.space().to_json()
-    }
-
-    /// Run a `plan` design-space search. `emit` receives one rendered
-    /// partial line (no trailing newline) per completed chunk — the
-    /// frontier over everything processed so far — and returns whether the
-    /// receiver still wants the stream: `false` (the daemon's "the client
-    /// hung up" signal) stops the search at the next chunk boundary,
-    /// counts `serve.plan_aborted`, and fails with the `aborted` kind. The
-    /// return value is the final outcome for the terminating response
-    /// line. The emitted sequence and the outcome are pure functions of
-    /// the spec: identical across worker counts and across the daemon and
-    /// `--oneshot` paths.
-    pub fn plan(
-        &self,
-        id: i64,
-        params: &Json,
-        deadline: Option<Instant>,
-        mut emit: impl FnMut(&str) -> bool,
-    ) -> Result<Json, WireError> {
-        let spec = SearchSpace::from_json(params).map_err(plan_error)?;
-        let opts = SearchOptions {
-            jobs: self.ctx.jobs(),
-            prune: true,
-            deadline,
-        };
-        run_search(self.ctx.space(), &spec, &opts, |chunk| {
-            m3d_obs::add("serve.plan_chunks", 1);
-            emit(&partial_line(id, chunk_json(chunk)))
-        })
-        .map(|out| outcome_json(&out))
-        .map_err(|e| {
-            if e == SearchError::Aborted {
-                m3d_obs::add("serve.plan_aborted", 1);
-            }
-            plan_error(e)
-        })
     }
 
     /// A live metrics snapshot plus server-level gauges. The snapshot
@@ -383,90 +462,139 @@ impl Engine {
         telemetry_response(&self.telemetry, self.start.elapsed().as_secs_f64(), params)
     }
 
-    /// Answer one already-parsed request (the serial path: no queue, no
-    /// coalescing). Deadlines still apply.
-    pub fn answer_request(&self, req: &Request) -> Result<Json, WireError> {
-        let deadline = req
-            .deadline_ms
-            .map(|ms| Instant::now() + std::time::Duration::from_millis(ms));
-        match req.method {
-            Method::Sim => {
-                let sim = parse_sim_params(&req.params)?;
-                self.sim_group(&[&sim], deadline)
-                    .pop()
-                    .expect("one request in, one response out")
-            }
-            Method::Experiment => {
-                if deadline.is_some_and(|d| Instant::now() >= d) {
-                    return Err(WireError::new(
-                        ErrorKind::Deadline,
-                        "deadline expired before the experiment started",
-                    ));
-                }
-                self.experiment(&req.params)
-            }
-            Method::Planner => Ok(self.planner()),
-            // Partial chunks are dropped on this single-response path; use
-            // [`Engine::plan`] (or `answer_lines`) to observe the stream.
-            Method::Plan => self.plan(req.id, &req.params, deadline, |_| true),
-            Method::Stats => Ok(self.stats()),
-            Method::Telemetry => self.telemetry(&req.params),
+    /// Run an `experiment` or a `plan`: work that must not start once its
+    /// deadline has passed. Every serving path runs both through here, so
+    /// this holds the one check that refuses to start them late.
+    ///
+    /// An `experiment` answers its registry entry's schema-v2 JSON. A
+    /// `plan` runs a design-space search: `emit` receives one rendered
+    /// partial line (no trailing newline) per completed chunk — the
+    /// frontier over everything processed so far — and returns whether
+    /// the receiver still wants the stream: `false` (the daemon's "the
+    /// client hung up" signal) stops the search at the next chunk
+    /// boundary, counts `serve.plan_aborted`, and fails with the `aborted`
+    /// kind. The return value is the final outcome for the terminating
+    /// line. The emitted sequence and the outcome are pure functions of
+    /// the spec: identical across worker counts and serving paths.
+    pub(crate) fn run_task(
+        &self,
+        meta: &ReqMeta,
+        params: &Json,
+        mut emit: impl FnMut(&str) -> bool,
+    ) -> Result<Json, WireError> {
+        let plan = meta.method == Method::Plan;
+        if meta.deadline.is_some_and(|d| Instant::now() >= d) {
+            let what = if plan { "search" } else { "experiment" };
+            return Err(WireError::new(
+                ErrorKind::Deadline,
+                format!("deadline expired before the {what} started"),
+            ));
         }
+        if !plan {
+            let name = match params.get("name") {
+                Some(Json::Str(s)) => s.as_str(),
+                _ => return Err(WireError::bad_request("`name` must be a string")),
+            };
+            let Some(spec) = find(name) else {
+                return Err(WireError::bad_request(format!(
+                    "unknown experiment `{name}` (try `repro --list`)"
+                )));
+            };
+            let outcomes = run_experiments(&self.ctx, &[spec], self.ctx.jobs(), |_| {});
+            let outcome = &outcomes[0];
+            return match &outcome.report {
+                Ok(_) => Ok(m3d_bench::artifacts::experiment_json(outcome)),
+                Err(e) => Err(WireError::from(e)),
+            };
+        }
+        let spec = SearchSpace::from_json(params).map_err(plan_error)?;
+        let opts = SearchOptions {
+            jobs: self.ctx.jobs(),
+            prune: true,
+            deadline: meta.deadline,
+        };
+        run_search(self.ctx.space(), &spec, &opts, |chunk| {
+            m3d_obs::add("serve.plan_chunks", 1);
+            emit(&partial_line(meta.id, chunk_json(chunk)))
+        })
+        .map(|out| outcome_json(&out))
+        .map_err(|e| {
+            if e == SearchError::Aborted {
+                m3d_obs::add("serve.plan_aborted", 1);
+            }
+            plan_error(e)
+        })
     }
 
     /// Answer one raw request line with every response line it produces
     /// (no trailing newlines), in wire order. For `plan` that is zero or
     /// more partial lines followed by the terminating line; for every
-    /// other method exactly one line. This is the whole `--oneshot` mode,
-    /// and the reference the concurrency tests compare server output
-    /// against.
+    /// other method exactly one line. This is the serial path (no queue,
+    /// no coalescing; deadlines still apply) that `--oneshot` runs, and
+    /// the reference the concurrency tests compare server output against.
     pub fn answer_lines(&self, line: &str) -> Vec<String> {
-        let started = Instant::now();
-        let req = match parse_request(line) {
-            Ok(r) => r,
-            Err((id, e)) => {
-                m3d_obs::add("serve.errors", 1);
-                return vec![crate::protocol::err_line(id, &e)];
-            }
+        let (req, meta) = match admit(line) {
+            Ok(admitted) => admitted,
+            Err(reply) => return vec![reply],
         };
-        m3d_obs::add("serve.requests", 1);
-        m3d_obs::add(method_counter(req.method), 1);
         let mut out = Vec::new();
-        let result = if req.method == Method::Plan {
-            let deadline = req
-                .deadline_ms
-                .map(|ms| Instant::now() + std::time::Duration::from_millis(ms));
-            self.plan(req.id, &req.params, deadline, |l| {
+        let result = guarded(|| match req.method {
+            Method::Sim => parse_sim_params(&req.params).and_then(|sim| {
+                self.sim_group(&[&sim], meta.deadline)
+                    .pop()
+                    .expect("one request in, one response out")
+            }),
+            Method::Experiment | Method::Plan => self.run_task(&meta, &req.params, |l| {
                 out.push(l.to_owned());
                 true
-            })
-        } else {
-            self.answer_request(&req)
-        };
-        let (final_line, outcome) = match result {
-            Ok(result) => (ok_line(req.id, result), "ok"),
-            Err(e) => {
-                m3d_obs::add("serve.errors", 1);
-                (
-                    crate::protocol::err_line(Some(req.id), &e),
-                    e.kind.wire_name(),
-                )
-            }
-        };
-        let total_us = (started.elapsed().as_secs_f64() * 1e6) as u64;
-        m3d_obs::record("serve.latency_us", total_us as f64);
-        self.telemetry.observe(RequestObservation {
-            id: req.id,
-            method: req.method,
-            req_bytes: line.len() as u64,
-            resp_bytes: final_line.len() as u64,
-            queue_us: 0,
-            total_us,
-            batch: 1,
-            outcome,
-        });
-        out.push(final_line);
+            }),
+            Method::Planner => Ok(self.planner()),
+            Method::Stats => Ok(self.stats()),
+            Method::Telemetry => self.telemetry(&req.params),
+        })
+        .unwrap_or_else(Err);
+        let (reply, outcome) = reply_line(req.id, result);
+        meta.complete(&self.telemetry, &reply, outcome, true, 0, 1);
+        out.push(reply);
         out
+    }
+
+    /// Answer every request line read from `input` until EOF, writing each
+    /// request's reply lines to `output` as soon as it is answered: the
+    /// whole `serve --oneshot` mode. Input is framed exactly as the daemon
+    /// frames a client connection — the [`MAX_LINE_BYTES`] cap with an
+    /// `oversized` answer and resync at the next newline, lossy UTF-8,
+    /// trailing `\r`s trimmed, blank lines skipped — except that EOF also
+    /// ends an unterminated last line. Stops at the first read or write
+    /// error.
+    pub fn answer_stream(
+        &self,
+        mut input: impl Read,
+        mut output: impl Write,
+    ) -> std::io::Result<()> {
+        let (mut rbuf, mut discarding) = (Vec::new(), false);
+        let mut chunk = [0u8; 16 * 1024];
+        loop {
+            let n = match input.read(&mut chunk) {
+                Ok(n) => n,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            };
+            rbuf.extend_from_slice(if n == 0 { b"\n" } else { &chunk[..n] });
+            for framed in frame_lines(&mut rbuf, &mut discarding, MAX_LINE_BYTES) {
+                let replies = match framed {
+                    Framed::Line(line) => self.answer_lines(&line),
+                    Framed::Oversized => vec![admit_oversized()],
+                };
+                for reply in replies {
+                    writeln!(output, "{reply}")?;
+                }
+                output.flush()?;
+            }
+            if n == 0 {
+                return Ok(());
+            }
+        }
     }
 
     /// Answer one raw request line with its single terminating response

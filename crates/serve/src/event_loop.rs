@@ -76,7 +76,7 @@ pub(crate) enum Framed {
 /// `cap`, which is then dropped and the stream discarded (`discarding`)
 /// until the next newline resyncs it. The output does not depend on how
 /// the stream was split across calls.
-fn frame_lines(rbuf: &mut Vec<u8>, discarding: &mut bool, cap: usize) -> Vec<Framed> {
+pub(crate) fn frame_lines(rbuf: &mut Vec<u8>, discarding: &mut bool, cap: usize) -> Vec<Framed> {
     let mut out = Vec::new();
     let mut start = 0;
     while let Some(len) = rbuf[start..].iter().position(|&b| b == b'\n') {

@@ -90,7 +90,11 @@
 //! request. Full grammar in the [`protocol`] module; this section is the
 //! operator's view, with every example runnable against
 //! `serve --oneshot --quick` (requests on stdin, responses on stdout — the
-//! same engine the daemon runs, minus TCP).
+//! same engine the daemon runs, minus TCP). `--oneshot` frames stdin with
+//! the daemon's framing and its 256 KiB line cap, runs every handler
+//! behind the daemon's panic guard, and admits and accounts for each
+//! request with the daemon's code, so a byte stream gets the same reply
+//! lines on both; EOF also ends an unterminated last line.
 //!
 //! ## `sim` — evaluate simulation points
 //!

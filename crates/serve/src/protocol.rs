@@ -140,7 +140,7 @@ pub enum ErrorKind {
     Oversized,
     /// The admission queue was full (backpressure).
     Overloaded,
-    /// The request's deadline expired before the work could run.
+    /// The request's deadline passed before or while its work ran.
     Deadline,
     /// The simulator rejected the configuration (typed `SimError`).
     Invalid,
@@ -357,18 +357,6 @@ pub fn err_line(id: Option<i64>, e: &WireError) -> String {
         ),
     ])
     .render_compact()
-}
-
-/// The `oversized` error line (id `null`) answered for a request line
-/// over [`MAX_LINE_BYTES`], by the daemon and the router alike.
-pub(crate) fn oversized_line() -> String {
-    err_line(
-        None,
-        &WireError::new(
-            ErrorKind::Oversized,
-            format!("request line exceeds {MAX_LINE_BYTES} bytes"),
-        ),
-    )
 }
 
 /// A parsed response line — the receiving-side dual of [`ok_line`],

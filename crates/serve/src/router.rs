@@ -71,15 +71,13 @@
 //! flight.
 
 use crate::engine::{
-    method_counter, parse_sim_params, serve_counters_snapshot, telemetry_response, SERVE_COUNTERS,
+    admit, admit_oversized, parse_sim_params, reply_line, serve_counters_snapshot,
+    telemetry_response, ReqMeta, SERVE_COUNTERS,
 };
 use crate::event_loop::{Conns, EventLoop, Framed, Handler, Role, Waker};
-use crate::protocol::{
-    err_line, ok_line, oversized_line, parse_request, request_line, ErrorKind, Method, Request,
-    Response, WireError,
-};
+use crate::protocol::{err_line, request_line, ErrorKind, Method, Request, Response, WireError};
 use crate::sys;
-use crate::telemetry::{RequestObservation, ServeTelemetry, SLOW_MS_DEFAULT};
+use crate::telemetry::{ServeTelemetry, SLOW_MS_DEFAULT};
 use m3d_core::experiments::registry::ExperimentError;
 use m3d_core::report::{metrics_json, Json};
 use m3d_uarch::batch::{shard_of_key, shard_slice};
@@ -204,6 +202,8 @@ pub(crate) fn single_topology_json() -> Json {
 /// own rendered bytes) or the winning error (minimum point index, like
 /// the serial engine's first-error-wins rule).
 struct Fanout {
+    /// The client's request id.
+    id: i64,
     strict: bool,
     rows: Vec<Option<String>>,
     /// `(point index, terminating line already carrying the client id)`.
@@ -214,12 +214,10 @@ struct Fanout {
 /// One client request's slot in its connection's head-of-line queue.
 struct Entry {
     eid: u64,
-    id: i64,
-    /// `None` for lines that never parsed to a method (parse errors,
-    /// oversized lines) — they get no flight record, like the daemon.
-    method: Option<Method>,
-    received: Instant,
-    req_bytes: u64,
+    /// `None` for lines admission turned away (parse errors, oversized
+    /// lines): it already counted them, and they get no flight record,
+    /// like the daemon's.
+    meta: Option<ReqMeta>,
     batch: u32,
     /// Response lines, in order (partials then the terminating line).
     out: Vec<String>,
@@ -247,9 +245,10 @@ struct Pending {
 }
 
 /// Swap the leading `"id"` of a rendered response line. Responses are
-/// rendered by [`ok_line`]/[`err_line`]/`partial_line`, all of which put
-/// `id` first, so this is exact string surgery — the rest of the line
-/// (float formatting included) is preserved byte-for-byte.
+/// rendered by [`ok_line`](crate::protocol::ok_line), [`err_line`] and
+/// `partial_line`, all of which put `id` first, so this is exact string
+/// surgery — the rest of the line (float formatting included) is
+/// preserved byte-for-byte.
 fn rewrite_id(line: &str, id: i64) -> String {
     if let Some(rest) = line.strip_prefix("{\"id\":") {
         if let Some(c) = rest.find(',') {
@@ -310,39 +309,20 @@ fn set_err_candidate(fan: &mut Fanout, i: usize, line: String) {
     }
 }
 
-/// Mark an entry answered: bump the error counters its outcome implies
-/// and record the flight observation, exactly once per entry.
+/// Mark an entry answered, completing an admitted request
+/// ([`ReqMeta::complete`]) exactly once per entry.
 fn complete_entry(telemetry: &ServeTelemetry, entry: &mut Entry, outcome: Option<ErrorKind>) {
     entry.done = true;
-    if let Some(k) = outcome {
-        m3d_obs::add("serve.errors", 1);
-        if k == ErrorKind::Deadline {
-            m3d_obs::add("serve.deadline_expired", 1);
-        }
-        if k == ErrorKind::ShardDown {
-            m3d_obs::add("serve.shard_failed", 1);
-        }
-    }
-    if let Some(m) = entry.method {
-        let total_us = (entry.received.elapsed().as_secs_f64() * 1e6) as u64;
-        m3d_obs::record("serve.latency_us", total_us as f64);
-        telemetry.observe(RequestObservation {
-            id: entry.id,
-            method: m,
-            req_bytes: entry.req_bytes,
-            resp_bytes: entry.out.last().map_or(0, |l| l.len() as u64),
-            queue_us: 0,
-            total_us,
-            batch: entry.batch,
-            outcome: outcome.map_or("ok", ErrorKind::wire_name),
-        });
+    if let Some(meta) = &entry.meta {
+        let line = entry.out.last().map_or("", String::as_str);
+        meta.complete(telemetry, line, outcome, true, 0, entry.batch);
     }
 }
 
 /// Resolve a finished `sim` fan-out into its single terminating line:
 /// the earliest point error verbatim, else the reconstructed strict
 /// `cap_exhausted` error, else the merged row list — rendered exactly as
-/// [`ok_line`] would have.
+/// [`ok_line`](crate::protocol::ok_line) would have.
 fn finalize_fanout(telemetry: &ServeTelemetry, entry: &mut Entry) {
     let fan = entry.fan.take().expect("finalize without a fan-out");
     if let Some((_, line)) = fan.err {
@@ -366,12 +346,12 @@ fn finalize_fanout(telemetry: &ServeTelemetry, entry: &mut Entry) {
                 experiment: "sim".to_owned(),
                 points: capped,
             });
-            entry.out.push(err_line(Some(entry.id), &e));
+            entry.out.push(err_line(Some(fan.id), &e));
             complete_entry(telemetry, entry, Some(ErrorKind::CapExhausted));
             return;
         }
     }
-    let id = entry.id;
+    let id = fan.id;
     let mut line = format!("{{\"id\":{id},\"ok\":true,\"result\":{{\"results\":[");
     line.push_str(&rows.join(","));
     line.push_str("]}}");
@@ -670,8 +650,8 @@ impl Handler for Relay {
             match framed {
                 Framed::Line(line) => self.handle_client_line(conns, token, &line),
                 Framed::Oversized => {
-                    let entry = self.new_entry(0, None, Instant::now(), 0);
-                    self.push_done(token, entry, oversized_line(), Some(ErrorKind::Oversized));
+                    let entry = self.new_entry(None);
+                    self.push_done(token, entry, admit_oversized(), None);
                 }
             }
         }
@@ -732,20 +712,11 @@ impl Relay {
         self.shards.iter().position(|s| s.token == token)
     }
 
-    fn new_entry(
-        &mut self,
-        id: i64,
-        method: Option<Method>,
-        received: Instant,
-        req_bytes: u64,
-    ) -> Entry {
+    fn new_entry(&mut self, meta: Option<ReqMeta>) -> Entry {
         self.next_eid += 1;
         Entry {
             eid: self.next_eid,
-            id,
-            method,
-            received,
-            req_bytes,
+            meta,
             batch: 0,
             out: Vec::new(),
             emitted: 0,
@@ -773,28 +744,23 @@ impl Relay {
         self.enqueue(token, entry);
     }
 
-    /// Append an entry answered with an error.
-    fn push_err(&mut self, token: u64, entry: Entry, e: &WireError) {
-        let line = err_line(Some(entry.id), e);
-        self.push_done(token, entry, line, Some(e.kind));
+    /// Append an entry answered with `result`.
+    fn push_result(&mut self, token: u64, entry: Entry, id: i64, result: Result<Json, WireError>) {
+        let (line, outcome) = reply_line(id, result);
+        self.push_done(token, entry, line, outcome);
     }
 
     fn handle_client_line(&mut self, conns: &mut Conns, token: u64, line: &str) {
-        let received = Instant::now();
-        let req_bytes = line.len() as u64;
-        let req = match parse_request(line) {
-            Ok(r) => r,
-            Err((id, e)) => {
-                let entry = self.new_entry(id.unwrap_or(0), None, received, req_bytes);
-                self.push_done(token, entry, err_line(id, &e), Some(e.kind));
-                return;
+        let (req, meta) = match admit(line) {
+            Ok(admitted) => admitted,
+            Err(reply) => {
+                let entry = self.new_entry(None);
+                return self.push_done(token, entry, reply, None);
             }
         };
-        m3d_obs::add("serve.requests", 1);
-        m3d_obs::add(method_counter(req.method), 1);
         match req.method {
             Method::Stats | Method::Telemetry => {
-                let mut entry = self.new_entry(req.id, Some(req.method), received, req_bytes);
+                let mut entry = self.new_entry(Some(meta));
                 entry.batch = 1;
                 let result = if req.method == Method::Stats {
                     Ok(self.stats_response())
@@ -802,14 +768,11 @@ impl Relay {
                     let uptime = self.start.elapsed().as_secs_f64();
                     telemetry_response(&self.telemetry, uptime, &req.params)
                 };
-                match result {
-                    Ok(v) => self.push_done(token, entry, ok_line(req.id, v), None),
-                    Err(e) => self.push_err(token, entry, &e),
-                }
+                self.push_result(token, entry, req.id, result);
             }
-            Method::Sim => self.route_sim(conns, token, received, req_bytes, req),
+            Method::Sim => self.route_sim(conns, token, meta, req),
             Method::Experiment | Method::Planner | Method::Plan => {
-                self.route_whole(conns, token, received, req_bytes, req)
+                self.route_whole(conns, token, meta, req)
             }
         }
     }
@@ -834,20 +797,13 @@ impl Relay {
     }
 
     /// Forward one request whole to the shard its content hash picks.
-    fn route_whole(
-        &mut self,
-        conns: &mut Conns,
-        token: u64,
-        received: Instant,
-        req_bytes: u64,
-        req: Request,
-    ) {
-        let mut entry = self.new_entry(req.id, Some(req.method), received, req_bytes);
+    fn route_whole(&mut self, conns: &mut Conns, token: u64, meta: ReqMeta, req: Request) {
+        let mut entry = self.new_entry(Some(meta));
         entry.batch = 1;
         let primary = shard_of_hash(route_hash(req.method, &req.params), self.shards.len());
         let Some(si) = self.effective_shard(primary) else {
             let e = WireError::new(ErrorKind::ShardDown, "no live shards");
-            return self.push_err(token, entry, &e);
+            return self.push_result(token, entry, req.id, Err(e));
         };
         if si != primary {
             m3d_obs::add("serve.shard_rerouted", 1);
@@ -865,28 +821,19 @@ impl Relay {
 
     /// Fan one `sim` out point-by-point to the shards owning each point's
     /// key slice.
-    fn route_sim(
-        &mut self,
-        conns: &mut Conns,
-        token: u64,
-        received: Instant,
-        req_bytes: u64,
-        req: Request,
-    ) {
+    fn route_sim(&mut self, conns: &mut Conns, token: u64, meta: ReqMeta, req: Request) {
+        let mut entry = self.new_entry(Some(meta));
         let sim = match parse_sim_params(&req.params) {
             Ok(s) => s,
-            Err(e) => {
-                let entry = self.new_entry(req.id, Some(Method::Sim), received, req_bytes);
-                return self.push_err(token, entry, &e);
-            }
+            Err(e) => return self.push_result(token, entry, req.id, Err(e)),
         };
         let point_objs: Vec<Json> = match req.params.get("points") {
             Some(Json::Arr(items)) => items.iter().map(forwarded_point).collect(),
             _ => vec![forwarded_point(&req.params)],
         };
-        let mut entry = self.new_entry(req.id, Some(Method::Sim), received, req_bytes);
         entry.batch = sim.points.len() as u32;
         let mut fan = Fanout {
+            id: req.id,
             strict: sim.strict,
             rows: vec![None; sim.points.len()],
             err: None,
@@ -1122,7 +1069,7 @@ impl Relay {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::partial_line;
+    use crate::protocol::{ok_line, partial_line};
 
     #[test]
     fn route_hash_is_stable_and_content_sensitive() {
@@ -1209,6 +1156,7 @@ mod tests {
     #[test]
     fn error_candidates_keep_the_earliest_point() {
         let mut fan = Fanout {
+            id: 0,
             strict: false,
             rows: vec![None; 3],
             err: None,

@@ -51,20 +51,19 @@
 //! buffered when the signal arrived therefore gets a real answer, never a
 //! silent close.
 
-use crate::engine::{method_counter, parse_sim_params, Engine, SimRequest};
-use crate::event_loop::{Conns, EventLoop, Framed, Handler, Waker};
-use crate::protocol::{
-    err_line, ok_line, oversized_line, parse_request, ErrorKind, Method, WireError,
+use crate::engine::{
+    admit, admit_oversized, guarded, parse_sim_params, reply_line, Engine, ReqMeta, SimRequest,
 };
-use crate::telemetry::{RequestObservation, SLOW_MS_DEFAULT};
+use crate::event_loop::{Conns, EventLoop, Framed, Handler, Waker};
+use crate::protocol::{ErrorKind, Method, WireError};
+use crate::telemetry::SLOW_MS_DEFAULT;
 use m3d_core::report::Json;
 use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 pub use crate::sys::install_signal_handlers;
 
@@ -104,22 +103,11 @@ impl Default for ServerConfig {
     }
 }
 
-/// Request identity and arrival facts, threaded from admission through
-/// the queue to the response so the flight recorder can reconstruct the
-/// request's life.
-struct ReqMeta {
-    id: i64,
-    method: Method,
-    received: Instant,
-    req_bytes: u64,
-}
-
-/// One queued request: its identity, its parameters, the deadline it must
-/// start by, and the connection to answer on.
+/// One queued request: its identity and deadline, its parameters, and
+/// the connection to answer on.
 struct Job<P> {
     meta: ReqMeta,
     params: P,
-    deadline: Option<Instant>,
     reply: Arc<ConnWriter>,
 }
 
@@ -223,13 +211,13 @@ impl Queue {
         loop {
             if let Some(w) = q.items.pop_front() {
                 return Some(match w {
-                    Work::Sim(first) if first.deadline.is_none() => {
+                    Work::Sim(first) if first.meta.deadline.is_none() => {
                         let mut group = vec![first];
                         let mut rest = VecDeque::with_capacity(q.items.len());
                         for other in q.items.drain(..) {
                             match other {
                                 Work::Sim(s)
-                                    if s.deadline.is_none() && group.len() < COALESCE_MAX =>
+                                    if s.meta.deadline.is_none() && group.len() < COALESCE_MAX =>
                                 {
                                     group.push(s)
                                 }
@@ -326,11 +314,9 @@ impl ConnWriter {
     }
 }
 
-/// Send a handler outcome and maintain the serve counters, the latency
-/// histogram, and the engine's live telemetry (windows + flight
-/// recorder). A response whose connection is already gone records no
-/// latency — the client never saw it — but still leaves a flight record
-/// with outcome `write_error`. Decrements the connection's pending count.
+/// Send a handler outcome, account for it ([`ReqMeta::complete`]: a
+/// response whose connection is already gone counts as delivered to
+/// nobody), and decrement the connection's pending count.
 ///
 /// On the event-loop thread `conns` is `Some` and the line goes straight
 /// into the write buffer; workers pass `None` and go through the mailbox.
@@ -343,36 +329,12 @@ fn send_result(
     batch: u32,
     result: Result<Json, WireError>,
 ) {
-    let (line, outcome) = match result {
-        Ok(v) => (ok_line(meta.id, v), "ok"),
-        Err(e) => {
-            m3d_obs::add("serve.errors", 1);
-            match e.kind {
-                ErrorKind::Deadline => m3d_obs::add("serve.deadline_expired", 1),
-                ErrorKind::Overloaded => m3d_obs::add("serve.rejected", 1),
-                _ => {}
-            }
-            (err_line(Some(meta.id), &e), e.kind.wire_name())
-        }
-    };
+    let (line, outcome) = reply_line(meta.id, result);
     let sent = match conns {
         Some(conns) => writer.send_inline(conns, &line),
         None => writer.send(&line),
     };
-    let total_us = (meta.received.elapsed().as_secs_f64() * 1e6) as u64;
-    if sent {
-        m3d_obs::record("serve.latency_us", total_us as f64);
-    }
-    state.engine.live().observe(RequestObservation {
-        id: meta.id,
-        method: meta.method,
-        req_bytes: meta.req_bytes,
-        resp_bytes: line.len() as u64,
-        queue_us,
-        total_us,
-        batch,
-        outcome: if sent { outcome } else { "write_error" },
-    });
+    meta.complete(state.engine.live(), &line, outcome, sent, queue_us, batch);
     writer.pending.fetch_sub(1, Ordering::AcqRel);
 }
 
@@ -496,8 +458,7 @@ impl Handler for Daemon {
             match framed {
                 Framed::Line(line) => process_line(&line, writer, conns, &self.state),
                 Framed::Oversized => {
-                    m3d_obs::add("serve.errors", 1);
-                    writer.send_inline(conns, &oversized_line());
+                    writer.send_inline(conns, &admit_oversized());
                 }
             }
         }
@@ -552,16 +513,6 @@ impl Handler for Daemon {
     }
 }
 
-fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "handler panicked".to_owned()
-    }
-}
-
 /// Run one claimed `sim` group (coalesced, or one deadline-bearing
 /// request) behind a panic guard and answer every member. Every `sim`
 /// path goes through here, so no arm can leak a panic and kill its worker
@@ -569,45 +520,30 @@ fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
 fn run_sim_group(state: &ServerState, group: &[Job<SimRequest>], claimed: Instant) {
     // Only a lone request can carry a deadline: `pop_batch` never
     // coalesces one.
-    let deadline = group[0].deadline;
+    let deadline = group[0].meta.deadline;
     let batch_size = group.len() as u32;
     let reqs: Vec<&SimRequest> = group.iter().map(|w| &w.params).collect();
-    let results = catch_unwind(AssertUnwindSafe(|| state.engine.sim_group(&reqs, deadline)))
-        .unwrap_or_else(|p| {
-            let e = WireError::new(ErrorKind::Panic, panic_text(p));
-            vec![Err(e); group.len()]
-        });
+    let results = guarded(|| state.engine.sim_group(&reqs, deadline))
+        .unwrap_or_else(|e| vec![Err(e); group.len()]);
     for (w, r) in group.iter().zip(results) {
         let queue_us = queue_wait_us(&w.meta, claimed);
         send_result(state, &w.reply, None, &w.meta, queue_us, batch_size, r);
     }
 }
 
-/// Run one `experiment` or `plan` behind a panic guard and answer it.
+/// Run one `experiment` or `plan` behind the panic guard and answer it.
 fn run_task(state: &ServerState, w: &Job<Json>, claimed: Instant) {
-    let plan = w.meta.method == Method::Plan;
-    let r = if w.deadline.is_some_and(|d| Instant::now() >= d) {
-        let what = if plan { "search" } else { "experiment" };
-        Err(WireError::new(
-            ErrorKind::Deadline,
-            format!("deadline expired before the {what} started"),
-        ))
-    } else if plan {
-        // Partials go out through the mailbox as they are produced. The
-        // send result feeds back into the search: once the client is gone
-        // the next chunk boundary aborts the run instead of simulating for
-        // nobody. The final line still flows through `send_result` for the
-        // counters and latency record.
-        catch_unwind(AssertUnwindSafe(|| {
-            state
-                .engine
-                .plan(w.meta.id, &w.params, w.deadline, |line| w.reply.send(line))
-        }))
-        .unwrap_or_else(|p| Err(WireError::new(ErrorKind::Panic, panic_text(p))))
-    } else {
-        catch_unwind(AssertUnwindSafe(|| state.engine.experiment(&w.params)))
-            .unwrap_or_else(|p| Err(WireError::new(ErrorKind::Panic, panic_text(p))))
-    };
+    // A `plan`'s partials go out through the mailbox as they are
+    // produced. The send result feeds back into the search: once the
+    // client is gone the next chunk boundary aborts the run instead of
+    // simulating for nobody. The final line still flows through
+    // `send_result` for the counters and latency record.
+    let r = guarded(|| {
+        state
+            .engine
+            .run_task(&w.meta, &w.params, |line| w.reply.send(line))
+    })
+    .unwrap_or_else(Err);
     send_result(
         state,
         &w.reply,
@@ -637,26 +573,13 @@ fn worker_loop(state: &ServerState) {
 }
 
 fn process_line(line: &str, writer: &Arc<ConnWriter>, conns: &mut Conns, state: &Arc<ServerState>) {
-    let received = Instant::now();
-    let req = match parse_request(line) {
-        Ok(r) => r,
-        Err((id, e)) => {
-            m3d_obs::add("serve.errors", 1);
-            writer.send_inline(conns, &err_line(id, &e));
+    let (req, meta) = match admit(line) {
+        Ok(admitted) => admitted,
+        Err(reply) => {
+            writer.send_inline(conns, &reply);
             return;
         }
     };
-    m3d_obs::add("serve.requests", 1);
-    m3d_obs::add(method_counter(req.method), 1);
-    let meta = ReqMeta {
-        id: req.id,
-        method: req.method,
-        received,
-        req_bytes: line.len() as u64,
-    };
-    let deadline = req
-        .deadline_ms
-        .map(|ms| received + Duration::from_millis(ms));
     writer.pending.fetch_add(1, Ordering::AcqRel);
     let mut inline = |r| send_result(state, writer, Some(conns), &meta, 0, 1, r);
     let work = match req.method {
@@ -668,8 +591,8 @@ fn process_line(line: &str, writer: &Arc<ConnWriter>, conns: &mut Conns, state: 
                 // Every point memoized: a lookup answers it, so it does not
                 // wait behind simulations in the queue. Behind the same
                 // panic guard as a worker's batch, so the loop survives.
-                let hit = catch_unwind(AssertUnwindSafe(|| state.engine.sim_cached(&params)))
-                    .unwrap_or_else(|p| Some(Err(WireError::new(ErrorKind::Panic, panic_text(p)))));
+                let hit =
+                    guarded(|| state.engine.sim_cached(&params)).unwrap_or_else(|e| Some(Err(e)));
                 if let Some(r) = hit {
                     m3d_obs::add("serve.inline_hits", 1);
                     return inline(r);
@@ -677,7 +600,6 @@ fn process_line(line: &str, writer: &Arc<ConnWriter>, conns: &mut Conns, state: 
                 Work::Sim(Job {
                     meta,
                     params,
-                    deadline,
                     reply: Arc::clone(writer),
                 })
             }
@@ -686,7 +608,6 @@ fn process_line(line: &str, writer: &Arc<ConnWriter>, conns: &mut Conns, state: 
         Method::Experiment | Method::Plan => Work::Task(Job {
             meta,
             params: req.params,
-            deadline,
             reply: Arc::clone(writer),
         }),
     };
@@ -722,9 +643,9 @@ mod tests {
                 method,
                 received: Instant::now(),
                 req_bytes: 0,
+                deadline: None,
             },
             params,
-            deadline: None,
             reply: test_writer(mailbox),
         }
     }
@@ -815,7 +736,7 @@ mod tests {
                 strict: false,
             },
         );
-        timed.deadline = Some(Instant::now());
+        timed.meta.deadline = Some(Instant::now());
         assert!(q.push(Work::Sim(timed)).is_ok());
         assert!(q.push(sim_work(&mailbox, 2)).is_ok());
         q.close();

@@ -66,7 +66,7 @@ fn method_index(m: Method) -> usize {
         .expect("every method is in Method::ALL")
 }
 
-/// One finished request, as reported by either serving path.
+/// One finished request, as reported by every serving path.
 #[derive(Debug, Clone)]
 pub struct RequestObservation {
     /// Client correlation id.

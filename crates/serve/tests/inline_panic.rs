@@ -1,5 +1,6 @@
 //! A panic while answering a memo-cache hit on the daemon's event-loop
-//! thread is answered with the `panic` kind, and the loop keeps serving.
+//! thread is answered with the `panic` kind, and the loop keeps serving;
+//! `--oneshot` (`Engine::answer_lines`) runs behind the same guard.
 //!
 //! This is a separate test binary on purpose: the injected-panic hook is
 //! process-global, and the wire tests arm it with a seed of their own.
@@ -37,7 +38,19 @@ fn panicking_inline_hit_is_answered_and_the_loop_survives() {
 
     inject_sim_panic_seed(Some(SEED));
     let resp = c.sim(2, params.clone()).expect("a reply, not a dead loop");
+    // The serial `--oneshot` path answers the same panic, then the next
+    // line, in the same process.
+    let oneshot = engine.answer_lines(&request_line(5, Method::Sim, params.clone(), None));
+    let next = engine.answer_lines(&request_line(6, Method::Stats, Json::Obj(Vec::new()), None));
     inject_sim_panic_seed(None);
+    assert_eq!(oneshot.len(), 1, "{oneshot:?}");
+    assert!(
+        oneshot[0].starts_with(r#"{"id":5,"ok":false,"error":{"kind":"panic""#),
+        "{}",
+        oneshot[0]
+    );
+    assert_eq!(next.len(), 1, "{next:?}");
+    assert!(next[0].starts_with(r#"{"id":6,"ok":true"#), "{}", next[0]);
     assert_eq!(
         resp.error().map(|e| e.kind.wire_name()),
         Some("panic"),

@@ -65,7 +65,8 @@ fn sim_point(app: &str, design: &str, seed: u64, warmup: u64, measure: u64) -> J
 
 /// The pipelined request mix the equivalence test replays everywhere:
 /// sims (single, multi-point spanning shards, strict), a streamed plan,
-/// malformed lines, and a deadline miss. Returns raw request lines.
+/// malformed lines, and deadline misses on a sim, a plan and an
+/// experiment. Returns raw request lines.
 fn request_mix() -> Vec<String> {
     let multi = Json::arr([
         sim_point("Gcc", "Base", 0x5AAD_0001, 900, 700),
@@ -129,7 +130,7 @@ fn request_mix() -> Vec<String> {
             None,
         ),
         // A plan that streams several partial lines before its answer.
-        request_line(7, Method::Plan, plan, None),
+        request_line(7, Method::Plan, plan.clone(), None),
         // A deadline miss on an uncached point (cache hits are served
         // even past a deadline, so the seed is unique to this line).
         request_line(
@@ -139,6 +140,15 @@ fn request_mix() -> Vec<String> {
                 "points",
                 Json::arr([sim_point("Gcc", "Base", 0x5AAD_0006, 2_000, 1_500)]),
             )]),
+            Some(0),
+        ),
+        // The same plan and a registry experiment, both already past
+        // their deadline on arrival: neither may start.
+        request_line(9, Method::Plan, plan, Some(0)),
+        request_line(
+            10,
+            Method::Experiment,
+            Json::obj([("name", Json::from("frontier"))]),
             Some(0),
         ),
     ]

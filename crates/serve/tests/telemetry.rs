@@ -71,8 +71,8 @@ fn stats_reports_every_serve_counter_including_zeros() {
             other => panic!("counter {name} missing or non-integer: {other:?}"),
         }
     }
-    // Nothing in this binary trips these paths, so their zeros must still
-    // be spelled out rather than omitted.
+    // Nothing else in this binary leaves these paths tripped, so their
+    // zeros must still be spelled out rather than omitted.
     for name in [
         "serve.write_errors",
         "serve.rejected",
@@ -149,7 +149,8 @@ fn daemon_burst_records_exactly_one_latency_sample_per_request() {
 }
 
 /// The `--oneshot` path (bare `answer_lines`, no TCP) also records exactly
-/// one latency sample per answered request.
+/// one latency sample per answered request, and counts deadline misses in
+/// `serve.deadline_expired` as the daemon does.
 #[test]
 fn oneshot_records_exactly_one_latency_sample_per_request() {
     let _guard = STORE_LOCK.lock().expect("store lock");
@@ -178,6 +179,46 @@ fn oneshot_records_exactly_one_latency_sample_per_request() {
         N,
         "one latency sample per oneshot request"
     );
+
+    // A sim on a seed nothing has simulated, an experiment and a plan,
+    // each already past `deadline_ms: 0` when it arrives.
+    let expired = || {
+        m3d_obs::snapshot()
+            .counter("serve.deadline_expired")
+            .unwrap_or(0)
+    };
+    let expired_before = expired();
+    let plan = Json::obj([
+        ("apps", Json::arr([Json::from("Gcc")])),
+        ("vdds", Json::arr([Json::from(0.7), Json::from(0.75)])),
+        ("warmup", Json::from(500u64)),
+        ("measure", Json::from(800u64)),
+    ]);
+    for (id, method, params) in [
+        (310, Method::Sim, sim_points_params(0x0E17_DEAD)),
+        (
+            311,
+            Method::Experiment,
+            Json::obj([("name", Json::from("frontier"))]),
+        ),
+        (312, Method::Plan, plan),
+    ] {
+        let replies = engine.answer_lines(&request_line(id, method, params, Some(0)));
+        assert_eq!(replies.len(), 1, "{replies:?}");
+        assert!(
+            replies[0].contains(r#""kind":"deadline""#),
+            "{}",
+            replies[0]
+        );
+    }
+    assert_eq!(
+        expired() - expired_before,
+        3,
+        "every oneshot deadline miss counts in serve.deadline_expired"
+    );
+    // The `stats` test in this binary expects `serve.deadline_expired` at
+    // zero; leave the store without the misses counted here.
+    m3d_obs::reset();
 }
 
 /// Answering requests leaves nothing in the `serve` trace category: the

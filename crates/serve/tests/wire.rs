@@ -11,6 +11,9 @@ use m3d_core::report::Json;
 use m3d_serve::client::Client;
 use m3d_serve::protocol::{request_line, Method, Response, MAX_LINE_BYTES};
 use m3d_serve::{Engine, Server, ServerConfig, ServerHandle};
+use std::io::{Read, Write};
+use std::net::{Shutdown, TcpStream};
+use std::process::{Command, Stdio};
 
 fn start(queue_cap: usize) -> (String, ServerHandle) {
     let server = Server::bind(ServerConfig {
@@ -87,6 +90,75 @@ fn oversized_lines_are_rejected_and_the_connection_recovers() {
     assert!(resp.is_ok(), "{}", resp.raw);
 
     handle.shutdown();
+}
+
+/// `serve --oneshot` frames raw bytes exactly as a daemon connection does:
+/// a line over the cap, a byte that is not UTF-8, a `\r\r\n` ending and
+/// blank lines get the same reply lines from both, and a normal `sim`
+/// after them is still answered.
+#[test]
+fn oneshot_and_daemon_answer_the_same_raw_bytes_identically() {
+    let mut stream = format!(
+        r#"{{"id":1,"method":"sim","params":{{"app":"{}"}}}}"#,
+        "x".repeat(300 * 1024)
+    )
+    .into_bytes();
+    stream.extend_from_slice(b"\n{\"id\":2,\"method\":\"frob\xFF\"}\n");
+    stream.extend_from_slice(b"{\"id\":3,\"method\":\"nope\"}\r\r\n");
+    stream.extend_from_slice(b"\n \n\r\n");
+    let sim = request_line(
+        4,
+        Method::Sim,
+        sim_params("Gcc", 0xB17E_0001, 1_000, 800),
+        None,
+    );
+    stream.extend_from_slice(sim.as_bytes());
+    stream.push(b'\n');
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_serve"))
+        .args(["--quick", "--oneshot"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn oneshot");
+    let mut stdin = child.stdin.take().expect("stdin");
+    stdin.write_all(&stream).expect("write requests");
+    drop(stdin);
+    let mut oneshot = String::new();
+    child
+        .stdout
+        .take()
+        .expect("stdout")
+        .read_to_string(&mut oneshot)
+        .expect("read replies");
+    assert!(child.wait().expect("oneshot exit").success());
+
+    // Half-closing the connection ends the request stream; the daemon
+    // answers what it read, then closes.
+    let (addr, handle) = start(8);
+    let mut tcp = TcpStream::connect(&addr).expect("connect");
+    tcp.write_all(&stream).expect("write requests");
+    tcp.shutdown(Shutdown::Write).expect("half-close");
+    let mut daemon = String::new();
+    tcp.read_to_string(&mut daemon).expect("read replies");
+    handle.shutdown();
+
+    let oneshot: Vec<&str> = oneshot.lines().collect();
+    let daemon: Vec<&str> = daemon.lines().collect();
+    assert_eq!(oneshot, daemon, "--oneshot and the daemon diverged");
+    assert_eq!(daemon.len(), 4, "{daemon:?}");
+    assert!(
+        daemon[0].starts_with(r#"{"id":null,"ok":false,"error":{"kind":"oversized""#),
+        "{}",
+        daemon[0]
+    );
+    assert!(daemon[1].contains("frob\u{FFFD}"), "{}", daemon[1]);
+    assert!(
+        daemon[3].starts_with(r#"{"id":4,"ok":true"#),
+        "{}",
+        daemon[3]
+    );
 }
 
 #[test]
