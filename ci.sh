@@ -248,37 +248,40 @@ echo "$ROUTER_STATS" | grep -q '"topology"' || {
 # Failure paths. A router that fails must exit non-zero within 10 s and
 # leave no shard daemon behind (its shards' port files carry its pid):
 # once when a second router asks for the address the first still holds,
-# and once when a router cannot write its port file after it has bound.
+# and once per binary (`router`, and `serve --shards`) when a router
+# cannot write its port file after it has bound.
 expect_router_failure() {
-  local what=$1 pid rc=0
-  shift
-  ./target/release/router "$@" 2>/dev/null &
+  local bin=$1 what=$2 pid rc=0
+  shift 2
+  "./target/release/$bin" "$@" 2>/dev/null &
   pid=$!
   for _ in $(seq 1 100); do
     kill -0 "$pid" 2>/dev/null || break
     sleep 0.1
   done
   if kill -0 "$pid" 2>/dev/null; then
-    echo "ci.sh: router $what still running after 10 s" >&2
+    echo "ci.sh: $bin $what still running after 10 s" >&2
     kill -9 "$pid" 2>/dev/null || true
     pkill -9 -f "m3d-shard-$pid-" || true
     return 1
   fi
   wait "$pid" || rc=$?
   [ "$rc" -ne 0 ] || {
-    echo "ci.sh: router $what exited 0" >&2
+    echo "ci.sh: $bin $what exited 0" >&2
     return 1
   }
   if pgrep -f "m3d-shard-$pid-" >/dev/null; then
-    echo "ci.sh: router $what left shard daemons running:" >&2
+    echo "ci.sh: $bin $what left shard daemons running:" >&2
     pgrep -af "m3d-shard-$pid-" >&2
     pkill -9 -f "m3d-shard-$pid-" || true
     return 1
   fi
 }
-expect_router_failure "on a busy address" --quick --shards 2 --addr "$ROUTER_ADDR" &&
-  expect_router_failure "with an unwritable port file" --quick --shards 2 \
-    --port-file target/no-such-dir/router.port || {
+expect_router_failure router "on a busy address" --quick --shards 2 --addr "$ROUTER_ADDR" &&
+  expect_router_failure router "with an unwritable port file" --quick --shards 2 \
+    --port-file target/no-such-dir/router.port &&
+  expect_router_failure serve "with an unwritable port file" --quick --shards 2 \
+    --port-file target/no-such-dir/serve.port || {
   kill -9 "$ROUTER_PID" 2>/dev/null || true
   exit 1
 }

@@ -1,6 +1,8 @@
 //! Minimal fixed-width table formatting for the experiment reports, plus a
 //! dependency-free JSON value type used for the `repro` artifacts.
 
+use std::fmt::Write as _;
+
 /// A simple text table builder.
 #[derive(Debug, Clone, Default)]
 pub struct Table {
@@ -117,17 +119,24 @@ impl Json {
     /// protocol: a rendered value never contains a raw `\n` (strings escape
     /// control characters), so one message is exactly one line.
     pub fn render_compact(&self) -> String {
-        let mut out = String::new();
+        let mut out = String::with_capacity(COMPACT_CAPACITY);
         self.write_compact(&mut out);
         out
     }
 
-    fn write_compact(&self, out: &mut String) {
+    /// Append the [`render_compact`](Json::render_compact) form to `out`.
+    /// Numbers are written straight into `out` (the same `Display` text,
+    /// no temporary string per number).
+    pub fn write_compact(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Int(i) => out.push_str(&i.to_string()),
-            Json::Num(v) if v.is_finite() => out.push_str(&v.to_string()),
+            Json::Int(i) => {
+                let _ = write!(out, "{i}");
+            }
+            Json::Num(v) if v.is_finite() => {
+                let _ = write!(out, "{v}");
+            }
             Json::Num(_) => out.push_str("null"),
             Json::Str(s) => Self::write_escaped(s, out),
             Json::Arr(items) => {
@@ -159,11 +168,13 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Int(i) => out.push_str(&i.to_string()),
+            Json::Int(i) => {
+                let _ = write!(out, "{i}");
+            }
             Json::Num(v) if v.is_finite() => {
                 // `Display` for f64 is shortest-round-trip decimal notation,
                 // which is always valid JSON.
-                out.push_str(&v.to_string());
+                let _ = write!(out, "{v}");
             }
             Json::Num(_) => out.push_str("null"),
             Json::Str(s) => Self::write_escaped(s, out),
@@ -223,22 +234,36 @@ impl Json {
 
     fn write_escaped(s: &str, out: &mut String) {
         out.push('"');
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\r' => out.push_str("\\r"),
-                '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => {
-                    out.push_str(&format!("\\u{:04x}", c as u32));
-                }
-                c => out.push(c),
+        // Copy the runs between escapes whole. Every escaped byte is
+        // ASCII, so each run ends on a char boundary.
+        let mut start = 0;
+        for (i, b) in s.bytes().enumerate() {
+            let escape = match b {
+                b'"' => "\\\"",
+                b'\\' => "\\\\",
+                b'\n' => "\\n",
+                b'\r' => "\\r",
+                b'\t' => "\\t",
+                0..=0x1f => "",
+                _ => continue,
+            };
+            out.push_str(&s[start..i]);
+            if escape.is_empty() {
+                let _ = write!(out, "\\u{b:04x}");
+            } else {
+                out.push_str(escape);
             }
+            start = i + 1;
         }
+        out.push_str(&s[start..]);
         out.push('"');
     }
 }
+
+/// Initial buffer size of [`Json::render_compact`], bytes: room for a
+/// one-point `sim` reply line, so a typical wire line renders into one
+/// allocation.
+const COMPACT_CAPACITY: usize = 256;
 
 /// How deeply [`Json::parse`] lets arrays and objects nest. Far above any
 /// request or report this workspace writes (under ten levels); it exists so
@@ -339,12 +364,14 @@ impl Parser<'_> {
 
     fn object(&mut self) -> Result<Json, String> {
         self.expect(b'{')?;
-        let mut fields = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Json::Obj(fields));
+            return Ok(Json::Obj(Vec::new()));
         }
+        // Room for a request's or a `sim` point's members in one
+        // allocation, instead of growing 4 → 8.
+        let mut fields = Vec::with_capacity(8);
         loop {
             self.skip_ws();
             let key = self.string()?;
@@ -698,6 +725,10 @@ mod tests {
         let unit = "plain ascii é ü → 中文 😀 \"q\" back\\slash\nnew\ttab\r\u{1}|";
         let text = unit.repeat(256 * 1024 / unit.len() + 1);
         assert!(text.len() >= 256 * 1024);
+        assert_eq!(
+            Json::from("a\u{1}\u{1f}\"é\n").render_compact(),
+            r#""a\u0001\u001f\"é\n""#
+        );
         for doc in [
             Json::from(text.as_str()),
             Json::obj([("k", Json::from(text.as_str()))]),

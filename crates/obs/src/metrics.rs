@@ -2,6 +2,7 @@
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -250,9 +251,13 @@ impl MetricsSnapshot {
 /// The global store: counters behind shared atomics (with a thread-local
 /// handle cache so the steady-state `add` takes no lock), histograms behind
 /// one mutex (recorded at solve granularity, not per sweep).
+///
+/// A counter, once named, lives as long as the process ([`reset`] only
+/// zeroes it). Names are `&'static str`s, so the set is finite and each
+/// counter's atomic is leaked once and shared as a plain `&'static`.
 #[derive(Default)]
 struct Store {
-    counters: Mutex<BTreeMap<&'static str, Arc<AtomicU64>>>,
+    counters: Mutex<BTreeMap<&'static str, &'static AtomicU64>>,
     histograms: Mutex<BTreeMap<&'static str, Histogram>>,
 }
 
@@ -261,22 +266,53 @@ fn store() -> &'static Store {
     STORE.get_or_init(Store::default)
 }
 
+/// Hashes the `(address, length)` key of the thread-local counter cache:
+/// one multiply per word, and no pass over the name's bytes.
+#[derive(Default)]
+struct AddrHasher(u64);
+
+impl Hasher for AddrHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_usize(b.into());
+        }
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.0 = (self.0.rotate_left(32) ^ n as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        // The multiply mixes upward; fold the high half down so the
+        // table's bucket index (the low bits) sees every input bit.
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
+/// A counter name's identity in the thread-local cache: the literal's
+/// address and length. Two copies of one literal get two entries that
+/// resolve, through the name-keyed registry, to the same counter.
+type NameAddr = (usize, usize);
+
 thread_local! {
-    static COUNTER_CACHE: RefCell<HashMap<&'static str, Arc<AtomicU64>>> =
-        RefCell::new(HashMap::new());
+    static COUNTER_CACHE: RefCell<HashMap<NameAddr, &'static AtomicU64, BuildHasherDefault<AddrHasher>>> =
+        RefCell::new(HashMap::default());
     static CURRENT_TASK: RefCell<Vec<TaskMetrics>> = const { RefCell::new(Vec::new()) };
 }
 
-fn counter_handle(name: &'static str) -> Arc<AtomicU64> {
+fn counter_handle(name: &'static str) -> &'static AtomicU64 {
+    let addr = (name.as_ptr() as usize, name.len());
     COUNTER_CACHE.with(|cache| {
-        if let Some(h) = cache.borrow().get(name) {
-            return Arc::clone(h);
+        if let Some(&h) = cache.borrow().get(&addr) {
+            return h;
         }
-        let h = {
-            let mut map = store().counters.lock().expect("obs counter registry");
-            Arc::clone(map.entry(name).or_default())
-        };
-        cache.borrow_mut().insert(name, Arc::clone(&h));
+        let h: &'static AtomicU64 = store()
+            .counters
+            .lock()
+            .expect("obs counter registry")
+            .entry(name)
+            .or_insert_with(|| Box::leak(Box::default()));
+        cache.borrow_mut().insert(addr, h);
         h
     })
 }

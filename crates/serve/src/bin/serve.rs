@@ -182,12 +182,14 @@ fn main() {
             Ok(a) => a,
             Err(e) => {
                 eprintln!("[serve] no local address: {e}");
+                router.abort();
                 std::process::exit(1);
             }
         };
         if let Some(path) = &args.port_file {
             if let Err(e) = std::fs::write(path, format!("{addr}\n")) {
                 eprintln!("[serve] cannot write port file {path}: {e}");
+                router.abort();
                 std::process::exit(1);
             }
         }

@@ -4,7 +4,8 @@
 //! the shard router all admit a line with `admit`, run handler code
 //! behind `guarded`, and account for the finished request with
 //! `ReqMeta::complete`; `--oneshot` also frames its input with the
-//! daemon's framing. That is what makes "concurrent answers equal serial
+//! daemon's framing and, like a daemon connection, answers a `sim` whose
+//! every point is memoized on `Engine::sim_hit`. That is what makes "concurrent answers equal serial
 //! answers byte-for-byte" checkable: every path runs the same code over
 //! the same point list.
 
@@ -22,6 +23,7 @@ use m3d_core::search::{
     chunk_json, outcome_json, run_search, SearchError, SearchOptions, SearchSpace,
 };
 use m3d_uarch::batch::{result_cache_len, SimBatch, SimInterval, SimPoint};
+use m3d_uarch::stats::PerfResult;
 use m3d_uarch::SimError;
 use m3d_workloads::parallel::parallel_by_name;
 use m3d_workloads::spec::spec_by_name;
@@ -65,7 +67,7 @@ const NO_INJECTED_PANIC: u64 = u64::MAX;
 static INJECTED_PANIC_SEED: std::sync::atomic::AtomicU64 =
     std::sync::atomic::AtomicU64::new(NO_INJECTED_PANIC);
 
-/// Test hook: arm [`Engine::sim_group`] and [`Engine::sim_cached`] to
+/// Test hook: arm [`Engine::sim_group`] and the memo-hit path to
 /// panic whenever a request carries a point with this exact seed (`None`
 /// disarms). The serve tests use it to prove a panicking request is
 /// answered with the `panic` error kind and leaves the worker pool (or,
@@ -414,22 +416,30 @@ impl Engine {
             .map(|req| {
                 let slice = &results[offset..offset + req.points.len()];
                 offset += req.points.len();
-                sim_response(slice, req.strict)
+                sim_response(slice.iter().map(Result::as_ref), req.strict)
             })
             .collect()
     }
 
-    /// Answer a `sim` request from the memo cache alone when every one of
-    /// its points is cached: the same reply [`Engine::sim_group`] would
-    /// give, with the same `uarch.batch.*` counts, but without a batch
-    /// submission. `None` on any miss, with nothing counted; the caller
-    /// then takes the full path. Deadlines do not apply (memo hits are
-    /// served past a deadline anyway); `strict` does.
-    pub fn sim_cached(&self, req: &SimRequest) -> Option<Result<Json, WireError>> {
-        let hits = SimBatch::new(self.ctx.jobs()).run_cached(&req.points)?;
-        injected_panic_check(&[req]);
-        let results: Vec<_> = hits.into_iter().map(Ok).collect();
-        Some(sim_response(&results, req.strict))
+    /// The memo-hit path, which every serving mode tries first for a
+    /// `sim`: answer the request from the memo cache alone when every one
+    /// of its points is cached — the same reply [`Engine::sim_group`]
+    /// would give, with the same `uarch.batch.*` counts, but without a
+    /// batch submission — behind the panic guard, counted in
+    /// `serve.inline_hits`. `None` on any miss, with nothing counted; the
+    /// caller then takes the full path. Deadlines do not apply (memo hits
+    /// are served past a deadline anyway); `strict` does.
+    pub(crate) fn sim_hit(&self, req: &SimRequest) -> Option<Result<Json, WireError>> {
+        let hit = guarded(|| {
+            let hits = SimBatch::new(self.ctx.jobs()).run_cached(&req.points)?;
+            injected_panic_check(&[req]);
+            Some(sim_response(hits.iter().map(Ok), req.strict))
+        })
+        .unwrap_or_else(|e| Some(Err(e)));
+        if hit.is_some() {
+            m3d_obs::add("serve.inline_hits", 1);
+        }
+        hit
     }
 
     /// The planned design space as JSON (computing it on first use; the
@@ -526,28 +536,28 @@ impl Engine {
         })
     }
 
-    /// Answer one raw request line with every response line it produces
-    /// (no trailing newlines), in wire order. For `plan` that is zero or
-    /// more partial lines followed by the terminating line; for every
-    /// other method exactly one line. This is the serial path (no queue,
-    /// no coalescing; deadlines still apply) that `--oneshot` runs, and
-    /// the reference the concurrency tests compare server output against.
-    pub fn answer_lines(&self, line: &str) -> Vec<String> {
+    /// Answer one raw request line: hand each `plan` partial line to
+    /// `emit` as the search produces it (`emit` returns whether the
+    /// receiver still wants the stream, as in `run_task`), and return the
+    /// terminating line. This is the serial path (no queue, no
+    /// coalescing; deadlines still apply) that `--oneshot` runs, and the
+    /// reference the concurrency tests compare server output against. A
+    /// `sim` tries the daemon's memo-hit path first, as a daemon
+    /// connection does.
+    fn answer(&self, line: &str, emit: impl FnMut(&str) -> bool) -> String {
         let (req, meta) = match admit(line) {
             Ok(admitted) => admitted,
-            Err(reply) => return vec![reply],
+            Err(reply) => return reply,
         };
-        let mut out = Vec::new();
         let result = guarded(|| match req.method {
             Method::Sim => parse_sim_params(&req.params).and_then(|sim| {
-                self.sim_group(&[&sim], meta.deadline)
-                    .pop()
-                    .expect("one request in, one response out")
+                self.sim_hit(&sim).unwrap_or_else(|| {
+                    self.sim_group(&[&sim], meta.deadline)
+                        .pop()
+                        .expect("one request in, one response out")
+                })
             }),
-            Method::Experiment | Method::Plan => self.run_task(&meta, &req.params, |l| {
-                out.push(l.to_owned());
-                true
-            }),
+            Method::Experiment | Method::Plan => self.run_task(&meta, &req.params, emit),
             Method::Planner => Ok(self.planner()),
             Method::Stats => Ok(self.stats()),
             Method::Telemetry => self.telemetry(&req.params),
@@ -555,24 +565,39 @@ impl Engine {
         .unwrap_or_else(Err);
         let (reply, outcome) = reply_line(req.id, result);
         meta.complete(&self.telemetry, &reply, outcome, true, 0, 1);
+        reply
+    }
+
+    /// Answer one raw request line with every response line it produces
+    /// (no trailing newlines), in wire order. For `plan` that is zero or
+    /// more partial lines followed by the terminating line; for every
+    /// other method exactly one line.
+    pub fn answer_lines(&self, line: &str) -> Vec<String> {
+        let mut out = Vec::new();
+        let reply = self.answer(line, |partial| {
+            out.push(partial.to_owned());
+            true
+        });
         out.push(reply);
         out
     }
 
-    /// Answer every request line read from `input` until EOF, writing each
-    /// request's reply lines to `output` as soon as it is answered: the
-    /// whole `serve --oneshot` mode. Input is framed exactly as the daemon
-    /// frames a client connection — the [`MAX_LINE_BYTES`] cap with an
-    /// `oversized` answer and resync at the next newline, lossy UTF-8,
-    /// trailing `\r`s trimmed, blank lines skipped — except that EOF also
-    /// ends an unterminated last line. Stops at the first read or write
-    /// error.
+    /// Answer every request line read from `input` until EOF, writing and
+    /// flushing each reply line to `output` as soon as it exists (a
+    /// `plan`'s partials as the search produces them): the whole `serve
+    /// --oneshot` mode. Input is framed exactly as the daemon frames a
+    /// client connection — the [`MAX_LINE_BYTES`] cap with an `oversized`
+    /// answer and resync at the next newline, lossy UTF-8, trailing `\r`s
+    /// trimmed, blank lines skipped — except that EOF also ends an
+    /// unterminated last line. Stops at the first read or write error; a
+    /// write error during a `plan` first stops its search at the next
+    /// chunk boundary, as a client hanging up on a daemon does.
     pub fn answer_stream(
         &self,
         mut input: impl Read,
         mut output: impl Write,
     ) -> std::io::Result<()> {
-        let (mut rbuf, mut discarding) = (Vec::new(), false);
+        let (mut rbuf, mut discarding, mut framed) = (Vec::new(), false, Vec::new());
         let mut chunk = [0u8; 16 * 1024];
         loop {
             let n = match input.read(&mut chunk) {
@@ -581,14 +606,20 @@ impl Engine {
                 Err(e) => return Err(e),
             };
             rbuf.extend_from_slice(if n == 0 { b"\n" } else { &chunk[..n] });
-            for framed in frame_lines(&mut rbuf, &mut discarding, MAX_LINE_BYTES) {
-                let replies = match framed {
-                    Framed::Line(line) => self.answer_lines(&line),
-                    Framed::Oversized => vec![admit_oversized()],
+            frame_lines(&mut rbuf, &mut discarding, MAX_LINE_BYTES, &mut framed);
+            for line in framed.drain(..) {
+                let mut failed = None;
+                let reply = match line {
+                    Framed::Line(line) => self.answer(&line, |partial| {
+                        let written = writeln!(output, "{partial}").and_then(|()| output.flush());
+                        written.map_err(|e| failed = Some(e)).is_ok()
+                    }),
+                    Framed::Oversized => admit_oversized(),
                 };
-                for reply in replies {
-                    writeln!(output, "{reply}")?;
+                if let Some(e) = failed {
+                    return Err(e);
                 }
+                writeln!(output, "{reply}")?;
                 output.flush()?;
             }
             if n == 0 {
@@ -599,11 +630,9 @@ impl Engine {
 
     /// Answer one raw request line with its single terminating response
     /// line, discarding any `plan` partials (see [`Engine::answer_lines`]
-    /// for the streaming form).
+    /// for the form that keeps them).
     pub fn answer_line(&self, line: &str) -> String {
-        self.answer_lines(line)
-            .pop()
-            .expect("every request produces a terminating line")
+        self.answer(line, |_| true)
     }
 }
 
@@ -668,8 +697,8 @@ fn plan_error(e: SearchError) -> WireError {
 /// Render one `sim` request's results. Fails as a whole (never partially)
 /// so a response is either every point's result or one structured error:
 /// retrying a failed request cannot double-apply anything.
-fn sim_response(
-    results: &[Result<m3d_uarch::stats::PerfResult, SimError>],
+fn sim_response<'a>(
+    results: impl ExactSizeIterator<Item = Result<&'a PerfResult, &'a SimError>>,
     strict: bool,
 ) -> Result<Json, WireError> {
     let mut rows = Vec::with_capacity(results.len());

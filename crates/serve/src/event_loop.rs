@@ -28,6 +28,7 @@ use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use std::vec::Drain;
 
 /// Event-loop token of the listening socket.
 const TOKEN_LISTENER: u64 = 0;
@@ -69,15 +70,20 @@ pub(crate) enum Framed {
     Oversized,
 }
 
-/// Frame every complete line out of `rbuf`, leaving the unfinished tail.
+/// Frame every complete line out of `rbuf` onto the end of `out`, leaving
+/// the unfinished tail.
 ///
 /// Blank lines are skipped. A completed line longer than `cap` bytes is
 /// [`Framed::Oversized`]; so is an unfinished tail that already exceeds
 /// `cap`, which is then dropped and the stream discarded (`discarding`)
 /// until the next newline resyncs it. The output does not depend on how
 /// the stream was split across calls.
-pub(crate) fn frame_lines(rbuf: &mut Vec<u8>, discarding: &mut bool, cap: usize) -> Vec<Framed> {
-    let mut out = Vec::new();
+pub(crate) fn frame_lines(
+    rbuf: &mut Vec<u8>,
+    discarding: &mut bool,
+    cap: usize,
+    out: &mut Vec<Framed>,
+) {
     let mut start = 0;
     while let Some(len) = rbuf[start..].iter().position(|&b| b == b'\n') {
         let line = &rbuf[start..start + len];
@@ -104,7 +110,6 @@ pub(crate) fn frame_lines(rbuf: &mut Vec<u8>, discarding: &mut bool, cap: usize)
         rbuf.clear();
         *discarding = true;
     }
-    out
 }
 
 /// One connection's state machine: the socket, its read buffer with the
@@ -140,12 +145,11 @@ impl LineConn {
         self.closed_at.get_or_insert_with(Instant::now);
     }
 
-    /// Read until the socket would block (or EOF) and frame what arrived.
-    fn read_lines(&mut self) -> Vec<Framed> {
-        let mut lines = Vec::new();
-        let mut chunk = [0u8; 16 * 1024];
+    /// Read until the socket would block (or EOF), through `chunk`, and
+    /// frame what arrived onto `lines`.
+    fn read_lines(&mut self, chunk: &mut [u8], lines: &mut Vec<Framed>) {
         loop {
-            match self.stream.read(&mut chunk) {
+            match self.stream.read(chunk) {
                 Ok(0) => {
                     self.close_read();
                     break;
@@ -153,7 +157,7 @@ impl LineConn {
                 Ok(n) => {
                     self.rbuf.extend_from_slice(&chunk[..n]);
                     let cap = self.role.line_cap();
-                    lines.extend(frame_lines(&mut self.rbuf, &mut self.discarding, cap));
+                    frame_lines(&mut self.rbuf, &mut self.discarding, cap, lines);
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
@@ -163,7 +167,6 @@ impl LineConn {
                 }
             }
         }
-        lines
     }
 
     /// Write the backlog until it drains or would block. Returns whether
@@ -270,7 +273,7 @@ impl Conns {
 /// What the daemon and the router plug into the loop.
 pub(crate) trait Handler {
     /// Lines framed from `token`'s input, in arrival order.
-    fn on_input(&mut self, conns: &mut Conns, token: u64, lines: Vec<Framed>);
+    fn on_input(&mut self, conns: &mut Conns, token: u64, lines: Drain<'_, Framed>);
     /// Once per loop turn, after the events and before the flush: move
     /// output produced off the loop thread into the connections.
     fn on_tick(&mut self, _conns: &mut Conns) {}
@@ -328,6 +331,12 @@ pub(crate) struct EventLoop {
     /// `None` once the drain has taken its final accept sweep.
     listener: Option<TcpListener>,
     waker: Arc<Waker>,
+    /// Lines framed from one read, handed to the handler; kept between
+    /// reads so framing allocates no list per read.
+    framed: Vec<Framed>,
+    /// Every connection's reads land here first: one buffer, zeroed once,
+    /// not a fresh 16 KiB stack array to zero per readiness event.
+    chunk: Box<[u8]>,
 }
 
 impl EventLoop {
@@ -344,6 +353,8 @@ impl EventLoop {
             },
             listener: Some(listener),
             waker,
+            framed: Vec::new(),
+            chunk: vec![0; 16 * 1024].into_boxed_slice(),
         })
     }
 
@@ -449,10 +460,10 @@ impl EventLoop {
         let Some(c) = self.conns.map.get_mut(&token) else {
             return;
         };
-        let lines = c.read_lines();
+        c.read_lines(&mut self.chunk, &mut self.framed);
         let upstream_gone = c.role == Role::Upstream && c.read_closed;
-        if !lines.is_empty() {
-            h.on_input(&mut self.conns, token, lines);
+        if !self.framed.is_empty() {
+            h.on_input(&mut self.conns, token, self.framed.drain(..));
         }
         if upstream_gone {
             self.close(h, token);
@@ -578,7 +589,7 @@ mod tests {
         for &cut in cuts.iter().chain([&stream.len()]) {
             let cut = cut.clamp(at, stream.len());
             rbuf.extend_from_slice(&stream[at..cut]);
-            out.extend(frame_lines(&mut rbuf, &mut discarding, cap));
+            frame_lines(&mut rbuf, &mut discarding, cap, &mut out);
             at = cut;
         }
         out

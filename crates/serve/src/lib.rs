@@ -92,7 +92,9 @@
 //! `serve --oneshot --quick` (requests on stdin, responses on stdout — the
 //! same engine the daemon runs, minus TCP). `--oneshot` frames stdin with
 //! the daemon's framing and its 256 KiB line cap, runs every handler
-//! behind the daemon's panic guard, and admits and accounts for each
+//! behind the daemon's panic guard, answers a fully memoized `sim` on the
+//! daemon's hit path (counted in `serve.inline_hits`), writes each `plan`
+//! partial as the search produces it, and admits and accounts for each
 //! request with the daemon's code, so a byte stream gets the same reply
 //! lines on both; EOF also ends an unterminated last line.
 //!

@@ -61,6 +61,7 @@
 
 use m3d_core::experiments::registry::ExperimentError;
 use m3d_core::report::Json;
+use std::fmt::Write as _;
 
 /// Hard cap on one request line, bytes (including the newline). Longer
 /// lines are answered with an `oversized` error and discarded.
@@ -259,18 +260,25 @@ pub struct Request {
 /// Parse one request line. On failure, returns the id if one was readable
 /// (so the error response can still be correlated) plus the error.
 pub fn parse_request(line: &str) -> Result<Request, (Option<i64>, WireError)> {
-    let v = Json::parse(line).map_err(|e| {
+    let mut v = Json::parse(line).map_err(|e| {
         (
             None,
             WireError::new(ErrorKind::Parse, format!("invalid JSON: {e}")),
         )
     })?;
-    if !matches!(v, Json::Obj(_)) {
+    let Json::Obj(fields) = &mut v else {
         return Err((
             None,
             WireError::bad_request("request must be a JSON object"),
         ));
-    }
+    };
+    // Move the member `get` would find out of the parsed line instead of
+    // copying it. `remove` keeps the other members in order, so the
+    // lookups below find what they would have found.
+    let params = fields
+        .iter()
+        .position(|(k, _)| k == "params")
+        .map(|i| fields.remove(i).1);
     let id = match v.get("id") {
         Some(Json::Int(i)) => *i,
         Some(_) => {
@@ -302,9 +310,9 @@ pub fn parse_request(line: &str) -> Result<Request, (Option<i64>, WireError)> {
             ));
         }
     };
-    let params = match v.get("params") {
+    let params = match params {
         None => Json::Obj(Vec::new()),
-        Some(p @ Json::Obj(_)) => p.clone(),
+        Some(p @ Json::Obj(_)) => p,
         Some(_) => {
             return Err((
                 Some(id),
@@ -322,25 +330,25 @@ pub fn parse_request(line: &str) -> Result<Request, (Option<i64>, WireError)> {
 
 /// Render a success response line (no trailing newline).
 pub fn ok_line(id: i64, result: Json) -> String {
-    Json::obj([
-        ("id", Json::from(id)),
-        ("ok", Json::from(true)),
-        ("result", result),
-    ])
-    .render_compact()
+    result_line(id, "", &result)
 }
 
 /// Render a `plan` partial-result line (no trailing newline): like
 /// [`ok_line`] but flagged `"partial": true`. Clients read lines for the
 /// id until one arrives without the flag.
 pub fn partial_line(id: i64, result: Json) -> String {
-    Json::obj([
-        ("id", Json::from(id)),
-        ("ok", Json::from(true)),
-        ("partial", Json::from(true)),
-        ("result", result),
-    ])
-    .render_compact()
+    result_line(id, r#""partial":true,"#, &result)
+}
+
+/// The `{"id":…,"ok":true,<flag>"result":…}` envelope written around
+/// `result` in place: the bytes a rendered three- or four-key object
+/// would have, without building that object.
+fn result_line(id: i64, flag: &str, result: &Json) -> String {
+    let mut out = String::with_capacity(256);
+    let _ = write!(out, r#"{{"id":{id},"ok":true,{flag}"result":"#);
+    result.write_compact(&mut out);
+    out.push('}');
+    out
 }
 
 /// Render an error response line (no trailing newline).

@@ -8,8 +8,8 @@
 //! A single daemon's memo cache and checkpoint groups live in one
 //! process; past the point where one process's worker pool saturates, the
 //! only way to add capacity is more processes. Sharding *by the SimPoint
-//! routing key* (the dual-FNV fingerprint already used as the memo-cache
-//! key — see [`m3d_uarch::batch::SimPoint::key`]) keeps that scaling
+//! routing key* (the two-lane word-wise fingerprint already used as the
+//! memo-cache key — see [`m3d_uarch::batch::SimPoint::key`]) keeps that scaling
 //! honest: the key space is sliced into contiguous, disjoint ranges
 //! ([`m3d_uarch::batch::shard_slice`]), every point deterministically
 //! lands on the shard owning its slice
@@ -89,6 +89,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+use std::vec::Drain;
 
 /// How long a spawned shard gets to report its bound address.
 const SPAWN_DEADLINE: Duration = Duration::from_secs(30);
@@ -636,7 +637,7 @@ struct Relay {
 }
 
 impl Handler for Relay {
-    fn on_input(&mut self, conns: &mut Conns, token: u64, lines: Vec<Framed>) {
+    fn on_input(&mut self, conns: &mut Conns, token: u64, lines: Drain<'_, Framed>) {
         if let Some(si) = self.shard_of_token(token) {
             for framed in lines {
                 match framed {

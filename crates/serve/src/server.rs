@@ -64,6 +64,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
+use std::vec::Drain;
 
 pub use crate::sys::install_signal_handlers;
 
@@ -445,7 +446,7 @@ struct Daemon {
 }
 
 impl Handler for Daemon {
-    fn on_input(&mut self, conns: &mut Conns, token: u64, lines: Vec<Framed>) {
+    fn on_input(&mut self, conns: &mut Conns, token: u64, lines: Drain<'_, Framed>) {
         let writer = self.writers.entry(token).or_insert_with(|| {
             Arc::new(ConnWriter {
                 token,
@@ -591,10 +592,7 @@ fn process_line(line: &str, writer: &Arc<ConnWriter>, conns: &mut Conns, state: 
                 // Every point memoized: a lookup answers it, so it does not
                 // wait behind simulations in the queue. Behind the same
                 // panic guard as a worker's batch, so the loop survives.
-                let hit =
-                    guarded(|| state.engine.sim_cached(&params)).unwrap_or_else(|e| Some(Err(e)));
-                if let Some(r) = hit {
-                    m3d_obs::add("serve.inline_hits", 1);
+                if let Some(r) = state.engine.sim_hit(&params) {
                     return inline(r);
                 }
                 Work::Sim(Job {

@@ -11,7 +11,7 @@ use m3d_serve::client::Client;
 use m3d_serve::engine::SERVE_COUNTERS;
 use m3d_serve::protocol::{request_line, Method};
 use m3d_serve::{Engine, Server, ServerConfig, ServerHandle};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// Serializes the tests in this binary: they all read and write the
 /// process-global metrics store.
@@ -44,7 +44,7 @@ fn sim_points_params(seed: u64) -> Json {
 /// are still zero — plus uptime and the memo-cache size.
 #[test]
 fn stats_reports_every_serve_counter_including_zeros() {
-    let _guard = STORE_LOCK.lock().expect("store lock");
+    let _guard = STORE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let (addr, handle) = start();
     let mut c = Client::connect(&addr).expect("connect");
 
@@ -89,7 +89,7 @@ fn stats_reports_every_serve_counter_including_zeros() {
 /// expected count steps by one per poll.
 #[test]
 fn daemon_burst_records_exactly_one_latency_sample_per_request() {
-    let _guard = STORE_LOCK.lock().expect("store lock");
+    let _guard = STORE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     const N: i64 = 5;
     let (addr, handle) = start();
     let mut c = Client::connect(&addr).expect("connect");
@@ -153,7 +153,7 @@ fn daemon_burst_records_exactly_one_latency_sample_per_request() {
 /// `serve.deadline_expired` as the daemon does.
 #[test]
 fn oneshot_records_exactly_one_latency_sample_per_request() {
-    let _guard = STORE_LOCK.lock().expect("store lock");
+    let _guard = STORE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     const N: u64 = 4;
     let engine = Engine::new(true, 1).expect("engine");
 
@@ -227,7 +227,7 @@ fn oneshot_records_exactly_one_latency_sample_per_request() {
 /// windows and the slow log instead.
 #[test]
 fn warm_cache_hit_sims_record_no_serve_trace_events() {
-    let _guard = STORE_LOCK.lock().expect("store lock");
+    let _guard = STORE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let (addr, handle) = start();
     let mut c = Client::connect(&addr).expect("connect");
     let params = sim_points_params(0x7EAC_E000);
@@ -249,4 +249,73 @@ fn warm_cache_hit_sims_record_no_serve_trace_events() {
         .filter(|e| e.cat == "serve")
         .count();
     assert_eq!(serve_events, 0, "{N} warm sims left serve trace events");
+}
+
+/// `--oneshot` streams a `plan`: `Engine::answer_stream` writes each
+/// partial line the moment the search emits it, so the first one reaches
+/// the output while later chunks are still to come. The bytes are those
+/// `answer_lines` collects.
+#[test]
+fn oneshot_streams_plan_partials_while_the_search_runs() {
+    let _guard = STORE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+    let chunks = || {
+        m3d_obs::snapshot()
+            .counter("serve.plan_chunks")
+            .unwrap_or(0)
+    };
+
+    /// Notes `serve.plan_chunks` when the first byte arrives.
+    struct Probe<F: Fn() -> u64> {
+        chunks: F,
+        at_first_write: Option<u64>,
+        out: Vec<u8>,
+    }
+    impl<F: Fn() -> u64> std::io::Write for Probe<F> {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if self.at_first_write.is_none() {
+                self.at_first_write = Some((self.chunks)());
+            }
+            self.out.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    let engine = Engine::new(true, 1).expect("engine");
+    let plan = Json::obj([
+        ("apps", Json::arr([Json::from("Gcc")])),
+        (
+            "vdds",
+            Json::Arr([0.7, 0.75, 0.8, 0.85, 0.9].map(Json::from).to_vec()),
+        ),
+        ("seed", Json::from(0x57AE_0001u64)),
+        ("warmup", Json::from(500u64)),
+        ("measure", Json::from(800u64)),
+        ("chunk", Json::from(4u64)),
+    ]);
+    let line = request_line(400, Method::Plan, plan, None);
+    let before = chunks();
+    let mut probe = Probe {
+        chunks,
+        at_first_write: None,
+        out: Vec::new(),
+    };
+    engine
+        .answer_stream(line.as_bytes(), &mut probe)
+        .expect("answered");
+    let total = chunks() - before;
+    let at_first = probe.at_first_write.expect("the plan wrote lines") - before;
+    assert!(total >= 2, "the plan runs in several chunks, got {total}");
+    assert!(
+        at_first < total,
+        "the first partial went out after {at_first} of {total} chunks"
+    );
+    let streamed: Vec<String> = String::from_utf8(probe.out)
+        .expect("utf-8")
+        .lines()
+        .map(str::to_owned)
+        .collect();
+    assert_eq!(streamed, engine.answer_lines(&line));
 }

@@ -225,7 +225,8 @@ impl SimPoint {
     }
 }
 
-/// A 128-bit point fingerprint (two independent FNV-1a streams).
+/// A 128-bit point fingerprint: the two lanes of a word-wise hash with a
+/// full 64-bit mix per word (see `Fingerprint`).
 pub type PointKey = (u64, u64);
 
 /// Which shard of `shards` owns `key`, under consistent slicing of the
@@ -233,8 +234,9 @@ pub type PointKey = (u64, u64);
 /// `⌈s·2⁶⁴/n⌉ ..= ⌈(s+1)·2⁶⁴/n⌉ − 1` of `key.0` (see [`shard_slice`]).
 ///
 /// This is the **stable routing contract** of the serve shard router:
-/// together with the FNV-1a fingerprint (stable across Rust releases by
-/// construction) it fixes which shard daemon's memo cache owns a point,
+/// together with the point fingerprint (fixed integer arithmetic, so
+/// stable across Rust releases by construction) it fixes which shard
+/// daemon's memo cache owns a point,
 /// so the slicing arithmetic must never change. The multiply-shift form
 /// is exact — `⌊key.0 · n / 2⁶⁴⌋` — and keeps the slices contiguous,
 /// which is what lets a router advertise the key-slice map as plain
@@ -255,9 +257,17 @@ pub fn shard_slice(shard: usize, shards: usize) -> (u64, u64) {
     (lo, hi)
 }
 
-/// Dual-stream FNV-1a hasher producing a 128-bit fingerprint. FNV is used
-/// for stability: the key must not change across Rust releases the way
-/// `DefaultHasher` may.
+/// Two-lane word-wise hasher producing a 128-bit fingerprint. Each step
+/// consumes one 64-bit word: floats by bit pattern, integers as they are,
+/// strings length-prefixed and packed eight bytes per word. Each lane XORs
+/// the word into its state and runs the SplitMix64 finalizer, a full
+/// 64-bit avalanche mix; the lanes differ only in their seeds. Fixed
+/// integer arithmetic keeps the key the same across Rust releases and
+/// platforms, which `DefaultHasher` does not promise.
+///
+/// For a fixed word, a step is a bijection of the lane state, so two
+/// equally long word sequences that differ in one word always end in
+/// different states: a single-field change can never collide.
 #[derive(Debug)]
 struct Fingerprint {
     a: u64,
@@ -265,24 +275,23 @@ struct Fingerprint {
 }
 
 impl Fingerprint {
-    const PRIME: u64 = 0x0000_0100_0000_01B3;
-
     fn new() -> Self {
         Self {
-            a: 0xcbf2_9ce4_8422_2325,
-            b: 0x6c62_272e_07bb_0142,
+            a: 0x243F_6A88_85A3_08D3,
+            b: 0x1319_8A2E_0370_7344,
         }
     }
 
-    fn byte(&mut self, v: u8) {
-        self.a = (self.a ^ u64::from(v)).wrapping_mul(Self::PRIME);
-        self.b = (self.b ^ u64::from(v ^ 0x5a)).wrapping_mul(Self::PRIME);
+    /// The SplitMix64 finalizer.
+    fn mix(mut z: u64) -> u64 {
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
     }
 
     fn u64(&mut self, v: u64) {
-        for byte in v.to_le_bytes() {
-            self.byte(byte);
-        }
+        self.a = Self::mix(self.a ^ v);
+        self.b = Self::mix(self.b ^ v);
     }
 
     fn f64(&mut self, v: f64) {
@@ -290,10 +299,13 @@ impl Fingerprint {
     }
 
     fn bytes(&mut self, v: &[u8]) {
-        // Length-prefix so concatenated strings cannot alias.
+        // Length-prefix so concatenated strings cannot alias; the prefix
+        // also makes the zero padding of the last word unambiguous.
         self.u64(v.len() as u64);
-        for &byte in v {
-            self.byte(byte);
+        for chunk in v.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.u64(u64::from_le_bytes(word));
         }
     }
 
@@ -427,7 +439,8 @@ impl SimBatch {
 
         // Phase 1: memo-cache lookups.
         let mut results: Vec<Option<Result<PerfResult, SimError>>> = if self.use_cache {
-            memo_lookup(&keys).into_iter().map(|r| r.map(Ok)).collect()
+            let cache = result_cache().lock().expect("batch result cache poisoned");
+            keys.iter().map(|k| cache.get(k).copied().map(Ok)).collect()
         } else {
             vec![None; n]
         };
@@ -606,8 +619,13 @@ impl SimBatch {
         if !self.use_cache {
             return None;
         }
-        let keys: Vec<PointKey> = points.iter().map(SimPoint::key).collect();
-        let hits: Vec<PerfResult> = memo_lookup(&keys).into_iter().collect::<Option<_>>()?;
+        let mut hits = Vec::with_capacity(points.len());
+        {
+            let cache = result_cache().lock().expect("batch result cache poisoned");
+            for p in points {
+                hits.push(*cache.get(&p.key())?);
+            }
+        }
         count_batch(&BatchStats {
             points: hits.len() as u64,
             cache_hits: hits.len() as u64,
@@ -615,12 +633,6 @@ impl SimBatch {
         });
         Some(hits)
     }
-}
-
-/// Look every key up in the process-wide memo cache under one lock round.
-fn memo_lookup(keys: &[PointKey]) -> Vec<Option<PerfResult>> {
-    let cache = result_cache().lock().expect("batch result cache poisoned");
-    keys.iter().map(|k| cache.get(k).copied()).collect()
 }
 
 /// Add one batch's statistics to the `uarch.batch.*` m3d-obs counters.
@@ -1005,27 +1017,112 @@ mod tests {
         assert!(result_cache_len() >= 1);
     }
 
+    type FieldEdit = Box<dyn Fn(&mut SimPoint)>;
+
+    /// Every single-field change of a point, named by its field path: each
+    /// field `hash_warm` and `hash_stream` read, plus the measure window.
+    fn field_edits() -> Vec<(&'static str, FieldEdit)> {
+        let mut edits: Vec<(&'static str, FieldEdit)> = Vec::new();
+        macro_rules! edit {
+            ($delta:literal: $($($f:ident).+),+) => {$(
+                edits.push((
+                    stringify!($($f).+),
+                    Box::new(|p: &mut SimPoint| p.$($f).+ += $delta),
+                ));
+            )+};
+        }
+        edit!(1: config.dispatch_width, config.issue_width, config.commit_width,
+            config.rob_entries, config.iq_entries, config.lq_entries, config.sq_entries,
+            config.int_regs, config.fp_regs, config.fus.alus, config.fus.int_mul_units,
+            config.fus.lsus, config.fus.fpus, config.fus.int_mul_lat, config.fus.int_div_lat,
+            config.fus.fp_add_lat, config.fus.fp_mul_lat, config.fus.fp_div_lat,
+            config.il1.size_bytes, config.il1.ways, config.il1.line_bytes, config.il1.rt_cycles,
+            config.dl1.size_bytes, config.dl1.ways, config.dl1.line_bytes, config.dl1.rt_cycles,
+            config.l2.size_bytes, config.l2.ways, config.l2.line_bytes, config.l2.rt_cycles,
+            config.l3.size_bytes, config.l3.ways, config.l3.line_bytes, config.l3.rt_cycles,
+            config.mispredict_penalty, config.load_to_use_saving, config.noc_hop_cycles,
+            config.bpred_entries, config.btb_entries, config.btb_ways, config.ras_entries,
+            config.complex_decode_extra, profile.branches.static_branches,
+            profile.branches.loop_period, profile.memory.hot_bytes, profile.memory.warm_bytes,
+            profile.memory.cold_bytes, profile.code_bytes, profile.barrier_interval, seed,
+            n_cores, interval.warmup, interval.measure);
+        edit!(0.125: config.freq_ghz, config.vdd, config.dram_ns, profile.mix.load,
+            profile.mix.store, profile.mix.branch, profile.mix.int_mul, profile.mix.fp_add,
+            profile.mix.fp_mul, profile.mix.fp_div, profile.mean_dep_distance,
+            profile.branches.biased, profile.branches.loops, profile.memory.hot_frac,
+            profile.memory.warm_frac, profile.memory.cold_stride_frac,
+            profile.complex_decode_rate, profile.shared_frac, profile.imbalance);
+        edits.push((
+            "config.shared_l2_pairs",
+            Box::new(|p: &mut SimPoint| p.config.shared_l2_pairs ^= true),
+        ));
+        edits.push((
+            "profile.name",
+            Box::new(|p: &mut SimPoint| p.profile.name.push('x')),
+        ));
+        edits
+    }
+
     #[test]
     fn keys_separate_every_tuple_component() {
-        let base = single("Gcc", 1, CoreConfig::base_2d(), 1_000, 2_000);
-        assert_eq!(base.key(), base.clone().key());
-        let mut other = base.clone();
-        other.seed = 2;
-        assert_ne!(base.key(), other.key());
-        let mut other = base.clone();
-        other.config = other.config.with_frequency(4.34);
-        assert_ne!(base.warm_key(), other.warm_key());
-        let mut other = base.clone();
-        other.interval.measure = 2_001;
-        assert_ne!(base.key(), other.key());
-        assert_eq!(
-            base.warm_key(),
-            other.warm_key(),
-            "measure must not enter the warm key"
+        let bases = [
+            single("Gcc", 1, CoreConfig::base_2d(), 1_000, 2_000),
+            single("Mcf", 7, CoreConfig::base_2d().with_3d_paths(), 0, 500),
+            multi("Ocean", 3, 4, 600, 500),
+        ];
+        for base in &bases {
+            assert_eq!(base.key(), base.clone().key());
+            let (mut keys, mut warm, mut streams) = (vec![base.key()], vec![], vec![]);
+            for (field, edit) in field_edits() {
+                let mut p = base.clone();
+                edit(&mut p);
+                assert_ne!(&p, base, "{field} edits the point");
+                keys.push(p.key());
+                // The measure window is the one field outside the warm
+                // key; only the profile, seed and core count make up the
+                // stream key.
+                if field == "interval.measure" {
+                    assert_eq!(p.warm_key(), base.warm_key(), "{field}");
+                } else {
+                    warm.push(p.warm_key());
+                }
+                if field.starts_with("profile.") || field == "seed" || field == "n_cores" {
+                    streams.push(p.stream_key());
+                } else {
+                    assert_eq!(p.stream_key(), base.stream_key(), "{field}");
+                }
+            }
+            warm.push(base.warm_key());
+            streams.push(base.stream_key());
+            for (what, mut ks) in [("key", keys), ("warm_key", warm), ("stream_key", streams)] {
+                let n = ks.len();
+                ks.sort_unstable();
+                ks.dedup();
+                assert_eq!(ks.len(), n, "every single-field edit moves the {what}");
+            }
+        }
+    }
+
+    #[test]
+    fn fingerprint_keeps_strings_apart_and_is_pinned() {
+        let of = |parts: &[&str]| {
+            let mut h = Fingerprint::new();
+            for s in parts {
+                h.bytes(s.as_bytes());
+            }
+            h.finish()
+        };
+        assert_ne!(of(&["ab", "c"]), of(&["a", "bc"]));
+        assert_ne!(of(&["abcdefgh", ""]), of(&["abcdefg", "h"]));
+        assert_ne!(
+            of(&["abcdefgh"]),
+            of(&["abcdefgh\0"]),
+            "zero padding is not content"
         );
-        let mut other = base.clone();
-        other.interval.warmup = 999;
-        assert_ne!(base.warm_key(), other.warm_key());
+        // The key is a fixed function of the point: it routes `sim`
+        // requests to shards, so it must not drift silently.
+        let p = single("Gcc", 1, CoreConfig::base_2d(), 1_000, 2_000);
+        assert_eq!(p.key(), (0xEB5C_134D_C4D8_6D33, 0x0DDC_A43C_EBA1_619B));
     }
 
     #[test]
