@@ -108,6 +108,23 @@ echo "$LOADGEN_OUT" | grep -q '"server_p99_us"' || {
   kill -9 "$SERVE_PID" 2>/dev/null || true
   exit 1
 }
+# A request written in two pieces 0.2 s apart: the event loop stops reading
+# at a short read, so the first piece is read alone and the rest is left
+# to the next readiness event. Exactly one reply must come back.
+SPLIT_OUT=$(
+  exec 3<>"/dev/tcp/${SERVE_ADDR%:*}/${SERVE_ADDR##*:}"
+  printf '{"id":1,"method":"stats"' >&3
+  sleep 0.2
+  printf '}\n' >&3
+  timeout 1 cat <&3 || true
+)
+[ "$(printf '%s\n' "$SPLIT_OUT" | grep -c '"id":1,')" = 1 ] &&
+  printf '%s\n' "$SPLIT_OUT" | grep -q '^{"id":1,"ok":true,' || {
+  echo "ci.sh: a request split across two writes was not answered exactly once" >&2
+  printf '%s\n' "$SPLIT_OUT" | head -c 500 >&2
+  kill -9 "$SERVE_PID" 2>/dev/null || true
+  exit 1
+}
 kill -TERM "$SERVE_PID"
 SERVE_RC=0
 wait "$SERVE_PID" || SERVE_RC=$?

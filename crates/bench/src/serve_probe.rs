@@ -231,8 +231,7 @@ fn load_phase(serve: &PathBuf) -> Result<(f64, u64, u64), String> {
         for k in 0..POOL_APPS.len() * POOL_SEEDS.len() {
             let (app, seed) = pool_point(k);
             writer
-                .write_all(sim_line(k, app, seed).as_bytes())
-                .and_then(|()| writer.write_all(b"\n"))
+                .write_all(format!("{}\n", sim_line(k, app, seed)).as_bytes())
                 .map_err(|e| format!("warmup write: {e}"))?;
             let mut reply = String::new();
             match reader.read_line(&mut reply) {
@@ -258,11 +257,15 @@ fn load_phase(serve: &PathBuf) -> Result<(f64, u64, u64), String> {
                 let mut lat_us = Vec::with_capacity(LOAD_REQUESTS_PER_CONN);
                 for r in 0..LOAD_REQUESTS_PER_CONN {
                     let (app, seed) = pool_point(conn + r);
-                    let line = sim_line(conn * LOAD_REQUESTS_PER_CONN + r, app, seed);
+                    // One write per line: on this `TCP_NODELAY` socket a
+                    // separate newline write would be a second segment.
+                    let line = format!(
+                        "{}\n",
+                        sim_line(conn * LOAD_REQUESTS_PER_CONN + r, app, seed)
+                    );
                     let sent = Instant::now();
                     writer
                         .write_all(line.as_bytes())
-                        .and_then(|()| writer.write_all(b"\n"))
                         .map_err(|e| format!("conn {conn} write: {e}"))?;
                     let mut reply = String::new();
                     match reader.read_line(&mut reply) {

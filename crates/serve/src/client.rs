@@ -55,6 +55,9 @@ impl From<std::io::Error> for ClientError {
 pub struct Client {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
+    /// The outgoing line and its `\n`, kept between sends so a request
+    /// costs no allocation on the write side.
+    line: Vec<u8>,
 }
 
 impl Client {
@@ -66,14 +69,21 @@ impl Client {
         Ok(Client {
             reader: BufReader::new(stream),
             writer,
+            line: Vec::new(),
         })
     }
 
     /// Send one raw line without waiting for a response.
+    ///
+    /// The line and its `\n` leave in one write. The socket is
+    /// `TCP_NODELAY`, so a separate write for the newline would go out as
+    /// a second TCP segment, and the server's kernel would receive two
+    /// segments for every request.
     pub fn send_raw(&mut self, line: &str) -> std::io::Result<()> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()
+        self.line.clear();
+        self.line.extend_from_slice(line.as_bytes());
+        self.line.push(b'\n');
+        self.writer.write_all(&self.line)
     }
 
     /// Send one request without waiting for the response (pipelining).

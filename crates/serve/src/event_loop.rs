@@ -9,6 +9,11 @@
 //! partial write is outstanding), reaps finished connections, and runs
 //! the graceful drain.
 //!
+//! A readable connection is read until a read comes back short, not
+//! until `EAGAIN`, so a request that arrives in one segment costs one
+//! `recv`; epoll is level-triggered, so later bytes are reported on the
+//! next turn.
+//!
 //! What the lines *mean* lives in a [`Handler`]: the daemon's handler
 //! dispatches them to its worker queue and delivers the workers' mailbox
 //! lines; the router's handler fans them out to upstream connections and
@@ -145,8 +150,14 @@ impl LineConn {
         self.closed_at.get_or_insert_with(Instant::now);
     }
 
-    /// Read until the socket would block (or EOF), through `chunk`, and
-    /// frame what arrived onto `lines`.
+    /// Read through `chunk` until a read comes back short (or EOF, or the
+    /// socket would block), and frame what arrived onto `lines`.
+    ///
+    /// A short read took everything the socket held, so another read
+    /// would only return `EAGAIN`; whatever arrives later, EOF included,
+    /// keeps the socket readable and level-triggered epoll reports it on
+    /// the next turn. A full chunk keeps the loop reading, so one call
+    /// still takes everything that was buffered when it started.
     fn read_lines(&mut self, chunk: &mut [u8], lines: &mut Vec<Framed>) {
         loop {
             match self.stream.read(chunk) {
@@ -158,6 +169,9 @@ impl LineConn {
                     self.rbuf.extend_from_slice(&chunk[..n]);
                     let cap = self.role.line_cap();
                     frame_lines(&mut self.rbuf, &mut self.discarding, cap, lines);
+                    if n < chunk.len() {
+                        break;
+                    }
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
