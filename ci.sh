@@ -142,44 +142,56 @@ printf '{"id":1,"method":"stats"}\n' | ./target/release/serve --oneshot --quick 
   exit 1
 }
 
-echo "== deep-nesting smoke (one 240 KB line of '[' to serve --oneshot) =="
-# The line fits under the 256 KiB line cap, so it reaches the JSON parser,
-# whose nesting-depth cap must turn it into one structured `parse` error
-# instead of a stack overflow that kills the process.
-DEEP_OUT=$({ head -c 245760 /dev/zero | tr '\0' '['; echo; } \
-  | ./target/release/serve --oneshot --quick) || {
-  echo "ci.sh: serve --oneshot did not survive a deeply nested line" >&2
-  exit 1
-}
-[ "$(printf '%s\n' "$DEEP_OUT" | wc -l)" -eq 1 ] || {
-  echo "ci.sh: deeply nested line did not get exactly one reply line" >&2
-  exit 1
-}
-echo "$DEEP_OUT" | grep -q '"ok":false,"error":{"kind":"parse"' || {
-  echo "ci.sh: deeply nested line was not answered with a parse error: $DEEP_OUT" >&2
-  exit 1
-}
+echo "== deep-nesting smoke (240 KB of '[' alone, in a sim's params and in a points entry, to serve --oneshot) =="
+# Each line fits under the 256 KiB line cap, so it reaches the request
+# reader, whose nesting-depth cap must turn it into one structured `parse`
+# error instead of a stack overflow that kills the process: as a whole
+# line, as the value of a member of a `sim`'s params, and as a member of
+# a `points` entry.
+DEEP=$(head -c 245760 /dev/zero | tr '\0' '[')
+for shape in '%s' \
+  '{"id":1,"method":"sim","params":{"x":%s}}' \
+  '{"id":2,"method":"sim","params":{"points":[{"app":%s}]}}'; do
+  DEEP_OUT=$(printf "$shape\n" "$DEEP" | ./target/release/serve --oneshot --quick) || {
+    echo "ci.sh: serve --oneshot did not survive a deeply nested line ($shape)" >&2
+    exit 1
+  }
+  [ "$(printf '%s\n' "$DEEP_OUT" | wc -l)" -eq 1 ] || {
+    echo "ci.sh: deeply nested line ($shape) did not get exactly one reply line" >&2
+    exit 1
+  }
+  echo "$DEEP_OUT" | grep -q '"ok":false,"error":{"kind":"parse"' || {
+    echo "ci.sh: deeply nested line ($shape) was not answered with a parse error: $DEEP_OUT" >&2
+    exit 1
+  }
+done
 
-echo "== long-string smoke (8 lines with a 200 KB string each to serve --oneshot) =="
-# The JSON parser must scan a string in time linear in its length. A
-# quadratic scan spends about a second of event-loop time on each of these
-# lines; a linear one answers all eight well inside the timeout. The app
-# name is unknown and the point has no window, so each is `bad_request`.
+echo "== long-string smoke (8 lines with a 200 KB string each, 3 shapes, to serve --oneshot) =="
+# The request reader must scan a string in time linear in its length,
+# whether it reads the string (a point's `app`, in flat params or in a
+# `points` entry) or skips it (a member no point reads). A quadratic scan
+# spends about a second of event-loop time on each of these lines; a
+# linear one answers all eight well inside the timeout. No point has a
+# window, so each is `bad_request`.
 LONG_APP=$(head -c 204800 /dev/zero | tr '\0' 'x')
-LONG_OUT=$(for i in $(seq 1 8); do
-  printf '{"id":%d,"method":"sim","params":{"app":"%s"}}\n' "$i" "$LONG_APP"
-done | timeout 5 ./target/release/serve --oneshot --quick) || {
-  echo "ci.sh: serve --oneshot did not answer 8 long-string lines within 5 s" >&2
-  exit 1
-}
-[ "$(printf '%s\n' "$LONG_OUT" | wc -l)" -eq 8 ] || {
-  echo "ci.sh: 8 long-string lines did not get exactly 8 reply lines" >&2
-  exit 1
-}
-[ "$(printf '%s\n' "$LONG_OUT" | grep -c '"ok":false,"error":{"kind":"bad_request"')" -eq 8 ] || {
-  echo "ci.sh: long-string lines were not all answered bad_request: $LONG_OUT" >&2
-  exit 1
-}
+for shape in '{"id":%d,"method":"sim","params":{"app":"%s"}}' \
+  '{"id":%d,"method":"sim","params":{"note":"%s","app":"Gcc"}}' \
+  '{"id":%d,"method":"sim","params":{"points":[{"app":"%s"}]}}'; do
+  LONG_OUT=$(for i in $(seq 1 8); do
+    printf "$shape\n" "$i" "$LONG_APP"
+  done | timeout 5 ./target/release/serve --oneshot --quick) || {
+    echo "ci.sh: serve --oneshot did not answer 8 long-string lines ($shape) within 5 s" >&2
+    exit 1
+  }
+  [ "$(printf '%s\n' "$LONG_OUT" | wc -l)" -eq 8 ] || {
+    echo "ci.sh: 8 long-string lines ($shape) did not get exactly 8 reply lines" >&2
+    exit 1
+  }
+  [ "$(printf '%s\n' "$LONG_OUT" | grep -c '"ok":false,"error":{"kind":"bad_request"')" -eq 8 ] || {
+    echo "ci.sh: long-string lines ($shape) were not all answered bad_request: $LONG_OUT" >&2
+    exit 1
+  }
+done
 
 echo "== raw-byte smoke (300 KiB line, 0xFF byte, stats to serve --oneshot) =="
 # --oneshot frames stdin exactly as the daemon frames a connection: a line

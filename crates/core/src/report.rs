@@ -1,6 +1,7 @@
 //! Minimal fixed-width table formatting for the experiment reports, plus a
 //! dependency-free JSON value type used for the `repro` artifacts.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// A simple text table builder.
@@ -131,9 +132,7 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Int(i) => {
-                let _ = write!(out, "{i}");
-            }
+            Json::Int(i) => write_int(out, *i),
             Json::Num(v) if v.is_finite() => {
                 let _ = write!(out, "{v}");
             }
@@ -214,22 +213,54 @@ impl Json {
     /// Parse a JSON document (the subset this type renders: no exponents are
     /// *required* but they are accepted; `\uXXXX` escapes including
     /// surrogate pairs are decoded). Used by the `perf_baseline` drift gate,
-    /// the artifact round-trip tests, and every request line the serve
-    /// daemon and router read. Arrays and objects nested deeper than
-    /// [`MAX_PARSE_DEPTH`] are an error, so no input can exhaust the stack.
+    /// the artifact round-trip tests, and the serve daemon and router for
+    /// every request's `params` but a `sim`'s. Arrays and objects nested
+    /// deeper than [`MAX_PARSE_DEPTH`] are an error, so no input can
+    /// exhaust the stack. The tree is built from [`JsonReader`]'s tokens,
+    /// so it accepts and rejects exactly what the reader does.
     pub fn parse(s: &str) -> Result<Json, String> {
-        let mut p = Parser {
-            bytes: s.as_bytes(),
-            pos: 0,
-            depth: 0,
-        };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing data at byte {}", p.pos));
-        }
+        let mut r = JsonReader::new(s);
+        let first = r.next_token()?;
+        let v = Json::build(&mut r, first)?;
+        r.end()?;
         Ok(v)
+    }
+
+    /// The value whose first token is `first`, built from the tokens that
+    /// follow it in `r`.
+    fn build(r: &mut JsonReader<'_>, first: Token<'_>) -> Result<Json, String> {
+        Ok(match first {
+            Token::Null => Json::Null,
+            Token::Bool(b) => Json::Bool(b),
+            Token::Int(i) => Json::Int(i),
+            Token::Num(v) => Json::Num(v),
+            Token::Str(s) => Json::Str(s.into_owned()),
+            Token::ArrStart => {
+                let mut items = Vec::new();
+                loop {
+                    match r.next_token()? {
+                        Token::ArrEnd => break Json::Arr(items),
+                        t => items.push(Json::build(r, t)?),
+                    }
+                }
+            }
+            Token::ObjStart => {
+                let mut fields = Vec::new();
+                while let Token::Key(k) = r.next_token()? {
+                    if fields.is_empty() {
+                        // Room for a request's or a reply row's members in
+                        // one allocation, instead of growing 4 → 8.
+                        fields.reserve_exact(8);
+                    }
+                    let t = r.next_token()?;
+                    fields.push((k.into_owned(), Json::build(r, t)?));
+                }
+                Json::Obj(fields)
+            }
+            Token::Key(_) | Token::ObjEnd | Token::ArrEnd => {
+                unreachable!("the reader never starts a value with {first:?}")
+            }
+        })
     }
 
     fn write_escaped(s: &str, out: &mut String) {
@@ -260,6 +291,26 @@ impl Json {
     }
 }
 
+/// Append `i` in decimal: the digits `write!(out, "{i}")` gives, without
+/// the formatting machinery.
+fn write_int(out: &mut String, i: i64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    let mut rest = i.unsigned_abs();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    if i < 0 {
+        out.push('-');
+    }
+    out.extend(digits[at..].iter().map(|&d| char::from(d)));
+}
+
 /// Initial buffer size of [`Json::render_compact`], bytes: room for a
 /// one-point `sim` reply line, so a typical wire line renders into one
 /// allocation.
@@ -270,18 +321,148 @@ const COMPACT_CAPACITY: usize = 256;
 /// that hostile input fails with an error instead of a stack overflow.
 pub const MAX_PARSE_DEPTH: usize = 128;
 
-/// Recursive-descent JSON parser over the input bytes.
-struct Parser<'a> {
-    bytes: &'a [u8],
+/// One token of a JSON document, as [`JsonReader::next_token`] yields them in
+/// document order. An object member is its [`Token::Key`] followed by the
+/// tokens of its value.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Token<'a> {
+    /// `{`
+    ObjStart,
+    /// `}`
+    ObjEnd,
+    /// `[`
+    ArrStart,
+    /// `]`
+    ArrEnd,
+    /// An object member's key; its `:` has been read with it.
+    Key(Cow<'a, str>),
+    /// `null`
+    Null,
+    /// `true` / `false`
+    Bool(bool),
+    /// A number written without `.`, `e` or a sign after the first that
+    /// fits an `i64`.
+    Int(i64),
+    /// Any other number.
+    Num(f64),
+    /// A string value.
+    Str(Cow<'a, str>),
+}
+
+/// What [`JsonReader::next_token`] reads next.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Expect {
+    /// A value: the document's, an array item or an object member's.
+    Value,
+    /// An array's first item, or its `]`.
+    FirstItem,
+    /// An object's first key, or its `}`.
+    FirstKey,
+    /// A `,` or the close of the innermost open container.
+    Separator,
+    /// Nothing: the document's value is complete.
+    End,
+}
+
+/// The JSON tokenizer: a pull reader that yields a document's tokens one
+/// at a time. [`Json::parse`] builds its trees from these tokens, and the
+/// serve daemon reads request lines straight from them, so both accept
+/// the same grammar with the same error texts and byte offsets.
+///
+/// Strings are borrowed from the input unless they hold escapes. Arrays
+/// and objects nested deeper than [`MAX_PARSE_DEPTH`] are an error, and
+/// each input byte is scanned once.
+#[derive(Debug, Clone)]
+pub struct JsonReader<'a> {
+    src: &'a str,
     pos: usize,
     /// Arrays and objects currently open.
     depth: usize,
+    /// Bit `d` is set while the container open at depth `d + 1` is an
+    /// object: one bit per level, and `MAX_PARSE_DEPTH` levels fit.
+    objects: u128,
+    expect: Expect,
 }
 
-impl Parser<'_> {
+impl<'a> JsonReader<'a> {
+    /// A reader at the start of `src`.
+    pub fn new(src: &'a str) -> Self {
+        Self {
+            src,
+            pos: 0,
+            depth: 0,
+            objects: 0,
+            expect: Expect::Value,
+        }
+    }
+
+    /// The next token, or the first error in the document.
+    pub fn next_token(&mut self) -> Result<Token<'a>, String> {
+        self.skip_ws();
+        match self.expect {
+            Expect::Value => self.value(),
+            Expect::FirstItem if self.peek() == Some(b']') => Ok(self.close(Token::ArrEnd)),
+            Expect::FirstItem => self.value(),
+            Expect::FirstKey if self.peek() == Some(b'}') => Ok(self.close(Token::ObjEnd)),
+            Expect::FirstKey => self.key(),
+            Expect::Separator => {
+                let object = (self.objects >> (self.depth - 1)) & 1 == 1;
+                match self.peek() {
+                    Some(b',') => {
+                        self.pos += 1;
+                        self.skip_ws();
+                        if object {
+                            self.key()
+                        } else {
+                            self.value()
+                        }
+                    }
+                    Some(b'}') if object => Ok(self.close(Token::ObjEnd)),
+                    Some(b']') if !object => Ok(self.close(Token::ArrEnd)),
+                    _ if object => Err(format!("expected `,` or `}}` at byte {}", self.pos)),
+                    _ => Err(format!("expected `,` or `]` at byte {}", self.pos)),
+                }
+            }
+            Expect::End => Err(format!("no token after the document at byte {}", self.pos)),
+        }
+    }
+
+    /// Read on through the close of the innermost open array or object.
+    pub fn skip_container(&mut self) -> Result<(), String> {
+        let outer = self.depth.saturating_sub(1);
+        while self.depth > outer {
+            self.next_token()?;
+        }
+        Ok(())
+    }
+
+    /// Read one whole value, whatever it is.
+    pub fn skip_value(&mut self) -> Result<(), String> {
+        if matches!(self.next_token()?, Token::ObjStart | Token::ArrStart) {
+            self.skip_container()?;
+        }
+        Ok(())
+    }
+
+    /// Byte offset of the first unread byte.
+    pub fn pos(&self) -> usize {
+        self.pos
+    }
+
+    /// Once the document's value is read: only whitespace may follow it.
+    pub fn end(&mut self) -> Result<(), String> {
+        debug_assert_eq!(self.expect, Expect::End, "the value is not complete");
+        self.skip_ws();
+        if self.pos != self.src.len() {
+            return Err(format!("trailing data at byte {}", self.pos));
+        }
+        Ok(())
+    }
+
     fn skip_ws(&mut self) {
         while self
-            .bytes
+            .src
+            .as_bytes()
             .get(self.pos)
             .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
         {
@@ -290,10 +471,10 @@ impl Parser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), String> {
+    fn expect_byte(&mut self, b: u8) -> Result<(), String> {
         if self.peek() == Some(b) {
             self.pos += 1;
             Ok(())
@@ -302,21 +483,37 @@ impl Parser<'_> {
         }
     }
 
-    fn literal(&mut self, lit: &str, v: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(v)
+    /// The token after a complete value: a separator inside a container,
+    /// nothing at the top.
+    fn after_value(&mut self) {
+        self.expect = if self.depth == 0 {
+            Expect::End
         } else {
-            Err(format!("invalid literal at byte {}", self.pos))
-        }
+            Expect::Separator
+        };
     }
 
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
+    fn close(&mut self, t: Token<'a>) -> Token<'a> {
+        self.pos += 1;
+        self.depth -= 1;
+        self.after_value();
+        t
+    }
+
+    fn key(&mut self) -> Result<Token<'a>, String> {
+        let k = self.string()?;
+        self.skip_ws();
+        self.expect_byte(b':')?;
+        self.expect = Expect::Value;
+        Ok(Token::Key(k))
+    }
+
+    fn value(&mut self) -> Result<Token<'a>, String> {
+        let t = match self.peek() {
+            Some(b'n') => self.literal("null", Token::Null)?,
+            Some(b't') => self.literal("true", Token::Bool(true))?,
+            Some(b'f') => self.literal("false", Token::Bool(false))?,
+            Some(b'"') => Token::Str(self.string()?),
             Some(b @ (b'[' | b'{')) => {
                 if self.depth == MAX_PARSE_DEPTH {
                     return Err(format!(
@@ -324,77 +521,44 @@ impl Parser<'_> {
                         self.pos
                     ));
                 }
-                self.depth += 1;
-                let v = if b == b'[' {
-                    self.array()
+                let object = b == b'{';
+                if object {
+                    self.objects |= 1 << self.depth;
                 } else {
-                    self.object()
-                };
-                self.depth -= 1;
-                v
+                    self.objects &= !(1 << self.depth);
+                }
+                self.depth += 1;
+                self.pos += 1;
+                return Ok(if object {
+                    self.expect = Expect::FirstKey;
+                    Token::ObjStart
+                } else {
+                    self.expect = Expect::FirstItem;
+                    Token::ArrStart
+                });
             }
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(b) => Err(format!("unexpected `{}` at byte {}", b as char, self.pos)),
-            None => Err("unexpected end of input".to_owned()),
-        }
+            Some(b'-' | b'0'..=b'9') => self.number()?,
+            Some(b) => return Err(format!("unexpected `{}` at byte {}", b as char, self.pos)),
+            None => return Err("unexpected end of input".to_owned()),
+        };
+        self.after_value();
+        Ok(t)
     }
 
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(format!("expected `,` or `]` at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(Vec::new()));
-        }
-        // Room for a request's or a `sim` point's members in one
-        // allocation, instead of growing 4 → 8.
-        let mut fields = Vec::with_capacity(8);
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            fields.push((key, self.value()?));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(format!("expected `,` or `}}` at byte {}", self.pos)),
-            }
+    fn literal(&mut self, lit: &str, t: Token<'a>) -> Result<Token<'a>, String> {
+        if self.src.as_bytes()[self.pos..].starts_with(lit.as_bytes()) {
+            self.pos += lit.len();
+            Ok(t)
+        } else {
+            Err(format!("invalid literal at byte {}", self.pos))
         }
     }
 
     fn hex4(&mut self) -> Result<u16, String> {
         let end = self.pos + 4;
         let s = self
-            .bytes
+            .src
+            .as_bytes()
             .get(self.pos..end)
             .and_then(|b| std::str::from_utf8(b).ok())
             .ok_or_else(|| format!("bad \\u escape at byte {}", self.pos))?;
@@ -404,79 +568,99 @@ impl Parser<'_> {
         Ok(v)
     }
 
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
+    /// Move past the run of bytes up to the next quote or backslash. Both
+    /// are ASCII, so the run ends on a char boundary of the input.
+    fn skip_run(&mut self) {
+        let rest = &self.src.as_bytes()[self.pos..];
+        self.pos += rest
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')
+            .unwrap_or(rest.len());
+    }
+
+    fn string(&mut self) -> Result<Cow<'a, str>, String> {
+        self.expect_byte(b'"')?;
+        let start = self.pos;
+        self.skip_run();
+        if self.peek() == Some(b'"') {
+            self.pos += 1;
+            return Ok(Cow::Borrowed(&self.src[start..self.pos - 1]));
+        }
+        // Escapes (or no closing quote): decode into an owned string.
+        let mut out = self.src[start..self.pos].to_owned();
         loop {
             match self.peek() {
                 None => return Err("unterminated string".to_owned()),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(Cow::Owned(out));
                 }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            self.pos += 1;
-                            let hi = self.hex4()?;
-                            let c = if (0xD800..0xDC00).contains(&hi) {
-                                // Surrogate pair: a second \uXXXX must follow.
-                                if self.peek() != Some(b'\\') {
-                                    return Err("lone high surrogate".to_owned());
-                                }
-                                self.pos += 1;
-                                self.expect(b'u')?;
-                                let lo = self.hex4()?;
-                                let cp = 0x10000
-                                    + ((hi as u32 - 0xD800) << 10)
-                                    + (lo as u32).wrapping_sub(0xDC00);
-                                char::from_u32(cp).ok_or("invalid surrogate pair")?
-                            } else {
-                                char::from_u32(hi as u32).ok_or("invalid \\u escape")?
-                            };
-                            out.push(c);
-                            continue;
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.pos)),
-                    }
-                    self.pos += 1;
-                }
+                Some(b'\\') => self.escape(&mut out)?,
                 Some(_) => {
-                    // Consume the whole run up to the next quote or
-                    // backslash as one slice. Both are ASCII, so the run
-                    // ends on a char boundary of the input `&str`, and each
-                    // byte is scanned once however long the string is.
-                    let rest = &self.bytes[self.pos..];
-                    let len = rest
-                        .iter()
-                        .position(|&b| b == b'"' || b == b'\\')
-                        .unwrap_or(rest.len());
-                    let run = std::str::from_utf8(&rest[..len]).map_err(|e| e.to_string())?;
-                    out.push_str(run);
-                    self.pos += len;
+                    let run = self.pos;
+                    self.skip_run();
+                    out.push_str(&self.src[run..self.pos]);
                 }
             }
         }
     }
 
-    fn number(&mut self) -> Result<Json, String> {
+    /// Decode the escape at the backslash under the cursor onto `out`.
+    fn escape(&mut self, out: &mut String) -> Result<(), String> {
+        self.pos += 1;
+        let c = match self.peek() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'u') => {
+                self.pos += 1;
+                let hi = self.hex4()?;
+                let c = if (0xD800..0xDC00).contains(&hi) {
+                    // Surrogate pair: a second \uXXXX must follow.
+                    if self.peek() != Some(b'\\') {
+                        return Err("lone high surrogate".to_owned());
+                    }
+                    self.pos += 1;
+                    self.expect_byte(b'u')?;
+                    let lo = self.hex4()?;
+                    let cp =
+                        0x10000 + ((hi as u32 - 0xD800) << 10) + (lo as u32).wrapping_sub(0xDC00);
+                    char::from_u32(cp).ok_or("invalid surrogate pair")?
+                } else {
+                    char::from_u32(hi as u32).ok_or("invalid \\u escape")?
+                };
+                out.push(c);
+                return Ok(());
+            }
+            _ => return Err(format!("bad escape at byte {}", self.pos)),
+        };
+        out.push(c);
+        self.pos += 1;
+        Ok(())
+    }
+
+    fn number(&mut self) -> Result<Token<'a>, String> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        let negative = self.peek() == Some(b'-');
+        if negative {
             self.pos += 1;
         }
         let mut is_float = false;
+        // The digits' value as they are scanned; `None` past `u64`.
+        let mut magnitude = Some(0u64);
         while let Some(b) = self.peek() {
             match b {
-                b'0'..=b'9' => self.pos += 1,
+                b'0'..=b'9' => {
+                    magnitude = magnitude
+                        .and_then(|m| m.checked_mul(10))
+                        .and_then(|m| m.checked_add(u64::from(b - b'0')));
+                    self.pos += 1;
+                }
                 b'.' | b'e' | b'E' | b'+' | b'-' => {
                     is_float = true;
                     self.pos += 1;
@@ -484,15 +668,22 @@ impl Parser<'_> {
                 _ => break,
             }
         }
-        let text =
-            std::str::from_utf8(&self.bytes[start..self.pos]).expect("number bytes are ASCII");
-        if !is_float {
-            if let Ok(i) = text.parse::<i64>() {
-                return Ok(Json::Int(i));
+        let text = &self.src[start..self.pos];
+        // What `text.parse::<i64>()` gives: at least one digit, in range.
+        if !is_float && text.len() > usize::from(negative) {
+            let int = magnitude.and_then(|m| {
+                if negative {
+                    0i64.checked_sub_unsigned(m)
+                } else {
+                    i64::try_from(m).ok()
+                }
+            });
+            if let Some(i) = int {
+                return Ok(Token::Int(i));
             }
         }
         text.parse::<f64>()
-            .map(Json::Num)
+            .map(Token::Num)
             .map_err(|_| format!("invalid number `{text}` at byte {start}"))
     }
 }
@@ -742,6 +933,64 @@ mod tests {
         let want = format!("{run}é{run}😀{run}中/{run}");
         assert_eq!(Json::parse(&escaped), Ok(Json::Str(want)));
         assert!(Json::parse(&format!("\"{run}")).is_err(), "unterminated");
+    }
+
+    #[test]
+    fn integers_read_and_write_as_std_does() {
+        for i in [0, 7, -1, 10, -10, 4_000_000_007, i64::MAX, i64::MIN] {
+            assert_eq!(Json::Int(i).render_compact(), i.to_string());
+            assert_eq!(Json::parse(&i.to_string()), Ok(Json::Int(i)));
+        }
+        assert_eq!(Json::parse("-0"), Ok(Json::Int(0)));
+        assert_eq!(Json::parse("007"), Ok(Json::Int(7)));
+        // Past `i64` a number is read as a float, as `str::parse` would.
+        assert_eq!(
+            Json::parse("9223372036854775808"),
+            Ok(Json::Num(9_223_372_036_854_775_808.0))
+        );
+        assert_eq!(
+            Json::parse("-99999999999999999999"),
+            Ok(Json::Num(-99_999_999_999_999_999_999.0))
+        );
+        assert_eq!(
+            Json::parse("-"),
+            Err("invalid number `-` at byte 0".to_owned())
+        );
+        assert_eq!(
+            Json::parse("[1,2-3]"),
+            Err("invalid number `2-3` at byte 3".to_owned())
+        );
+    }
+
+    #[test]
+    fn reader_tokens_borrow_unescaped_strings() {
+        let mut r = JsonReader::new(r#" {"k\u0041": ["v", 1, 2.5, null]} "#);
+        let mut tokens = Vec::new();
+        loop {
+            let t = r.next_token().expect("valid");
+            let done = t == Token::ObjEnd;
+            tokens.push(t);
+            if done {
+                break;
+            }
+        }
+        r.end().expect("nothing trails");
+        assert_eq!(
+            tokens,
+            [
+                Token::ObjStart,
+                Token::Key(Cow::Owned("kA".to_owned())),
+                Token::ArrStart,
+                Token::Str(Cow::Borrowed("v")),
+                Token::Int(1),
+                Token::Num(2.5),
+                Token::Null,
+                Token::ArrEnd,
+                Token::ObjEnd,
+            ]
+        );
+        assert!(matches!(tokens[3], Token::Str(Cow::Borrowed(_))));
+        assert!(matches!(tokens[1], Token::Key(Cow::Owned(_))));
     }
 
     #[test]

@@ -11,22 +11,19 @@
 
 use crate::event_loop::{frame_lines, Framed};
 use crate::protocol::{
-    err_line, ok_line, parse_request, partial_line, ErrorKind, Method, Request, WireError,
-    MAX_INTERVAL_UOPS, MAX_LINE_BYTES, MAX_POINTS,
+    err_line, ok_line, parse_request, partial_line, result_line, ErrorKind, Method, Params,
+    Request, SimRequest, WireError, MAX_LINE_BYTES,
 };
 use crate::telemetry::{RequestObservation, ServeTelemetry, RECENT_DEFAULT, RECENT_MAX};
-use m3d_core::configs::{DesignPoint, MulticoreDesign};
 use m3d_core::experiments::registry::{find, run_experiments, Ctx, CtxError, ExperimentError};
 use m3d_core::experiments::RunScale;
 use m3d_core::report::{metrics_json, Json};
 use m3d_core::search::{
     chunk_json, outcome_json, run_search, SearchError, SearchOptions, SearchSpace,
 };
-use m3d_uarch::batch::{result_cache_len, SimBatch, SimInterval, SimPoint};
+use m3d_uarch::batch::{result_cache_len, SimBatch, SimPoint};
 use m3d_uarch::stats::PerfResult;
 use m3d_uarch::SimError;
-use m3d_workloads::parallel::parallel_by_name;
-use m3d_workloads::spec::spec_by_name;
 use std::io::{Read, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
@@ -67,7 +64,7 @@ const NO_INJECTED_PANIC: u64 = u64::MAX;
 static INJECTED_PANIC_SEED: std::sync::atomic::AtomicU64 =
     std::sync::atomic::AtomicU64::new(NO_INJECTED_PANIC);
 
-/// Test hook: arm [`Engine::sim_group`] and the memo-hit path to
+/// Test hook: arm the `sim` batch path and the memo-hit path to
 /// panic whenever a request carries a point with this exact seed (`None`
 /// disarms). The serve tests use it to prove a panicking request is
 /// answered with the `panic` error kind and leaves the worker pool (or,
@@ -81,11 +78,11 @@ pub fn inject_sim_panic_seed(seed: Option<u64>) {
 }
 
 /// Panic if [`inject_sim_panic_seed`] armed a seed one of `reqs` carries.
-fn injected_panic_check(reqs: &[&SimRequest]) {
+fn injected_panic_check<'a>(reqs: impl IntoIterator<Item = &'a SimRequest>) {
     let armed = INJECTED_PANIC_SEED.load(std::sync::atomic::Ordering::SeqCst);
     if armed != NO_INJECTED_PANIC
         && reqs
-            .iter()
+            .into_iter()
             .any(|r| r.points.iter().any(|p| p.seed == armed))
     {
         panic!("injected sim panic (seed {armed})");
@@ -212,60 +209,35 @@ impl ReqMeta {
                 _ => {}
             }
         }
-        let total_us = (self.received.elapsed().as_secs_f64() * 1e6) as u64;
+        let now = Instant::now();
+        let total_us = micros(now.saturating_duration_since(self.received));
         if delivered {
-            m3d_obs::record("serve.latency_us", total_us as f64);
+            m3d_obs::record("serve.latency_us", total_us);
         }
-        telemetry.observe(RequestObservation {
-            id: self.id,
-            method: self.method,
-            req_bytes: self.req_bytes,
-            resp_bytes: line.len() as u64,
-            queue_us,
-            total_us,
-            batch,
-            outcome: match outcome {
-                _ if !delivered => "write_error",
-                None => "ok",
-                Some(kind) => kind.wire_name(),
+        telemetry.observe(
+            now,
+            RequestObservation {
+                id: self.id,
+                method: self.method,
+                req_bytes: self.req_bytes,
+                resp_bytes: line.len() as u64,
+                queue_us,
+                total_us,
+                batch,
+                outcome: match outcome {
+                    _ if !delivered => "write_error",
+                    None => "ok",
+                    Some(kind) => kind.wire_name(),
+                },
             },
-        });
+        );
     }
 }
 
-/// A parsed `sim` request: the point list plus the strictness flag.
-#[derive(Debug, Clone)]
-pub struct SimRequest {
-    /// Points to evaluate, in request order.
-    pub points: Vec<SimPoint>,
-    /// Fail with `cap_exhausted` if any point hits the livelock cap.
-    pub strict: bool,
-}
-
-/// Parse `sim` params (a single point object or `{"points": [...]}`).
-pub fn parse_sim_params(params: &Json) -> Result<SimRequest, WireError> {
-    let strict = match params.get("strict") {
-        None | Some(Json::Null) => false,
-        Some(Json::Bool(b)) => *b,
-        Some(_) => return Err(WireError::bad_request("`strict` must be a boolean")),
-    };
-    let points: Vec<SimPoint> = match params.get("points") {
-        Some(Json::Arr(items)) => {
-            if items.is_empty() || items.len() > MAX_POINTS {
-                return Err(WireError::bad_request(format!(
-                    "`points` must hold 1..={MAX_POINTS} entries, got {}",
-                    items.len()
-                )));
-            }
-            items
-                .iter()
-                .map(parse_sim_point)
-                .collect::<Result<_, _>>()?
-        }
-        Some(_) => return Err(WireError::bad_request("`points` must be an array")),
-        None => vec![parse_sim_point(params)?],
-    };
-    Ok(SimRequest { points, strict })
+/// A duration in microseconds, fractions included: a few-µs request
+/// records 2.6, not a truncated 2.
+fn micros(d: Duration) -> f64 {
+    d.as_secs_f64() * 1e6
 }
 
 fn get_u64(obj: &Json, key: &str) -> Result<Option<u64>, WireError> {
@@ -276,71 +248,6 @@ fn get_u64(obj: &Json, key: &str) -> Result<Option<u64>, WireError> {
             "`{key}` must be a non-negative integer"
         ))),
     }
-}
-
-fn parse_sim_point(p: &Json) -> Result<SimPoint, WireError> {
-    let app = match p.get("app") {
-        Some(Json::Str(s)) => s.as_str(),
-        _ => return Err(WireError::bad_request("each point needs a string `app`")),
-    };
-    let design = match p.get("design") {
-        None | Some(Json::Null) => "Base",
-        Some(Json::Str(s)) => s.as_str(),
-        Some(_) => return Err(WireError::bad_request("`design` must be a string")),
-    };
-    let n_cores = get_u64(p, "n_cores")?.unwrap_or(1) as usize;
-    if n_cores == 0 {
-        return Err(WireError::bad_request("`n_cores` must be at least 1"));
-    }
-    let seed = get_u64(p, "seed")?.unwrap_or(0);
-    let warmup = get_u64(p, "warmup")?.unwrap_or(0);
-    let measure = match get_u64(p, "measure")? {
-        Some(m) if m > 0 => m,
-        _ => {
-            return Err(WireError::bad_request(
-                "each point needs a positive `measure` window",
-            ));
-        }
-    };
-    if warmup + measure > MAX_INTERVAL_UOPS {
-        return Err(WireError::bad_request(format!(
-            "warmup + measure exceeds the {MAX_INTERVAL_UOPS} µop per-point cap"
-        )));
-    }
-    let (profile, mut config) = if n_cores == 1 {
-        let profile = spec_by_name(app)
-            .ok_or_else(|| WireError::bad_request(format!("unknown single-core app `{app}`")))?;
-        let dp = DesignPoint::ALL
-            .iter()
-            .find(|d| d.label() == design)
-            .ok_or_else(|| {
-                WireError::bad_request(format!("unknown single-core design `{design}`"))
-            })?;
-        (profile, dp.core_config())
-    } else {
-        let profile = parallel_by_name(app)
-            .ok_or_else(|| WireError::bad_request(format!("unknown parallel app `{app}`")))?;
-        let md = MulticoreDesign::ALL
-            .iter()
-            .find(|d| d.label() == design)
-            .ok_or_else(|| {
-                WireError::bad_request(format!("unknown multicore design `{design}`"))
-            })?;
-        (profile, md.core_config())
-    };
-    match p.get("freq_ghz") {
-        None | Some(Json::Null) => {}
-        Some(Json::Num(f)) => config = config.with_frequency(*f),
-        Some(Json::Int(i)) => config = config.with_frequency(*i as f64),
-        Some(_) => return Err(WireError::bad_request("`freq_ghz` must be a number")),
-    }
-    Ok(SimPoint {
-        config,
-        profile,
-        seed,
-        n_cores,
-        interval: SimInterval { warmup, measure },
-    })
 }
 
 /// The engine: process-wide warm state plus the handlers for every method.
@@ -393,19 +300,23 @@ impl Engine {
         self.telemetry.set_slow_ms(ms);
     }
 
-    /// Answer a group of `sim` requests with **one** batch submission:
-    /// their point lists are concatenated, so requests sharing a warm key
-    /// share a warm-up checkpoint, then the results are split back per
-    /// request. Each response is a pure function of its own request's
-    /// point list (results are per-point; no batch-wide statistics leak
-    /// in), which keeps coalesced answers byte-identical to serial ones.
-    pub fn sim_group(
+    /// Answer a group of `sim` requests, each given with its id, with
+    /// **one** batch submission: their point lists are concatenated, so
+    /// requests sharing a warm key share a warm-up checkpoint, then the
+    /// results are split back per request into reply lines. Each reply is
+    /// a pure function of its own request's point list (results are
+    /// per-point; no batch-wide statistics leak in), which keeps coalesced
+    /// answers byte-identical to serial ones.
+    pub(crate) fn sim_group(
         &self,
-        reqs: &[&SimRequest],
+        reqs: &[(i64, &SimRequest)],
         deadline: Option<Instant>,
-    ) -> Vec<Result<Json, WireError>> {
-        injected_panic_check(reqs);
-        let all: Vec<SimPoint> = reqs.iter().flat_map(|r| r.points.iter().cloned()).collect();
+    ) -> Vec<(String, Option<ErrorKind>)> {
+        injected_panic_check(reqs.iter().map(|(_, r)| *r));
+        let all: Vec<SimPoint> = reqs
+            .iter()
+            .flat_map(|(_, r)| r.points.iter().cloned())
+            .collect();
         let mut batch = SimBatch::new(self.ctx.jobs());
         if let Some(d) = deadline {
             batch = batch.with_deadline(d);
@@ -413,33 +324,52 @@ impl Engine {
         let results = batch.run(&all);
         let mut offset = 0;
         reqs.iter()
-            .map(|req| {
+            .map(|&(id, req)| {
                 let slice = &results[offset..offset + req.points.len()];
                 offset += req.points.len();
-                sim_response(slice.iter().map(Result::as_ref), req.strict)
+                sim_reply(id, slice.iter().map(Result::as_ref), req.strict)
             })
             .collect()
     }
 
     /// The memo-hit path, which every serving mode tries first for a
-    /// `sim`: answer the request from the memo cache alone when every one
-    /// of its points is cached — the same reply [`Engine::sim_group`]
-    /// would give, with the same `uarch.batch.*` counts, but without a
-    /// batch submission — behind the panic guard, counted in
-    /// `serve.inline_hits`. `None` on any miss, with nothing counted; the
-    /// caller then takes the full path. Deadlines do not apply (memo hits
-    /// are served past a deadline anyway); `strict` does.
-    pub(crate) fn sim_hit(&self, req: &SimRequest) -> Option<Result<Json, WireError>> {
+    /// `sim`: answer request `id` from the memo cache alone when every one
+    /// of its points is cached — the same reply line
+    /// [`Engine::sim_group`] would give, with the same `uarch.batch.*`
+    /// counts, but without a batch submission — behind the panic guard,
+    /// counted in `serve.inline_hits`. `None` on any miss, with nothing
+    /// counted; the caller then takes the full path. Deadlines do not
+    /// apply (memo hits are served past a deadline anyway); `strict` does.
+    pub(crate) fn sim_hit(&self, id: i64, req: &SimRequest) -> Option<(String, Option<ErrorKind>)> {
         let hit = guarded(|| {
             let hits = SimBatch::new(self.ctx.jobs()).run_cached(&req.points)?;
-            injected_panic_check(&[req]);
-            Some(sim_response(hits.iter().map(Ok), req.strict))
+            injected_panic_check([req]);
+            Some(sim_reply(id, hits.iter().map(Ok), req.strict))
         })
-        .unwrap_or_else(|e| Some(Err(e)));
+        .unwrap_or_else(|e| Some(reply_line(id, Err(e))));
         if hit.is_some() {
             m3d_obs::add("serve.inline_hits", 1);
         }
         hit
+    }
+
+    /// Answer one `sim` alone: its params' error, else a memo hit, else a
+    /// batch run of its points behind the panic guard.
+    fn sim(
+        &self,
+        id: i64,
+        sim: Result<SimRequest, WireError>,
+        deadline: Option<Instant>,
+    ) -> (String, Option<ErrorKind>) {
+        let sim = match sim {
+            Ok(sim) => sim,
+            Err(e) => return reply_line(id, Err(e)),
+        };
+        self.sim_hit(id, &sim).unwrap_or_else(|| {
+            guarded(|| self.sim_group(&[(id, &sim)], deadline).pop())
+                .map(|reply| reply.expect("one request in, one reply out"))
+                .unwrap_or_else(|e| reply_line(id, Err(e)))
+        })
     }
 
     /// The planned design space as JSON (computing it on first use; the
@@ -549,21 +479,19 @@ impl Engine {
             Ok(admitted) => admitted,
             Err(reply) => return reply,
         };
-        let result = guarded(|| match req.method {
-            Method::Sim => parse_sim_params(&req.params).and_then(|sim| {
-                self.sim_hit(&sim).unwrap_or_else(|| {
-                    self.sim_group(&[&sim], meta.deadline)
-                        .pop()
-                        .expect("one request in, one response out")
-                })
-            }),
-            Method::Experiment | Method::Plan => self.run_task(&meta, &req.params, emit),
-            Method::Planner => Ok(self.planner()),
-            Method::Stats => Ok(self.stats()),
-            Method::Telemetry => self.telemetry(&req.params),
-        })
-        .unwrap_or_else(Err);
-        let (reply, outcome) = reply_line(req.id, result);
+        let (reply, outcome) = match req.params {
+            Params::Sim(sim) => self.sim(req.id, sim, meta.deadline),
+            Params::Tree(params) => {
+                let result = guarded(|| match req.method {
+                    Method::Experiment | Method::Plan => self.run_task(&meta, &params, emit),
+                    Method::Planner => Ok(self.planner()),
+                    Method::Stats => Ok(self.stats()),
+                    Method::Telemetry => self.telemetry(&params),
+                    Method::Sim => unreachable!("a `sim`'s params are read into points"),
+                });
+                reply_line(req.id, result.unwrap_or_else(Err))
+            }
+        };
         meta.complete(&self.telemetry, &reply, outcome, true, 0, 1);
         reply
     }
@@ -597,7 +525,7 @@ impl Engine {
         mut input: impl Read,
         mut output: impl Write,
     ) -> std::io::Result<()> {
-        let (mut rbuf, mut discarding, mut framed) = (Vec::new(), false, Vec::new());
+        let (mut rbuf, mut discarding) = (Vec::new(), false);
         let mut chunk = [0u8; 16 * 1024];
         loop {
             let n = match input.read(&mut chunk) {
@@ -606,9 +534,11 @@ impl Engine {
                 Err(e) => return Err(e),
             };
             rbuf.extend_from_slice(if n == 0 { b"\n" } else { &chunk[..n] });
-            frame_lines(&mut rbuf, &mut discarding, MAX_LINE_BYTES, &mut framed);
-            for line in framed.drain(..) {
-                let mut failed = None;
+            let mut failed = None;
+            frame_lines(&mut rbuf, &mut discarding, MAX_LINE_BYTES, |line| {
+                if failed.is_some() {
+                    return;
+                }
                 let reply = match line {
                     Framed::Line(line) => self.answer(&line, |partial| {
                         let written = writeln!(output, "{partial}").and_then(|()| output.flush());
@@ -616,11 +546,13 @@ impl Engine {
                     }),
                     Framed::Oversized => admit_oversized(),
                 };
-                if let Some(e) = failed {
-                    return Err(e);
+                if failed.is_none() {
+                    let written = writeln!(output, "{reply}").and_then(|()| output.flush());
+                    failed = written.err();
                 }
-                writeln!(output, "{reply}")?;
-                output.flush()?;
+            });
+            if let Some(e) = failed {
+                return Err(e);
             }
             if n == 0 {
                 return Ok(());
@@ -694,46 +626,79 @@ fn plan_error(e: SearchError) -> WireError {
     WireError::new(kind, e.to_string())
 }
 
-/// Render one `sim` request's results. Fails as a whole (never partially)
-/// so a response is either every point's result or one structured error:
-/// retrying a failed request cannot double-apply anything.
-fn sim_response<'a>(
-    results: impl ExactSizeIterator<Item = Result<&'a PerfResult, &'a SimError>>,
+/// Render one `sim` request's reply line, writing each result row
+/// straight into it. Fails as a whole (never partially) so a response is
+/// either every point's result or one structured error: retrying a
+/// failed request cannot double-apply anything.
+fn sim_reply<'a>(
+    id: i64,
+    results: impl Iterator<Item = Result<&'a PerfResult, &'a SimError>> + Clone,
     strict: bool,
-) -> Result<Json, WireError> {
-    let mut rows = Vec::with_capacity(results.len());
+) -> (String, Option<ErrorKind>) {
     let mut capped = 0u64;
-    for r in results {
-        match r {
+    for r in results.clone() {
+        let e = match r {
             Ok(p) => {
-                if p.cap_exhausted {
-                    capped += 1;
-                }
-                rows.push(Json::obj([
-                    ("cycles", Json::from(p.cycles)),
-                    ("instructions", Json::from(p.instructions)),
-                    ("ipc", Json::from(p.ipc())),
-                    ("freq_ghz", Json::from(p.freq_ghz)),
-                    ("time_s", Json::from(p.time_s())),
-                    ("cap_exhausted", Json::from(p.cap_exhausted)),
-                ]));
+                capped += u64::from(p.cap_exhausted);
+                continue;
             }
             Err(SimError::DeadlineExceeded) => {
-                return Err(WireError::new(
-                    ErrorKind::Deadline,
-                    SimError::DeadlineExceeded.to_string(),
-                ));
+                WireError::new(ErrorKind::Deadline, SimError::DeadlineExceeded.to_string())
             }
-            Err(e) => {
-                return Err(WireError::from(&ExperimentError::Invalid(e.clone())));
-            }
-        }
+            Err(e) => WireError::from(&ExperimentError::Invalid(e.clone())),
+        };
+        return reply_line(id, Err(e));
     }
     if strict && capped > 0 {
-        return Err(WireError::from(&ExperimentError::CapExhausted {
+        let e = WireError::from(&ExperimentError::CapExhausted {
             experiment: "sim".to_owned(),
             points: capped,
-        }));
+        });
+        return reply_line(id, Err(e));
     }
-    Ok(Json::obj([("results", Json::Arr(rows))]))
+    let line = result_line(id, "", |out| {
+        out.push_str(r#"{"results":["#);
+        for (i, p) in results.flatten().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            write_row(out, p);
+        }
+        out.push_str("]}");
+    });
+    (line, None)
+}
+
+/// Append one result row: the bytes `Json::write_compact` gives the
+/// six-member object, written member by member.
+fn write_row(out: &mut String, p: &PerfResult) {
+    let members = [
+        ("cycles", Json::from(p.cycles)),
+        ("instructions", Json::from(p.instructions)),
+        ("ipc", Json::from(p.ipc())),
+        ("freq_ghz", Json::from(p.freq_ghz)),
+        ("time_s", Json::from(p.time_s())),
+        ("cap_exhausted", Json::from(p.cap_exhausted)),
+    ];
+    for (i, (key, v)) in members.iter().enumerate() {
+        out.push_str(if i == 0 { "{\"" } else { ",\"" });
+        out.push_str(key);
+        out.push_str("\":");
+        v.write_compact(out);
+    }
+    out.push('}');
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn latency_keeps_fractional_microseconds() {
+        let us = micros(Duration::from_nanos(2_600));
+        assert!(
+            (us - 2.6).abs() < 1e-9,
+            "a 2.6 µs request records {us}, not 2"
+        );
+    }
 }

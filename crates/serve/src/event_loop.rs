@@ -26,14 +26,15 @@
 
 use crate::protocol::MAX_LINE_BYTES;
 use crate::sys;
+use std::borrow::Cow;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use std::vec::Drain;
 
 /// Event-loop token of the listening socket.
 const TOKEN_LISTENER: u64 = 0;
@@ -67,16 +68,18 @@ impl Role {
 
 /// One framed unit of input.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum Framed {
-    /// A complete non-blank line, without its `\n` and trailing `\r`s.
-    Line(String),
+pub(crate) enum Framed<'a> {
+    /// A complete non-blank line, without its `\n` and trailing `\r`s:
+    /// borrowed from the read buffer, or repaired (each invalid UTF-8
+    /// sequence replaced by U+FFFD) when it is not UTF-8.
+    Line(Cow<'a, str>),
     /// A line over the connection's cap; it is reported once and its tail
     /// is discarded up to the next newline.
     Oversized,
 }
 
-/// Frame every complete line out of `rbuf` onto the end of `out`, leaving
-/// the unfinished tail.
+/// Frame every complete line out of `rbuf`, handing each to `each` in
+/// order, and leave the unfinished tail.
 ///
 /// Blank lines are skipped. A completed line longer than `cap` bytes is
 /// [`Framed::Oversized`]; so is an unfinished tail that already exceeds
@@ -87,7 +90,7 @@ pub(crate) fn frame_lines(
     rbuf: &mut Vec<u8>,
     discarding: &mut bool,
     cap: usize,
-    out: &mut Vec<Framed>,
+    mut each: impl FnMut(Framed<'_>),
 ) {
     let mut start = 0;
     while let Some(len) = rbuf[start..].iter().position(|&b| b == b'\n') {
@@ -97,13 +100,15 @@ pub(crate) fn frame_lines(
             continue;
         }
         if line.len() > cap {
-            out.push(Framed::Oversized);
+            each(Framed::Oversized);
             continue;
         }
-        let text = String::from_utf8_lossy(line);
-        let text = text.trim_end_matches('\r');
+        // A `\r` byte is never part of a multi-byte sequence, so trimming
+        // before the UTF-8 check trims what trimming the text would.
+        let end = line.iter().rposition(|&b| b != b'\r').map_or(0, |i| i + 1);
+        let text = String::from_utf8_lossy(&line[..end]);
         if !text.trim().is_empty() {
-            out.push(Framed::Line(text.to_owned()));
+            each(Framed::Line(text));
         }
     }
     rbuf.drain(..start);
@@ -111,9 +116,32 @@ pub(crate) fn frame_lines(
         // Still inside an oversized line's tail: nothing here is kept.
         rbuf.clear();
     } else if rbuf.len() > cap {
-        out.push(Framed::Oversized);
+        each(Framed::Oversized);
         rbuf.clear();
         *discarding = true;
+    }
+}
+
+/// A map keyed by connection token. Tokens are integers the loop hands
+/// out in sequence, not keys a peer chooses, so one multiply spreads them
+/// over the table; SipHash would guard against nothing here.
+pub(crate) type TokenMap<V> = HashMap<u64, V, BuildHasherDefault<TokenHasher>>;
+
+/// The [`TokenMap`] hasher: a Fibonacci multiply of the token.
+#[derive(Debug, Default)]
+pub(crate) struct TokenHasher(u64);
+
+impl Hasher for TokenHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("a token hashes as one u64 word");
+    }
+
+    fn write_u64(&mut self, token: u64) {
+        self.0 = token.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 
@@ -150,34 +178,21 @@ impl LineConn {
         self.closed_at.get_or_insert_with(Instant::now);
     }
 
-    /// Read through `chunk` until a read comes back short (or EOF, or the
-    /// socket would block), and frame what arrived onto `lines`.
-    ///
-    /// A short read took everything the socket held, so another read
-    /// would only return `EAGAIN`; whatever arrives later, EOF included,
-    /// keeps the socket readable and level-triggered epoll reports it on
-    /// the next turn. A full chunk keeps the loop reading, so one call
-    /// still takes everything that was buffered when it started.
-    fn read_lines(&mut self, chunk: &mut [u8], lines: &mut Vec<Framed>) {
+    /// Read once into `chunk`: the byte count, or `None` once the peer
+    /// closed, the read failed or the socket would block.
+    fn read_chunk(&mut self, chunk: &mut [u8]) -> Option<usize> {
         loop {
             match self.stream.read(chunk) {
                 Ok(0) => {
                     self.close_read();
-                    break;
+                    return None;
                 }
-                Ok(n) => {
-                    self.rbuf.extend_from_slice(&chunk[..n]);
-                    let cap = self.role.line_cap();
-                    frame_lines(&mut self.rbuf, &mut self.discarding, cap, lines);
-                    if n < chunk.len() {
-                        break;
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                Ok(n) => return Some(n),
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return None,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(_) => {
                     self.close_read();
-                    break;
+                    return None;
                 }
             }
         }
@@ -212,7 +227,7 @@ impl LineConn {
 /// they are registered with. Handlers queue output through it.
 pub(crate) struct Conns {
     epoll: sys::Epoll,
-    map: HashMap<u64, LineConn>,
+    map: TokenMap<LineConn>,
     next_token: u64,
 }
 
@@ -255,7 +270,15 @@ impl Conns {
 
     /// Queue one line (a `\n` is appended) for `token`.
     pub(crate) fn send_line(&mut self, token: u64, line: &str) -> bool {
-        self.send(token, line.as_bytes()) && self.send(token, b"\n")
+        match self.map.get_mut(&token) {
+            Some(c) => {
+                c.wbuf.reserve(line.len() + 1);
+                c.wbuf.extend_from_slice(line.as_bytes());
+                c.wbuf.push(b'\n');
+                true
+            }
+            None => false,
+        }
     }
 
     /// Drop a connection the handler has given up on; closing the socket
@@ -286,8 +309,8 @@ impl Conns {
 
 /// What the daemon and the router plug into the loop.
 pub(crate) trait Handler {
-    /// Lines framed from `token`'s input, in arrival order.
-    fn on_input(&mut self, conns: &mut Conns, token: u64, lines: Drain<'_, Framed>);
+    /// One line framed from `token`'s input; lines come in arrival order.
+    fn on_line(&mut self, conns: &mut Conns, token: u64, line: Framed<'_>);
     /// Once per loop turn, after the events and before the flush: move
     /// output produced off the loop thread into the connections.
     fn on_tick(&mut self, _conns: &mut Conns) {}
@@ -345,9 +368,6 @@ pub(crate) struct EventLoop {
     /// `None` once the drain has taken its final accept sweep.
     listener: Option<TcpListener>,
     waker: Arc<Waker>,
-    /// Lines framed from one read, handed to the handler; kept between
-    /// reads so framing allocates no list per read.
-    framed: Vec<Framed>,
     /// Every connection's reads land here first: one buffer, zeroed once,
     /// not a fresh 16 KiB stack array to zero per readiness event.
     chunk: Box<[u8]>,
@@ -362,12 +382,11 @@ impl EventLoop {
         Ok(EventLoop {
             conns: Conns {
                 epoll,
-                map: HashMap::new(),
+                map: TokenMap::default(),
                 next_token: FIRST_CONN_TOKEN,
             },
             listener: Some(listener),
             waker,
-            framed: Vec::new(),
             chunk: vec![0; 16 * 1024].into_boxed_slice(),
         })
     }
@@ -468,16 +487,40 @@ impl EventLoop {
         self.conns.update_interest(token);
     }
 
-    /// Read and frame `token`'s input and hand it to the handler. An
-    /// upstream that stopped sending is closed once its last lines are in.
+    /// Read and frame `token`'s input and hand each line to the handler,
+    /// straight from the connection's read buffer. Reads go on until one
+    /// comes back short: a short read took everything the socket held,
+    /// so another would only return `EAGAIN`; whatever arrives later, EOF
+    /// included, keeps the socket readable and level-triggered epoll
+    /// reports it on the next turn. A full chunk keeps the loop reading,
+    /// so one call still takes everything that was buffered when it
+    /// started. An upstream that stopped sending is closed once its last
+    /// lines are in.
     fn read(&mut self, h: &mut impl Handler, token: u64) {
         let Some(c) = self.conns.map.get_mut(&token) else {
             return;
         };
-        c.read_lines(&mut self.chunk, &mut self.framed);
-        let upstream_gone = c.role == Role::Upstream && c.read_closed;
-        if !self.framed.is_empty() {
-            h.on_input(&mut self.conns, token, self.framed.drain(..));
+        // The buffer leaves the connection while the handler, which may
+        // queue output on any connection, runs over its lines.
+        let (mut rbuf, mut discarding, cap) =
+            (std::mem::take(&mut c.rbuf), c.discarding, c.role.line_cap());
+        let mut upstream_gone = false;
+        while let Some(c) = self.conns.map.get_mut(&token) {
+            let Some(n) = c.read_chunk(&mut self.chunk) else {
+                upstream_gone = c.role == Role::Upstream && c.read_closed;
+                break;
+            };
+            rbuf.extend_from_slice(&self.chunk[..n]);
+            let conns = &mut self.conns;
+            frame_lines(&mut rbuf, &mut discarding, cap, |line| {
+                h.on_line(conns, token, line);
+            });
+            if n < self.chunk.len() {
+                break;
+            }
+        }
+        if let Some(c) = self.conns.map.get_mut(&token) {
+            (c.rbuf, c.discarding) = (rbuf, discarding);
         }
         if upstream_gone {
             self.close(h, token);
@@ -597,13 +640,18 @@ mod tests {
     use proptest::prelude::*;
 
     /// Feed `stream` to the framer in pieces ending at `cuts`.
-    fn frame_split(stream: &[u8], cuts: &[usize], cap: usize) -> Vec<Framed> {
+    fn frame_split(stream: &[u8], cuts: &[usize], cap: usize) -> Vec<Framed<'static>> {
         let (mut rbuf, mut discarding, mut out) = (Vec::new(), false, Vec::new());
         let mut at = 0;
         for &cut in cuts.iter().chain([&stream.len()]) {
             let cut = cut.clamp(at, stream.len());
             rbuf.extend_from_slice(&stream[at..cut]);
-            frame_lines(&mut rbuf, &mut discarding, cap, &mut out);
+            frame_lines(&mut rbuf, &mut discarding, cap, |f| {
+                out.push(match f {
+                    Framed::Line(l) => Framed::Line(Cow::Owned(l.into_owned())),
+                    Framed::Oversized => Framed::Oversized,
+                })
+            });
             at = cut;
         }
         out
@@ -649,7 +697,7 @@ mod tests {
     fn framing_rules() {
         let cap = 8;
         let frame = |s: &[u8]| frame_split(s, &[], cap);
-        let line = |s: &str| Framed::Line(s.to_owned());
+        let line = |s: &str| Framed::Line(Cow::Owned(s.to_owned()));
         assert_eq!(frame(b"a\n\n \r\nb\r\r\nc"), vec![line("a"), line("b")]);
         // A completed line over the cap, then resync.
         assert_eq!(

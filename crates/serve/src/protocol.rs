@@ -40,7 +40,7 @@
 //!
 //! ```text
 //! {"app": "Gcc", "design": "Base", "seed": 0, "n_cores": 1,
-//!  "warmup": 5000, "measure": 4000, "freq_ghz": 3.3 (optional)}
+//!  "warmup": 5000, "measure": 4000, "freq_ghz": 3.3 (optional, positive)}
 //! ```
 //!
 //! `design` names a paper design point (`Base`, `TSV3D`, `M3D-Iso`,
@@ -59,9 +59,14 @@
 //! round-trips through [`ErrorKind::wire_name`] /
 //! [`ErrorKind::from_wire`].
 
+use m3d_core::configs::{DesignPoint, MulticoreDesign};
 use m3d_core::experiments::registry::ExperimentError;
-use m3d_core::report::Json;
-use std::fmt::Write as _;
+use m3d_core::report::{Json, JsonReader, Token};
+use m3d_uarch::batch::{SimInterval, SimPoint};
+use m3d_workloads::parallel::parallel_profile;
+use m3d_workloads::spec::spec_profile;
+use std::borrow::Cow;
+use std::ops::Range;
 
 /// Hard cap on one request line, bytes (including the newline). Longer
 /// lines are answered with an `oversized` error and discarded.
@@ -251,43 +256,65 @@ pub struct Request {
     pub id: i64,
     /// What to do.
     pub method: Method,
-    /// Method parameters (an empty object if absent).
-    pub params: Json,
+    /// Method parameters.
+    pub params: Params,
     /// Optional deadline, milliseconds from receipt.
     pub deadline_ms: Option<u64>,
 }
 
+/// A request's parameters.
+#[derive(Debug, Clone)]
+pub enum Params {
+    /// A `sim`'s points, read straight from the line into simulation
+    /// points, or the error its params earn.
+    Sim(Result<SimRequest, WireError>),
+    /// The `params` object of any other method (an empty object if
+    /// absent).
+    Tree(Json),
+}
+
+/// A parsed `sim` request: the point list plus the strictness flag.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SimRequest {
+    /// Points to evaluate, in request order.
+    pub points: Vec<SimPoint>,
+    /// Fail with `cap_exhausted` if any point hits the livelock cap.
+    pub strict: bool,
+}
+
 /// Parse one request line. On failure, returns the id if one was readable
 /// (so the error response can still be correlated) plus the error.
+///
+/// The line is read once with [`JsonReader`], keeping the first
+/// occurrence of each member as [`Json::get`] would find it: a `sim`'s
+/// params go straight into its points, any other method's into a
+/// [`Json`] tree. Nothing is checked until the whole line is known to be
+/// JSON, and the checks run in a fixed order (`id`, `method`,
+/// `deadline_ms`, `params`, then a `sim`'s `strict`, `points` and each
+/// point's members), so which error a line earns does not depend on the
+/// order of its members.
 pub fn parse_request(line: &str) -> Result<Request, (Option<i64>, WireError)> {
-    let mut v = Json::parse(line).map_err(|e| {
+    let parse = |e: String| {
         (
             None,
             WireError::new(ErrorKind::Parse, format!("invalid JSON: {e}")),
         )
-    })?;
-    let Json::Obj(fields) = &mut v else {
+    };
+    let Some(env) = read_envelope(line).map_err(parse)? else {
         return Err((
             None,
             WireError::bad_request("request must be a JSON object"),
         ));
     };
-    // Move the member `get` would find out of the parsed line instead of
-    // copying it. `remove` keeps the other members in order, so the
-    // lookups below find what they would have found.
-    let params = fields
-        .iter()
-        .position(|(k, _)| k == "params")
-        .map(|i| fields.remove(i).1);
-    let id = match v.get("id") {
-        Some(Json::Int(i)) => *i,
+    let id = match env.id {
+        Some(Val::Int(i)) => i,
         Some(_) => {
             return Err((None, WireError::bad_request("`id` must be an integer")));
         }
         None => return Err((None, WireError::bad_request("`id` is required"))),
     };
-    let method = match v.get("method") {
-        Some(Json::Str(s)) => Method::from_name(s).ok_or_else(|| {
+    let method = match &env.method {
+        Some(Val::Str(s)) => Method::from_name(s).ok_or_else(|| {
             (
                 Some(id),
                 WireError::new(ErrorKind::UnknownMethod, format!("unknown method `{s}`")),
@@ -300,9 +327,9 @@ pub fn parse_request(line: &str) -> Result<Request, (Option<i64>, WireError)> {
             ));
         }
     };
-    let deadline_ms = match v.get("deadline_ms") {
-        None | Some(Json::Null) => None,
-        Some(Json::Int(ms)) if *ms >= 0 => Some(*ms as u64),
+    let deadline_ms = match env.deadline_ms {
+        None | Some(Val::Null) => None,
+        Some(Val::Int(ms)) if ms >= 0 => Some(ms as u64),
         Some(_) => {
             return Err((
                 Some(id),
@@ -310,14 +337,28 @@ pub fn parse_request(line: &str) -> Result<Request, (Option<i64>, WireError)> {
             ));
         }
     };
-    let params = match params {
-        None => Json::Obj(Vec::new()),
-        Some(p @ Json::Obj(_)) => p,
-        Some(_) => {
+    let params = match env.params {
+        None if method == Method::Sim => Params::Sim(sim_request(&SimFields::default())),
+        None => Params::Tree(Json::Obj(Vec::new())),
+        Some((_, ParamsRead::NotObject)) => {
             return Err((
                 Some(id),
                 WireError::bad_request("`params` must be an object"),
             ));
+        }
+        Some((_, ParamsRead::Sim(fields))) => Params::Sim(sim_request(&fields)),
+        // The member came before `method`, or the method is not `sim`:
+        // read its text again, now that the method is known. The text
+        // was read whole once, so reading it again cannot fail.
+        Some((at, ParamsRead::Later)) => {
+            let text = &line[at];
+            if method == Method::Sim {
+                let mut r = JsonReader::new(text);
+                r.next_token().map_err(parse)?;
+                Params::Sim(sim_request(&read_sim_object(&mut r, true).map_err(parse)?))
+            } else {
+                Params::Tree(Json::parse(text).map_err(parse)?)
+            }
         }
     };
     Ok(Request {
@@ -328,25 +369,335 @@ pub fn parse_request(line: &str) -> Result<Request, (Option<i64>, WireError)> {
     })
 }
 
+/// A member value as the request reader keeps it: a scalar whole, a
+/// string borrowed from the line unless it holds escapes, an array or an
+/// object only as what it is.
+#[derive(Debug, Clone, PartialEq)]
+enum Val<'a> {
+    Null,
+    Bool(bool),
+    Int(i64),
+    Num(f64),
+    Str(Cow<'a, str>),
+    Composite,
+}
+
+impl<'a> Val<'a> {
+    /// Read one whole value.
+    fn read(r: &mut JsonReader<'a>) -> Result<Val<'a>, String> {
+        Ok(match r.next_token()? {
+            Token::Null => Val::Null,
+            Token::Bool(b) => Val::Bool(b),
+            Token::Int(i) => Val::Int(i),
+            Token::Num(v) => Val::Num(v),
+            Token::Str(s) => Val::Str(s),
+            _ => {
+                r.skip_container()?;
+                Val::Composite
+            }
+        })
+    }
+}
+
+/// Read the value of a member named like `slot` into it, unless an
+/// earlier member of that name already filled it: the first occurrence
+/// wins, as with [`Json::get`].
+fn first<'a>(slot: &mut Option<Val<'a>>, r: &mut JsonReader<'a>) -> Result<(), String> {
+    if slot.is_some() {
+        r.skip_value()
+    } else {
+        *slot = Some(Val::read(r)?);
+        Ok(())
+    }
+}
+
+/// The members of a request line that its reply depends on.
+#[derive(Debug, Default)]
+struct Envelope<'a> {
+    id: Option<Val<'a>>,
+    method: Option<Val<'a>>,
+    deadline_ms: Option<Val<'a>>,
+    /// Where the value of the first `params` member lies, and what was
+    /// read of it.
+    params: Option<(Range<usize>, ParamsRead<'a>)>,
+}
+
+/// What the envelope reader made of a `params` value.
+///
+/// Unboxed on purpose: one lives on the stack per request line, and a box
+/// would cost the memo-hit path an allocation.
+#[derive(Debug)]
+#[allow(clippy::large_enum_variant)]
+enum ParamsRead<'a> {
+    /// Not an object.
+    NotObject,
+    /// An object read as a `sim`'s params: `method` was already known to
+    /// be `sim`.
+    Sim(SimFields<'a>),
+    /// An object, read once the method is known.
+    Later,
+}
+
+/// Read a whole request line; `Ok(None)` when it is JSON but not an
+/// object.
+fn read_envelope(line: &str) -> Result<Option<Envelope<'_>>, String> {
+    let mut r = JsonReader::new(line);
+    let mut env = Envelope::default();
+    match r.next_token()? {
+        Token::ObjStart => {}
+        t => {
+            if t == Token::ArrStart {
+                r.skip_container()?;
+            }
+            r.end()?;
+            return Ok(None);
+        }
+    }
+    while let Token::Key(k) = r.next_token()? {
+        match &*k {
+            "id" => first(&mut env.id, &mut r)?,
+            "method" => first(&mut env.method, &mut r)?,
+            "deadline_ms" => first(&mut env.deadline_ms, &mut r)?,
+            "params" if env.params.is_none() => {
+                let sim = matches!(&env.method, Some(Val::Str(m)) if m == "sim");
+                let start = r.pos();
+                let read = match r.next_token()? {
+                    Token::ObjStart if sim => ParamsRead::Sim(read_sim_object(&mut r, true)?),
+                    Token::ObjStart => {
+                        r.skip_container()?;
+                        ParamsRead::Later
+                    }
+                    Token::ArrStart => {
+                        r.skip_container()?;
+                        ParamsRead::NotObject
+                    }
+                    _ => ParamsRead::NotObject,
+                };
+                env.params = Some((start..r.pos(), read));
+            }
+            _ => r.skip_value()?,
+        }
+    }
+    r.end()?;
+    Ok(Some(env))
+}
+
+/// The members of a `sim`'s params object, or of one `points` entry, that
+/// its points depend on (first occurrences).
+#[derive(Debug, Default)]
+struct SimFields<'a> {
+    app: Option<Val<'a>>,
+    design: Option<Val<'a>>,
+    n_cores: Option<Val<'a>>,
+    seed: Option<Val<'a>>,
+    warmup: Option<Val<'a>>,
+    measure: Option<Val<'a>>,
+    freq_ghz: Option<Val<'a>>,
+    /// Params level only.
+    strict: Option<Val<'a>>,
+    /// Params level only.
+    points: Option<Points<'a>>,
+}
+
+/// A `points` member as read.
+#[derive(Debug)]
+enum Points<'a> {
+    /// An array of `len` entries; the first [`MAX_POINTS`] are kept (a
+    /// non-object entry has no members).
+    Entries {
+        kept: Vec<SimFields<'a>>,
+        len: usize,
+    },
+    /// Anything but an array.
+    NotArray,
+}
+
+/// Read the members of the object just opened in `r`: a `sim`'s params
+/// (`top`, where `strict` and `points` count too) or one `points` entry.
+fn read_sim_object<'a>(r: &mut JsonReader<'a>, top: bool) -> Result<SimFields<'a>, String> {
+    let mut f = SimFields::default();
+    while let Token::Key(k) = r.next_token()? {
+        let slot = match &*k {
+            "app" => &mut f.app,
+            "design" => &mut f.design,
+            "n_cores" => &mut f.n_cores,
+            "seed" => &mut f.seed,
+            "warmup" => &mut f.warmup,
+            "measure" => &mut f.measure,
+            "freq_ghz" => &mut f.freq_ghz,
+            "strict" if top => &mut f.strict,
+            "points" if top && f.points.is_none() => {
+                f.points = Some(read_points(r)?);
+                continue;
+            }
+            _ => {
+                r.skip_value()?;
+                continue;
+            }
+        };
+        first(slot, r)?;
+    }
+    Ok(f)
+}
+
+/// Read the value of a `points` member.
+fn read_points<'a>(r: &mut JsonReader<'a>) -> Result<Points<'a>, String> {
+    match r.next_token()? {
+        Token::ArrStart => {}
+        Token::ObjStart => {
+            r.skip_container()?;
+            return Ok(Points::NotArray);
+        }
+        _ => return Ok(Points::NotArray),
+    }
+    let (mut kept, mut len) = (Vec::new(), 0);
+    loop {
+        let entry = match r.next_token()? {
+            Token::ArrEnd => return Ok(Points::Entries { kept, len }),
+            Token::ObjStart => read_sim_object(r, false)?,
+            Token::ArrStart => {
+                r.skip_container()?;
+                SimFields::default()
+            }
+            _ => SimFields::default(),
+        };
+        len += 1;
+        if kept.len() < MAX_POINTS {
+            kept.push(entry);
+        }
+    }
+}
+
+/// Check a `sim`'s params (a single point, or `{"points": [...]}`).
+fn sim_request(f: &SimFields<'_>) -> Result<SimRequest, WireError> {
+    let strict = match f.strict {
+        None | Some(Val::Null) => false,
+        Some(Val::Bool(b)) => b,
+        Some(_) => return Err(WireError::bad_request("`strict` must be a boolean")),
+    };
+    let points = match &f.points {
+        Some(Points::Entries { kept, len }) => {
+            if *len == 0 || *len > MAX_POINTS {
+                return Err(WireError::bad_request(format!(
+                    "`points` must hold 1..={MAX_POINTS} entries, got {len}"
+                )));
+            }
+            kept.iter().map(sim_point).collect::<Result<_, _>>()?
+        }
+        Some(Points::NotArray) => return Err(WireError::bad_request("`points` must be an array")),
+        None => vec![sim_point(f)?],
+    };
+    Ok(SimRequest { points, strict })
+}
+
+fn non_negative(v: &Option<Val<'_>>, key: &str) -> Result<Option<u64>, WireError> {
+    match v {
+        None | Some(Val::Null) => Ok(None),
+        Some(Val::Int(i)) if *i >= 0 => Ok(Some(*i as u64)),
+        Some(_) => Err(WireError::bad_request(format!(
+            "`{key}` must be a non-negative integer"
+        ))),
+    }
+}
+
+/// Check one point's members. The profile is borrowed from the
+/// process-wide table, not copied.
+fn sim_point(p: &SimFields<'_>) -> Result<SimPoint, WireError> {
+    let app: &str = match &p.app {
+        Some(Val::Str(s)) => s,
+        _ => return Err(WireError::bad_request("each point needs a string `app`")),
+    };
+    let design: &str = match &p.design {
+        None | Some(Val::Null) => "Base",
+        Some(Val::Str(s)) => s,
+        Some(_) => return Err(WireError::bad_request("`design` must be a string")),
+    };
+    let n_cores = non_negative(&p.n_cores, "n_cores")?.unwrap_or(1) as usize;
+    if n_cores == 0 {
+        return Err(WireError::bad_request("`n_cores` must be at least 1"));
+    }
+    let seed = non_negative(&p.seed, "seed")?.unwrap_or(0);
+    let warmup = non_negative(&p.warmup, "warmup")?.unwrap_or(0);
+    let measure = match non_negative(&p.measure, "measure")? {
+        Some(m) if m > 0 => m,
+        _ => {
+            return Err(WireError::bad_request(
+                "each point needs a positive `measure` window",
+            ));
+        }
+    };
+    if warmup + measure > MAX_INTERVAL_UOPS {
+        return Err(WireError::bad_request(format!(
+            "warmup + measure exceeds the {MAX_INTERVAL_UOPS} µop per-point cap"
+        )));
+    }
+    let (profile, mut config) = if n_cores == 1 {
+        let profile = spec_profile(app)
+            .ok_or_else(|| WireError::bad_request(format!("unknown single-core app `{app}`")))?;
+        let dp = DesignPoint::ALL
+            .iter()
+            .find(|d| d.label() == design)
+            .ok_or_else(|| {
+                WireError::bad_request(format!("unknown single-core design `{design}`"))
+            })?;
+        (profile, dp.core_config())
+    } else {
+        let profile = parallel_profile(app)
+            .ok_or_else(|| WireError::bad_request(format!("unknown parallel app `{app}`")))?;
+        let md = MulticoreDesign::ALL
+            .iter()
+            .find(|d| d.label() == design)
+            .ok_or_else(|| {
+                WireError::bad_request(format!("unknown multicore design `{design}`"))
+            })?;
+        (profile, md.core_config())
+    };
+    let freq_ghz = match p.freq_ghz {
+        None | Some(Val::Null) => None,
+        Some(Val::Num(f)) => Some(f),
+        Some(Val::Int(i)) => Some(i as f64),
+        Some(_) => return Err(WireError::bad_request("`freq_ghz` must be a number")),
+    };
+    if let Some(f) = freq_ghz {
+        // Checked here, not left to the assertion in `with_frequency`:
+        // admission runs on the event loop, outside any panic guard.
+        if f.is_nan() || f <= 0.0 {
+            return Err(WireError::bad_request("`freq_ghz` must be positive"));
+        }
+        config = config.with_frequency(f);
+    }
+    Ok(SimPoint {
+        config,
+        profile: Cow::Borrowed(profile),
+        seed,
+        n_cores,
+        interval: SimInterval { warmup, measure },
+    })
+}
+
 /// Render a success response line (no trailing newline).
 pub fn ok_line(id: i64, result: Json) -> String {
-    result_line(id, "", &result)
+    result_line(id, "", |out| result.write_compact(out))
 }
 
 /// Render a `plan` partial-result line (no trailing newline): like
 /// [`ok_line`] but flagged `"partial": true`. Clients read lines for the
 /// id until one arrives without the flag.
 pub fn partial_line(id: i64, result: Json) -> String {
-    result_line(id, r#""partial":true,"#, &result)
+    result_line(id, r#""partial":true,"#, |out| result.write_compact(out))
 }
 
-/// The `{"id":…,"ok":true,<flag>"result":…}` envelope written around
-/// `result` in place: the bytes a rendered three- or four-key object
-/// would have, without building that object.
-fn result_line(id: i64, flag: &str, result: &Json) -> String {
+/// The `{"id":…,"ok":true,<flag>"result":…}` envelope written in place
+/// around the result `write_result` appends: the bytes a rendered three-
+/// or four-key object would have, without building that object.
+pub(crate) fn result_line(id: i64, flag: &str, write_result: impl FnOnce(&mut String)) -> String {
     let mut out = String::with_capacity(256);
-    let _ = write!(out, r#"{{"id":{id},"ok":true,{flag}"result":"#);
-    result.write_compact(&mut out);
+    out.push_str(r#"{"id":"#);
+    Json::Int(id).write_compact(&mut out);
+    out.push_str(r#","ok":true,"#);
+    out.push_str(flag);
+    out.push_str(r#""result":"#);
+    write_result(&mut out);
     out.push('}');
     out
 }

@@ -71,11 +71,13 @@
 //! flight.
 
 use crate::engine::{
-    admit, admit_oversized, parse_sim_params, reply_line, serve_counters_snapshot,
-    telemetry_response, ReqMeta, SERVE_COUNTERS,
+    admit, admit_oversized, reply_line, serve_counters_snapshot, telemetry_response, ReqMeta,
+    SERVE_COUNTERS,
 };
 use crate::event_loop::{Conns, EventLoop, Framed, Handler, Role, Waker};
-use crate::protocol::{err_line, request_line, ErrorKind, Method, Request, Response, WireError};
+use crate::protocol::{
+    err_line, request_line, ErrorKind, Method, Params, Request, Response, WireError,
+};
 use crate::sys;
 use crate::telemetry::{ServeTelemetry, SLOW_MS_DEFAULT};
 use m3d_core::experiments::registry::ExperimentError;
@@ -89,7 +91,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use std::vec::Drain;
 
 /// How long a spawned shard gets to report its bound address.
 const SPAWN_DEADLINE: Duration = Duration::from_secs(30);
@@ -637,23 +638,19 @@ struct Relay {
 }
 
 impl Handler for Relay {
-    fn on_input(&mut self, conns: &mut Conns, token: u64, lines: Drain<'_, Framed>) {
+    fn on_line(&mut self, conns: &mut Conns, token: u64, line: Framed<'_>) {
         if let Some(si) = self.shard_of_token(token) {
-            for framed in lines {
-                match framed {
-                    Framed::Line(line) => self.handle_upstream(conns, si, &line),
-                    Framed::Oversized => self.shard_death(conns, si),
-                }
+            match line {
+                Framed::Line(line) => self.handle_upstream(conns, si, &line),
+                Framed::Oversized => self.shard_death(conns, si),
             }
             return;
         }
-        for framed in lines {
-            match framed {
-                Framed::Line(line) => self.handle_client_line(conns, token, &line),
-                Framed::Oversized => {
-                    let entry = self.new_entry(None);
-                    self.push_done(token, entry, admit_oversized(), None);
-                }
+        match line {
+            Framed::Line(line) => self.handle_client_line(conns, token, &line),
+            Framed::Oversized => {
+                let entry = self.new_entry(None);
+                self.push_done(token, entry, admit_oversized(), None);
             }
         }
         self.pump(conns, token);
@@ -763,15 +760,17 @@ impl Relay {
             Method::Stats | Method::Telemetry => {
                 let mut entry = self.new_entry(Some(meta));
                 entry.batch = 1;
-                let result = if req.method == Method::Stats {
-                    Ok(self.stats_response())
-                } else {
-                    let uptime = self.start.elapsed().as_secs_f64();
-                    telemetry_response(&self.telemetry, uptime, &req.params)
+                let result = match &req.params {
+                    _ if req.method == Method::Stats => Ok(self.stats_response()),
+                    Params::Tree(params) => {
+                        let uptime = self.start.elapsed().as_secs_f64();
+                        telemetry_response(&self.telemetry, uptime, params)
+                    }
+                    Params::Sim(_) => unreachable!("only a `sim`'s params are read into points"),
                 };
                 self.push_result(token, entry, req.id, result);
             }
-            Method::Sim => self.route_sim(conns, token, meta, req),
+            Method::Sim => self.route_sim(conns, token, meta, req, line),
             Method::Experiment | Method::Planner | Method::Plan => {
                 self.route_whole(conns, token, meta, req)
             }
@@ -797,11 +796,15 @@ impl Relay {
         self.pending.insert(uid, p);
     }
 
-    /// Forward one request whole to the shard its content hash picks.
+    /// Forward one request with its `params` whole to the shard its
+    /// content hash picks.
     fn route_whole(&mut self, conns: &mut Conns, token: u64, meta: ReqMeta, req: Request) {
+        let Params::Tree(params) = req.params else {
+            unreachable!("only a `sim`'s params are read into points");
+        };
         let mut entry = self.new_entry(Some(meta));
         entry.batch = 1;
-        let primary = shard_of_hash(route_hash(req.method, &req.params), self.shards.len());
+        let primary = shard_of_hash(route_hash(req.method, &params), self.shards.len());
         let Some(si) = self.effective_shard(primary) else {
             let e = WireError::new(ErrorKind::ShardDown, "no live shards");
             return self.push_result(token, entry, req.id, Err(e));
@@ -816,21 +819,32 @@ impl Relay {
             cid: req.id,
             kind: PendingKind::Whole,
         };
-        self.forward(conns, pending, req.method, req.params, req.deadline_ms);
+        self.forward(conns, pending, req.method, params, req.deadline_ms);
         self.enqueue(token, entry);
     }
 
     /// Fan one `sim` out point-by-point to the shards owning each point's
-    /// key slice.
-    fn route_sim(&mut self, conns: &mut Conns, token: u64, meta: ReqMeta, req: Request) {
+    /// key slice. The shards get the client's own point objects, so the
+    /// request `line` is parsed again as a tree for them.
+    fn route_sim(
+        &mut self,
+        conns: &mut Conns,
+        token: u64,
+        meta: ReqMeta,
+        req: Request,
+        line: &str,
+    ) {
         let mut entry = self.new_entry(Some(meta));
-        let sim = match parse_sim_params(&req.params) {
-            Ok(s) => s,
-            Err(e) => return self.push_result(token, entry, req.id, Err(e)),
+        let sim = match req.params {
+            Params::Sim(Ok(s)) => s,
+            Params::Sim(Err(e)) => return self.push_result(token, entry, req.id, Err(e)),
+            Params::Tree(_) => unreachable!("a `sim`'s params are read into points"),
         };
-        let point_objs: Vec<Json> = match req.params.get("points") {
+        let tree = Json::parse(line).unwrap_or_default();
+        let params = tree.get("params").unwrap_or(&Json::Null);
+        let point_objs: Vec<Json> = match params.get("points") {
             Some(Json::Arr(items)) => items.iter().map(forwarded_point).collect(),
-            _ => vec![forwarded_point(&req.params)],
+            _ => vec![forwarded_point(params)],
         };
         entry.batch = sim.points.len() as u32;
         let mut fan = Fanout {

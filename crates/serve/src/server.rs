@@ -51,20 +51,17 @@
 //! buffered when the signal arrived therefore gets a real answer, never a
 //! silent close.
 
-use crate::engine::{
-    admit, admit_oversized, guarded, parse_sim_params, reply_line, Engine, ReqMeta, SimRequest,
-};
-use crate::event_loop::{Conns, EventLoop, Framed, Handler, Waker};
-use crate::protocol::{ErrorKind, Method, WireError};
+use crate::engine::{admit, admit_oversized, guarded, reply_line, Engine, ReqMeta};
+use crate::event_loop::{Conns, EventLoop, Framed, Handler, TokenMap, Waker};
+use crate::protocol::{ErrorKind, Method, Params, SimRequest, WireError};
 use crate::telemetry::SLOW_MS_DEFAULT;
 use m3d_core::report::Json;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
-use std::vec::Drain;
 
 pub use crate::sys::install_signal_handlers;
 
@@ -130,7 +127,15 @@ impl Work {
             Work::Sim(w) => (&w.reply, &w.meta),
             Work::Task(w) => (&w.reply, &w.meta),
         };
-        send_result(state, reply, Some(conns), meta, 0, 0, Err(e));
+        send_reply(
+            state,
+            reply,
+            Some(conns),
+            meta,
+            0,
+            0,
+            reply_line(meta.id, Err(e)),
+        );
     }
 }
 
@@ -315,22 +320,22 @@ impl ConnWriter {
     }
 }
 
-/// Send a handler outcome, account for it ([`ReqMeta::complete`]: a
-/// response whose connection is already gone counts as delivered to
-/// nobody), and decrement the connection's pending count.
+/// Send a reply line with the error kind it carries (`None`: a success),
+/// account for it ([`ReqMeta::complete`]: a response whose connection is
+/// already gone counts as delivered to nobody), and decrement the
+/// connection's pending count.
 ///
 /// On the event-loop thread `conns` is `Some` and the line goes straight
 /// into the write buffer; workers pass `None` and go through the mailbox.
-fn send_result(
+fn send_reply(
     state: &ServerState,
     writer: &ConnWriter,
     conns: Option<&mut Conns>,
     meta: &ReqMeta,
     queue_us: u64,
     batch: u32,
-    result: Result<Json, WireError>,
+    (line, outcome): (String, Option<ErrorKind>),
 ) {
-    let (line, outcome) = reply_line(meta.id, result);
     let sent = match conns {
         Some(conns) => writer.send_inline(conns, &line),
         None => writer.send(&line),
@@ -407,7 +412,7 @@ impl Server {
         let el = EventLoop::new(self.listener, waker).expect("set up the event loop");
         el.run(&mut Daemon {
             state: self.state,
-            writers: HashMap::new(),
+            writers: TokenMap::default(),
             workers,
         });
     }
@@ -441,12 +446,12 @@ impl ServerHandle {
 struct Daemon {
     state: Arc<ServerState>,
     /// Per connection token (created by its first line).
-    writers: HashMap<u64, Arc<ConnWriter>>,
+    writers: TokenMap<Arc<ConnWriter>>,
     workers: Vec<JoinHandle<()>>,
 }
 
 impl Handler for Daemon {
-    fn on_input(&mut self, conns: &mut Conns, token: u64, lines: Drain<'_, Framed>) {
+    fn on_line(&mut self, conns: &mut Conns, token: u64, line: Framed<'_>) {
         let writer = self.writers.entry(token).or_insert_with(|| {
             Arc::new(ConnWriter {
                 token,
@@ -455,12 +460,10 @@ impl Handler for Daemon {
                 pending: AtomicUsize::new(0),
             })
         });
-        for framed in lines {
-            match framed {
-                Framed::Line(line) => process_line(&line, writer, conns, &self.state),
-                Framed::Oversized => {
-                    writer.send_inline(conns, &admit_oversized());
-                }
+        match line {
+            Framed::Line(line) => process_line(&line, writer, conns, &self.state),
+            Framed::Oversized => {
+                writer.send_inline(conns, &admit_oversized());
             }
         }
     }
@@ -523,12 +526,16 @@ fn run_sim_group(state: &ServerState, group: &[Job<SimRequest>], claimed: Instan
     // coalesces one.
     let deadline = group[0].meta.deadline;
     let batch_size = group.len() as u32;
-    let reqs: Vec<&SimRequest> = group.iter().map(|w| &w.params).collect();
-    let results = guarded(|| state.engine.sim_group(&reqs, deadline))
-        .unwrap_or_else(|e| vec![Err(e); group.len()]);
-    for (w, r) in group.iter().zip(results) {
+    let reqs: Vec<(i64, &SimRequest)> = group.iter().map(|w| (w.meta.id, &w.params)).collect();
+    let replies = guarded(|| state.engine.sim_group(&reqs, deadline)).unwrap_or_else(|e| {
+        group
+            .iter()
+            .map(|w| reply_line(w.meta.id, Err(e.clone())))
+            .collect()
+    });
+    for (w, reply) in group.iter().zip(replies) {
         let queue_us = queue_wait_us(&w.meta, claimed);
-        send_result(state, &w.reply, None, &w.meta, queue_us, batch_size, r);
+        send_reply(state, &w.reply, None, &w.meta, queue_us, batch_size, reply);
     }
 }
 
@@ -538,21 +545,21 @@ fn run_task(state: &ServerState, w: &Job<Json>, claimed: Instant) {
     // produced. The send result feeds back into the search: once the
     // client is gone the next chunk boundary aborts the run instead of
     // simulating for nobody. The final line still flows through
-    // `send_result` for the counters and latency record.
+    // `send_reply` for the counters and latency record.
     let r = guarded(|| {
         state
             .engine
             .run_task(&w.meta, &w.params, |line| w.reply.send(line))
     })
     .unwrap_or_else(Err);
-    send_result(
+    send_reply(
         state,
         &w.reply,
         None,
         &w.meta,
         queue_wait_us(&w.meta, claimed),
         1,
-        r,
+        reply_line(w.meta.id, r),
     );
 }
 
@@ -582,32 +589,38 @@ fn process_line(line: &str, writer: &Arc<ConnWriter>, conns: &mut Conns, state: 
         }
     };
     writer.pending.fetch_add(1, Ordering::AcqRel);
-    let mut inline = |r| send_result(state, writer, Some(conns), &meta, 0, 1, r);
-    let work = match req.method {
-        Method::Planner => return inline(Ok(state.engine.planner())),
-        Method::Stats => return inline(Ok(state.engine.stats())),
-        Method::Telemetry => return inline(state.engine.telemetry(&req.params)),
-        Method::Sim => match parse_sim_params(&req.params) {
-            Ok(params) => {
-                // Every point memoized: a lookup answers it, so it does not
-                // wait behind simulations in the queue. Behind the same
-                // panic guard as a worker's batch, so the loop survives.
-                if let Some(r) = state.engine.sim_hit(&params) {
-                    return inline(r);
-                }
-                Work::Sim(Job {
-                    meta,
-                    params,
-                    reply: Arc::clone(writer),
-                })
+    let mut inline = |reply| send_reply(state, writer, Some(conns), &meta, 0, 1, reply);
+    let work = match req.params {
+        Params::Sim(Ok(params)) => {
+            // Every point memoized: a lookup answers it, so it does not
+            // wait behind simulations in the queue. Behind the same panic
+            // guard as a worker's batch, so the loop survives.
+            if let Some(reply) = state.engine.sim_hit(req.id, &params) {
+                return inline(reply);
             }
-            Err(e) => return send_result(state, writer, Some(conns), &meta, 0, 0, Err(e)),
+            Work::Sim(Job {
+                meta,
+                params,
+                reply: Arc::clone(writer),
+            })
+        }
+        Params::Sim(Err(e)) => {
+            let reply = reply_line(req.id, Err(e));
+            return send_reply(state, writer, Some(conns), &meta, 0, 0, reply);
+        }
+        Params::Tree(params) => match req.method {
+            Method::Planner => return inline(reply_line(req.id, Ok(state.engine.planner()))),
+            Method::Stats => return inline(reply_line(req.id, Ok(state.engine.stats()))),
+            Method::Telemetry => {
+                return inline(reply_line(req.id, state.engine.telemetry(&params)))
+            }
+            Method::Experiment | Method::Plan => Work::Task(Job {
+                meta,
+                params,
+                reply: Arc::clone(writer),
+            }),
+            Method::Sim => unreachable!("a `sim`'s params are read into points"),
         },
-        Method::Experiment | Method::Plan => Work::Task(Job {
-            meta,
-            params: req.params,
-            reply: Arc::clone(writer),
-        }),
     };
     if let Err((work, e)) = state.queue.push(work) {
         work.fail(state, conns, e);

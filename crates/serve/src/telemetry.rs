@@ -80,8 +80,10 @@ pub struct RequestObservation {
     /// Microseconds spent queued before a worker claimed the request
     /// (0 for inline-answered and oneshot requests).
     pub queue_us: u64,
-    /// Microseconds from receipt to the response line being written.
-    pub total_us: u64,
+    /// Microseconds from receipt to the response line being written,
+    /// fractions included: the latency windows record it as it is, the
+    /// flight records in whole microseconds.
+    pub total_us: f64,
     /// Requests coalesced into the batch that served this one (1 when
     /// served alone, 0 when it never reached a batch).
     pub batch: u32,
@@ -146,17 +148,23 @@ impl ServeTelemetry {
     /// Microseconds since this engine's construction — the tick every
     /// window runs on.
     fn now_us(&self) -> u64 {
-        self.epoch.elapsed().as_micros() as u64
+        self.tick(Instant::now())
     }
 
-    /// Record one finished request at the current tick.
-    pub fn observe(&self, o: RequestObservation) {
-        self.observe_at(self.now_us(), o);
+    /// The tick of instant `at`.
+    fn tick(&self, at: Instant) -> u64 {
+        at.saturating_duration_since(self.epoch).as_micros() as u64
+    }
+
+    /// Record one request that finished at `at`.
+    pub fn observe(&self, at: Instant, o: RequestObservation) {
+        self.observe_at(self.tick(at), o);
     }
 
     /// [`observe`](Self::observe) with an injected tick (tests).
     pub(crate) fn observe_at(&self, now_us: u64, o: RequestObservation) {
-        let handle_us = o.total_us.saturating_sub(o.queue_us);
+        let total_us = o.total_us as u64;
+        let handle_us = total_us.saturating_sub(o.queue_us);
         let mw = &self.methods[method_index(o.method)];
         // A response that failed to send has no client-visible latency —
         // keep it out of the latency windows (mirroring the global
@@ -166,7 +174,7 @@ impl ServeTelemetry {
             mw.latency
                 .lock()
                 .expect("telemetry latency window")
-                .record(now_us, o.total_us as f64);
+                .record(now_us, o.total_us);
         }
         mw.queue
             .lock()
@@ -176,7 +184,7 @@ impl ServeTelemetry {
             seq: 0, // assigned by the recorder
             id: o.id,
             method: o.method.name(),
-            start_us: now_us.saturating_sub(o.total_us),
+            start_us: now_us.saturating_sub(total_us),
             req_bytes: o.req_bytes,
             resp_bytes: o.resp_bytes,
             queue_us: o.queue_us,
@@ -185,7 +193,7 @@ impl ServeTelemetry {
             outcome: o.outcome,
         };
         let slow_us = self.slow_us.load(Ordering::Relaxed);
-        if slow_us > 0 && o.total_us >= slow_us {
+        if slow_us > 0 && total_us >= slow_us {
             self.slow_total.fetch_add(1, Ordering::Relaxed);
             let mut ring = self.slow.lock().expect("telemetry slow log");
             if ring.len() == SLOW_RING {
@@ -423,7 +431,7 @@ mod tests {
             req_bytes: 80,
             resp_bytes: 160,
             queue_us: total_us / 4,
-            total_us,
+            total_us: total_us as f64,
             batch: 1,
             outcome,
         }
@@ -454,6 +462,27 @@ mod tests {
         };
         assert_eq!(recent.len(), 2);
         assert_eq!(recent[0].get("handle_us"), Some(&Json::from(3000u64 - 750)));
+    }
+
+    #[test]
+    fn latency_windows_keep_fractional_microseconds() {
+        let t = ServeTelemetry::new();
+        let mut o = obs(Method::Sim, 0, "ok");
+        o.total_us = 2.6;
+        t.observe_at(1000, o);
+        let h = t.methods[method_index(Method::Sim)]
+            .latency
+            .lock()
+            .expect("window")
+            .merged("w", 1000, 1_000_000);
+        assert_eq!((h.count, h.sum, h.max), (1, 2.6, 2.6), "2.6 µs, not 2");
+        // The flight record keeps whole microseconds.
+        let j = t.json_at(1000, 1.0, 16);
+        let recent = match j.get("flight").and_then(|f| f.get("recent")) {
+            Some(Json::Arr(a)) => a.clone(),
+            other => panic!("bad recent: {other:?}"),
+        };
+        assert_eq!(recent[0].get("handle_us"), Some(&Json::from(2u64)));
     }
 
     #[test]

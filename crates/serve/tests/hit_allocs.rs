@@ -56,10 +56,10 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 /// The most allocations one inline memo hit may cost the server.
-const MAX_ALLOCS_PER_HIT: u64 = 30;
+const MAX_ALLOCS_PER_HIT: u64 = 5;
 
 #[test]
-fn an_inline_memo_hit_costs_at_most_30_allocations() {
+fn an_inline_memo_hit_costs_at_most_5_allocations() {
     const HITS: u64 = 1000;
     // A Fig. 6/7-style point: one SPEC app on one paper design.
     let params = Json::obj([

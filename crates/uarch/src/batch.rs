@@ -36,7 +36,10 @@ use crate::error::SimError;
 use crate::multicore::Multicore;
 use crate::stats::PerfResult;
 use m3d_workloads::{StreamRecord, WorkloadProfile};
+use std::borrow::Cow;
+use std::cell::RefCell;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -57,8 +60,9 @@ pub struct SimInterval {
 pub struct SimPoint {
     /// Core + memory configuration.
     pub config: CoreConfig,
-    /// Workload characterisation driving the trace generator.
-    pub profile: WorkloadProfile,
+    /// Workload characterisation driving the trace generator: owned, or
+    /// borrowed from a process-wide profile table.
+    pub profile: Cow<'static, WorkloadProfile>,
     /// Trace seed.
     pub seed: u64,
     /// Core count of the simulated [`Multicore`] (1 is the single-core
@@ -78,7 +82,7 @@ impl SimPoint {
     ) -> Self {
         Self {
             config,
-            profile,
+            profile: Cow::Owned(profile),
             seed,
             n_cores: 1,
             interval,
@@ -95,7 +99,7 @@ impl SimPoint {
     ) -> Self {
         Self {
             config,
-            profile,
+            profile: Cow::Owned(profile),
             seed,
             n_cores,
             interval,
@@ -106,23 +110,30 @@ impl SimPoint {
     /// key). Floating-point fields hash by bit pattern, so two points are
     /// equal iff their simulations are bit-identical computations.
     pub fn key(&self) -> PointKey {
-        let mut h = Fingerprint::new();
-        self.hash_warm(&mut h);
-        h.u64(self.interval.measure);
-        h.finish()
+        self.keys().0
     }
 
     /// Fingerprint of everything *except* the measurement window — points
     /// sharing a warm key run the same machine through the same warm-up,
     /// so the batch warms once and checkpoints.
     pub fn warm_key(&self) -> PointKey {
-        let mut h = Fingerprint::new();
-        self.hash_warm(&mut h);
-        h.finish()
+        self.keys().1
     }
 
-    fn hash_warm(&self, h: &mut Fingerprint) {
-        let c = &self.config;
+    /// [`key`](SimPoint::key) and [`warm_key`](SimPoint::warm_key) from one
+    /// pass: the key is the warm key's state with the measure window
+    /// hashed on.
+    pub fn keys(&self) -> (PointKey, PointKey) {
+        let mut h = config_fingerprint(&self.config);
+        self.hash_stream(&mut h);
+        h.u64(self.interval.warmup);
+        let warm = h.finish();
+        h.u64(self.interval.measure);
+        (h.finish(), warm)
+    }
+
+    /// Hash a machine configuration's words: the first 46 of a key's 75.
+    fn hash_config(c: &CoreConfig, h: &mut Fingerprint) {
         h.f64(c.freq_ghz);
         h.f64(c.vdd);
         for v in [
@@ -167,9 +178,6 @@ impl SimPoint {
         h.u64(c.btb_ways as u64);
         h.u64(c.ras_entries as u64);
         h.u64(c.complex_decode_extra);
-
-        self.hash_stream(h);
-        h.u64(self.interval.warmup);
     }
 
     /// Fingerprint of the µop streams this point runs: the profile, the
@@ -257,6 +265,31 @@ pub fn shard_slice(shard: usize, shards: usize) -> (u64, u64) {
     (lo, hi)
 }
 
+/// A fresh fingerprint with `c`'s words hashed into it. Few configs recur
+/// across many points (a serve daemon sees one per design), so each
+/// thread keeps the states of the last few configs it hashed; a kept
+/// state is the state hashing would give, so keys do not change.
+fn config_fingerprint(c: &CoreConfig) -> Fingerprint {
+    const KEPT: usize = 8;
+    thread_local! {
+        static KEPT_STATES: RefCell<Vec<(CoreConfig, Fingerprint)>> =
+            const { RefCell::new(Vec::new()) };
+    }
+    KEPT_STATES.with(|kept| {
+        let mut kept = kept.borrow_mut();
+        if let Some((_, h)) = kept.iter().find(|(k, _)| k == c) {
+            return *h;
+        }
+        let mut h = Fingerprint::new();
+        SimPoint::hash_config(c, &mut h);
+        if kept.len() == KEPT {
+            kept.remove(0);
+        }
+        kept.push((c.clone(), h));
+        h
+    })
+}
+
 /// Two-lane word-wise hasher producing a 128-bit fingerprint. Each step
 /// consumes one 64-bit word: floats by bit pattern, integers as they are,
 /// strings length-prefixed and packed eight bytes per word. Each lane XORs
@@ -268,7 +301,7 @@ pub fn shard_slice(shard: usize, shards: usize) -> (u64, u64) {
 /// For a fixed word, a step is a bijection of the lane state, so two
 /// equally long word sequences that differ in one word always end in
 /// different states: a single-field change can never collide.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 struct Fingerprint {
     a: u64,
     b: u64,
@@ -339,13 +372,37 @@ pub struct BatchStats {
 /// deterministic policy — eviction order would otherwise depend on
 /// cross-experiment scheduling), and each refused insert counts one
 /// `uarch.batch.cache_full`.
-static RESULT_CACHE: OnceLock<Mutex<HashMap<PointKey, PerfResult>>> = OnceLock::new();
+static RESULT_CACHE: OnceLock<Mutex<KeyMap<PerfResult>>> = OnceLock::new();
 
 /// Most results the process-wide memo cache holds.
 pub const RESULT_CACHE_CAP: usize = 8192;
 
-fn result_cache() -> &'static Mutex<HashMap<PointKey, PerfResult>> {
-    RESULT_CACHE.get_or_init(|| Mutex::new(HashMap::new()))
+fn result_cache() -> &'static Mutex<KeyMap<PerfResult>> {
+    RESULT_CACHE.get_or_init(|| Mutex::new(KeyMap::default()))
+}
+
+/// A map keyed by [`PointKey`]. A key is already a mixed fingerprint, so
+/// it is not hashed again: the map's hash is the XOR of its two lanes.
+/// Nothing iterates these maps, so their order never reaches a result,
+/// an artifact or a counter.
+type KeyMap<V> = HashMap<PointKey, V, BuildHasherDefault<LaneHasher>>;
+
+/// The [`KeyMap`] hasher: XORs the `u64` words written to it.
+#[derive(Debug, Default)]
+struct LaneHasher(u64);
+
+impl Hasher for LaneHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("a PointKey hashes as two u64 words");
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 ^= word;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 /// Number of results currently memoized in the process-wide cache.
@@ -435,12 +492,15 @@ impl SimBatch {
             points: n as u64,
             ..BatchStats::default()
         };
-        let keys: Vec<PointKey> = points.iter().map(SimPoint::key).collect();
+        // Each point's key and warm key, from one pass over the point.
+        let keys: Vec<(PointKey, PointKey)> = points.iter().map(SimPoint::keys).collect();
 
         // Phase 1: memo-cache lookups.
         let mut results: Vec<Option<Result<PerfResult, SimError>>> = if self.use_cache {
             let cache = result_cache().lock().expect("batch result cache poisoned");
-            keys.iter().map(|k| cache.get(k).copied().map(Ok)).collect()
+            keys.iter()
+                .map(|(k, _)| cache.get(k).copied().map(Ok))
+                .collect()
         } else {
             vec![None; n]
         };
@@ -450,19 +510,19 @@ impl SimBatch {
         // occurrence becomes the primary; later copies are aliases and
         // count as (deterministic) cache hits.
         let mut primaries: Vec<usize> = Vec::new();
-        let mut alias_of: HashMap<PointKey, usize> = HashMap::new();
+        let mut alias_of: KeyMap<usize> = KeyMap::default();
         let mut aliases: Vec<(usize, usize)> = Vec::new(); // (input idx, primary slot)
         for i in 0..n {
             if results[i].is_some() {
                 continue;
             }
-            match alias_of.get(&keys[i]) {
+            match alias_of.get(&keys[i].0) {
                 Some(&slot) => {
                     aliases.push((i, slot));
                     stats.cache_hits += 1;
                 }
                 None => {
-                    alias_of.insert(keys[i], primaries.len());
+                    alias_of.insert(keys[i].0, primaries.len());
                     primaries.push(i);
                 }
             }
@@ -473,11 +533,11 @@ impl SimBatch {
         // warm groups by stream key: warm groups of one stream group that a
         // lane runs in turn replay the µop streams the first one recorded.
         let mut groups: Vec<Group> = Vec::new();
-        let mut group_of: HashMap<PointKey, usize> = HashMap::new();
+        let mut group_of: KeyMap<usize> = KeyMap::default();
         let mut streams: Vec<Vec<usize>> = Vec::new();
-        let mut stream_of: HashMap<PointKey, usize> = HashMap::new();
+        let mut stream_of: KeyMap<usize> = KeyMap::default();
         for (slot, &i) in primaries.iter().enumerate() {
-            let wk = points[i].warm_key();
+            let wk = keys[i].1;
             match group_of.get(&wk) {
                 Some(&g) => {
                     groups[g].members.push(slot);
@@ -582,7 +642,7 @@ impl SimBatch {
             for (slot, &i) in primaries.iter().enumerate() {
                 if let Some(Ok(r)) = &primary_results[slot] {
                     if cache.len() < RESULT_CACHE_CAP {
-                        cache.insert(keys[i], *r);
+                        cache.insert(keys[i].0, *r);
                     } else {
                         refused += 1;
                     }
@@ -1019,15 +1079,46 @@ mod tests {
 
     type FieldEdit = Box<dyn Fn(&mut SimPoint)>;
 
+    /// A point's fields with the profile owned, so that a test can edit
+    /// any of them in place.
+    struct Fields {
+        config: CoreConfig,
+        profile: WorkloadProfile,
+        seed: u64,
+        n_cores: usize,
+        interval: SimInterval,
+    }
+
+    impl Fields {
+        fn edit(p: &mut SimPoint, f: impl Fn(&mut Fields)) {
+            let mut fields = Fields {
+                config: p.config.clone(),
+                profile: p.profile.clone().into_owned(),
+                seed: p.seed,
+                n_cores: p.n_cores,
+                interval: p.interval,
+            };
+            f(&mut fields);
+            let Fields {
+                config,
+                profile,
+                seed,
+                n_cores,
+                interval,
+            } = fields;
+            *p = SimPoint::multi(config, profile, seed, n_cores, interval);
+        }
+    }
+
     /// Every single-field change of a point, named by its field path: each
-    /// field `hash_warm` and `hash_stream` read, plus the measure window.
+    /// field `hash_config` and `hash_stream` read, plus the measure window.
     fn field_edits() -> Vec<(&'static str, FieldEdit)> {
         let mut edits: Vec<(&'static str, FieldEdit)> = Vec::new();
         macro_rules! edit {
             ($delta:literal: $($($f:ident).+),+) => {$(
                 edits.push((
                     stringify!($($f).+),
-                    Box::new(|p: &mut SimPoint| p.$($f).+ += $delta),
+                    Box::new(|p: &mut SimPoint| Fields::edit(p, |f| f.$($f).+ += $delta)),
                 ));
             )+};
         }
@@ -1058,7 +1149,7 @@ mod tests {
         ));
         edits.push((
             "profile.name",
-            Box::new(|p: &mut SimPoint| p.profile.name.push('x')),
+            Box::new(|p: &mut SimPoint| p.profile.to_mut().name.push('x')),
         ));
         edits
     }
@@ -1122,7 +1213,24 @@ mod tests {
         // The key is a fixed function of the point: it routes `sim`
         // requests to shards, so it must not drift silently.
         let p = single("Gcc", 1, CoreConfig::base_2d(), 1_000, 2_000);
-        assert_eq!(p.key(), (0xEB5C_134D_C4D8_6D33, 0x0DDC_A43C_EBA1_619B));
+        let pinned = (0xEB5C_134D_C4D8_6D33, 0x0DDC_A43C_EBA1_619B);
+        assert_eq!(p.key(), pinned);
+        // The same again from the thread's kept config state, and once
+        // more after more configs than it keeps have pushed it out.
+        assert_eq!(p.key(), pinned);
+        for ghz in 1..=9 {
+            let q = single(
+                "Gcc",
+                1,
+                CoreConfig::base_2d().with_frequency(f64::from(ghz)),
+                0,
+                1,
+            );
+            let mut fresh = Fingerprint::new();
+            SimPoint::hash_config(&q.config, &mut fresh);
+            assert_eq!(config_fingerprint(&q.config).finish(), fresh.finish());
+        }
+        assert_eq!(p.key(), pinned);
     }
 
     #[test]

@@ -255,12 +255,16 @@ pub fn splash_parsec() -> Vec<WorkloadProfile> {
 /// Served from a table built and validated once per process, so a lookup
 /// costs a name scan and one clone, not a rebuild of all 15 profiles.
 pub fn parallel_by_name(name: &str) -> Option<WorkloadProfile> {
+    parallel_profile(name).cloned()
+}
+
+/// [`parallel_by_name`] without the clone: the profile in the process-wide table.
+pub fn parallel_profile(name: &str) -> Option<&'static WorkloadProfile> {
     static TABLE: OnceLock<Vec<WorkloadProfile>> = OnceLock::new();
     TABLE
         .get_or_init(splash_parsec)
         .iter()
         .find(|p| p.name.eq_ignore_ascii_case(name))
-        .cloned()
 }
 
 #[cfg(test)]

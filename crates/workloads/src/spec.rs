@@ -284,12 +284,16 @@ pub fn spec2006() -> Vec<WorkloadProfile> {
 /// Served from a table built and validated once per process, so a lookup
 /// costs a name scan and one clone, not a rebuild of all 21 profiles.
 pub fn spec_by_name(name: &str) -> Option<WorkloadProfile> {
+    spec_profile(name).cloned()
+}
+
+/// [`spec_by_name`] without the clone: the profile in the process-wide table.
+pub fn spec_profile(name: &str) -> Option<&'static WorkloadProfile> {
     static TABLE: OnceLock<Vec<WorkloadProfile>> = OnceLock::new();
     TABLE
         .get_or_init(spec2006)
         .iter()
         .find(|p| p.name.eq_ignore_ascii_case(name))
-        .cloned()
 }
 
 #[cfg(test)]
